@@ -4,9 +4,13 @@
 //! `x1 = ⌈u−W⌉ … x2 = ⌊u+W⌋` and their kernel weights via LUT. Part 2 is the
 //! separable convolution proper: the forward operator *gathers* weighted
 //! grid values into the sample, the adjoint *scatters* the sample into the
-//! grid. The innermost dimension is contiguous in memory, so Part 2 rows go
-//! through the `nufft-simd` row kernels (SIMD-within-a-sample, §III-C);
-//! wrap-around rows are split into at most two contiguous segments.
+//! grid. The innermost dimension is contiguous in memory, so Part 2
+//! vectorizes within a sample along it (§III-C): at AVX2+FMA a 2D/3D sample
+//! whose innermost row does not wrap goes through one `nufft-simd` box
+//! kernel call ([`nufft_simd::boxes`]) covering its whole window box; 1D
+//! samples, wrapping rows and the lower ISA levels go row by row through
+//! the `nufft-simd` row kernels, with wrap-around rows split into at most
+//! two contiguous segments.
 //!
 //! Privatized tasks scatter into a local buffer in *unwrapped* coordinates
 //! (every neighbor of a task's samples lies within its halo box, so no mod
@@ -15,6 +19,9 @@
 
 use crate::kernel::InterpKernel;
 use nufft_math::Complex32;
+use nufft_simd::boxes::{
+    gather_box, gather_box2, scatter_box, BoxAxis, BoxIsa, BoxRows, MAX_BOX_TAPS,
+};
 use nufft_simd::{gather_row, gather_row2, scatter_row, scatter_row2};
 
 /// Maximum taps per dimension: `2W+1` with the paper's largest `W = 8`.
@@ -99,6 +106,35 @@ pub fn win_refs<const D: usize>(win: &[Window; D]) -> [WinRef<'_>; D] {
 #[inline(always)]
 fn wrap(x: i32, m: usize) -> usize {
     x.rem_euclid(m as i32) as usize
+}
+
+/// One 2D/3D sample's box for the [`nufft_simd::boxes`] kernels in a grid
+/// of extents `ext`, where `first(d)` is the grid index of `win[d].start`;
+/// or `None` where the row path runs: no box kernel at the active ISA level
+/// (checked first, so the lower levels pay nothing more), 1D, an innermost
+/// row that wraps or is wider than [`MAX_BOX_TAPS`].
+#[inline(always)]
+fn sample_box<'a, const D: usize>(
+    ext: &[usize; D],
+    win: &[WinRef<'a>; D],
+    first: impl Fn(usize) -> usize,
+) -> Option<(BoxIsa, BoxRows<'a>)> {
+    if D == 1 || win[D - 1].len() > MAX_BOX_TAPS {
+        return None;
+    }
+    let isa = BoxIsa::active()?;
+    let z0 = first(D - 1);
+    if z0 + win[D - 1].len() > ext[D - 1] {
+        return None;
+    }
+    let axis = |d: usize| BoxAxis {
+        first: first(d),
+        extent: ext[d],
+        stride: ext[d + 1..].iter().product(),
+        w: win[d].w,
+    };
+    let y = if D == 3 { axis(1) } else { BoxAxis::UNIT };
+    Some((isa, BoxRows { x: axis(0), y, z0, w_z: win[D - 1].w }))
 }
 
 /// Scatters `val` along one (possibly wrapping) grid row: the innermost loop
@@ -187,6 +223,10 @@ pub fn adjoint_scatter<const D: usize>(
     win: &[WinRef<'_>; D],
     val: Complex32,
 ) {
+    if let Some((isa, rows)) = sample_box(m, win, |d| wrap(win[d].start, m[d])) {
+        scatter_box(isa, grid, &rows, val);
+        return;
+    }
     match D {
         1 => scatter_wrapped_row(grid, 0, m[0], win[0], val),
         2 => {
@@ -249,6 +289,9 @@ pub fn forward_gather<const D: usize>(
     m: &[usize; D],
     win: &[WinRef<'_>; D],
 ) -> Complex32 {
+    if let Some((isa, rows)) = sample_box(m, win, |d| wrap(win[d].start, m[d])) {
+        return gather_box(isa, grid, &rows);
+    }
     match D {
         1 => gather_wrapped_row(grid, 0, m[0], win[0]),
         2 => {
@@ -291,6 +334,9 @@ pub fn forward_gather2<const D: usize>(
     m: &[usize; D],
     win: &[WinRef<'_>; D],
 ) -> (Complex32, Complex32) {
+    if let Some((isa, rows)) = sample_box(m, win, |d| wrap(win[d].start, m[d])) {
+        return gather_box2(isa, ga, gb, &rows);
+    }
     match D {
         1 => gather_wrapped_row2(ga, gb, 0, m[0], win[0]),
         2 => {
@@ -338,6 +384,10 @@ pub fn adjoint_scatter_local<const D: usize>(
     win: &[WinRef<'_>; D],
     val: Complex32,
 ) {
+    if let Some((isa, rows)) = sample_box(size, win, |d| (win[d].start - origin[d]) as usize) {
+        scatter_box(isa, buf, &rows, val);
+        return;
+    }
     match D {
         1 => {
             let l0 = (win[0].start - origin[0]) as usize;

@@ -164,15 +164,6 @@ pub struct SpreadOp<const D: usize> {
 }
 
 impl<const D: usize> SpreadOp<D> {
-    /// Plans a standalone spread operator for grid extents `m` and sample
-    /// coordinates already in grid units `[0, m)` per dimension. Honors the
-    /// config's partitioning, privatization, sort and window-mode knobs
-    /// (`cfg.alpha` only affects the kernel shape parameter).
-    ///
-    /// # Panics
-    /// Panics if `D ∉ {1,2,3}`, the kernel does not fit the grid
-    /// (`m < 2⌈W⌉+1`), the kernel is wider than [`MAX_TAPS`], or a
-    /// coordinate is out of range.
     /// [`SpreadOp::plan`] with the kernel family and its parameters derived
     /// from a relative-accuracy tolerance (the ES kernel by default — see
     /// [`NufftConfig::with_tolerance`]); `cfg`'s non-kernel knobs are kept.
@@ -189,6 +180,15 @@ impl<const D: usize> SpreadOp<D> {
         Self::plan(m, coords, &(*cfg).with_tolerance(eps), exec)
     }
 
+    /// Plans a standalone spread operator for grid extents `m` and sample
+    /// coordinates already in grid units `[0, m)` per dimension. Honors the
+    /// config's partitioning, privatization, sort and window-mode knobs
+    /// (`cfg.alpha` only affects the kernel shape parameter).
+    ///
+    /// # Panics
+    /// Panics if `D ∉ {1,2,3}`, the kernel does not fit the grid
+    /// (`m < 2⌈W⌉+1`), the kernel is wider than [`MAX_TAPS`], or a
+    /// coordinate is out of range.
     pub fn plan(m: [usize; D], coords: Vec<[f32; D]>, cfg: &NufftConfig, exec: &Executor) -> Self {
         check_kernel_fit(&m, cfg.w);
         let kernel = Arc::new(InterpKernel::of(cfg.kernel, cfg.w, cfg.alpha, cfg.lut_density));

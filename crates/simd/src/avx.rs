@@ -5,13 +5,19 @@
 #![cfg(target_arch = "x86_64")]
 #![allow(unsafe_op_in_unsafe_fn)]
 
+use crate::boxes::BoxRows;
 use core::arch::x86_64::*;
 use nufft_math::Complex32;
 
 /// Expands four weights `[w0,w1,w2,w3]` to `[w0,w0,w1,w1,w2,w2,w3,w3]`.
 #[inline(always)]
 unsafe fn dup_weights4(wp: *const f32) -> __m256 {
-    let w4 = _mm_loadu_ps(wp);
+    dup4(_mm_loadu_ps(wp))
+}
+
+/// [`dup_weights4`] of weights already in a register.
+#[inline(always)]
+unsafe fn dup4(w4: __m128) -> __m256 {
     let both = _mm256_insertf128_ps(_mm256_castps128_ps256(w4), w4, 1);
     let idx = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
     _mm256_permutevar8x32_ps(both, idx)
@@ -21,6 +27,19 @@ unsafe fn dup_weights4(wp: *const f32) -> __m256 {
 #[inline(always)]
 unsafe fn broadcast_c32(val: Complex32) -> __m256 {
     _mm256_setr_ps(val.re, val.im, val.re, val.im, val.re, val.im, val.re, val.im)
+}
+
+/// Folds four interleaved complex lanes down to one complex sum.
+#[inline(always)]
+unsafe fn fold_c32(acc: __m256) -> Complex32 {
+    let lo = _mm256_castps256_ps128(acc);
+    let hi = _mm256_extractf128_ps(acc, 1);
+    let s4 = _mm_add_ps(lo, hi); // [r0+r2, i0+i2, r1+r3, i1+i3]
+    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+    Complex32::new(_mm_cvtss_f32(s2), {
+        let im = _mm_shuffle_ps(s2, s2, 0b01);
+        _mm_cvtss_f32(im)
+    })
 }
 
 /// `dst[i] += val * w[i]`, 4 complex values per iteration with FMA.
@@ -108,15 +127,7 @@ pub unsafe fn gather_row(src: &[Complex32], w: &[f32]) -> Complex32 {
         acc = _mm256_fmadd_ps(ww, s, acc);
         i += 4;
     }
-    // Fold four complex lanes down to one.
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let s4 = _mm_add_ps(lo, hi); // [r0+r2, i0+i2, r1+r3, i1+i3]
-    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    let mut out = Complex32::new(_mm_cvtss_f32(s2), {
-        let im = _mm_shuffle_ps(s2, s2, 0b01);
-        _mm_cvtss_f32(im)
-    });
+    let mut out = fold_c32(acc);
     while i < n {
         let wi = *wp.add(i);
         let s = *src.get_unchecked(i);
@@ -161,20 +172,8 @@ pub unsafe fn gather_row2(
         acc1 = _mm256_fmadd_ps(ww, s1, acc1);
         i += 4;
     }
-    // Fold each accumulator exactly as gather_row does.
-    #[inline(always)]
-    unsafe fn fold(acc: __m256) -> Complex32 {
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let s4 = _mm_add_ps(lo, hi);
-        let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-        Complex32::new(_mm_cvtss_f32(s2), {
-            let im = _mm_shuffle_ps(s2, s2, 0b01);
-            _mm_cvtss_f32(im)
-        })
-    }
-    let mut out0 = fold(acc0);
-    let mut out1 = fold(acc1);
+    let mut out0 = fold_c32(acc0);
+    let mut out1 = fold_c32(acc1);
     while i < n {
         let wi = *wp.add(i);
         let a = *src0.get_unchecked(i);
@@ -233,5 +232,155 @@ pub unsafe fn scale_by_real(buf: &mut [Complex32], s: &[f32]) {
         buf.get_unchecked_mut(i).re *= si;
         buf.get_unchecked_mut(i).im *= si;
         i += 1;
+    }
+}
+
+/// Lane mask of a box row's last vector: all-ones in the
+/// `2·(taps − 4·(NV−1))` `f32` lanes that hold live taps.
+#[inline(always)]
+unsafe fn tail_mask<const NV: usize>(taps: usize) -> __m256i {
+    let live = (2 * (taps - 4 * (NV - 1))) as i32;
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(live), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+}
+
+/// Loads vector `k` of a box row: unmasked, except the partial last one.
+#[inline(always)]
+unsafe fn load_box<const NV: usize, const PARTIAL: bool>(
+    p: *const f32,
+    k: usize,
+    mask: __m256i,
+) -> __m256 {
+    if PARTIAL && k + 1 == NV {
+        _mm256_maskload_ps(p.add(8 * k), mask)
+    } else {
+        _mm256_loadu_ps(p.add(8 * k))
+    }
+}
+
+/// Stores vector `k` of a box row: unmasked, except the partial last one.
+#[inline(always)]
+unsafe fn store_box<const NV: usize, const PARTIAL: bool>(
+    p: *mut f32,
+    k: usize,
+    mask: __m256i,
+    v: __m256,
+) {
+    if PARTIAL && k + 1 == NV {
+        _mm256_maskstore_ps(p.add(8 * k), mask, v)
+    } else {
+        _mm256_storeu_ps(p.add(8 * k), v)
+    }
+}
+
+/// The innermost weights expanded once to `NV` interleaved-complex
+/// vectors. The partial last group of four is read under a mask, so it is
+/// zero past the last tap and nothing past `w_z` is read.
+#[inline(always)]
+unsafe fn expand_box_weights<const NV: usize, const PARTIAL: bool>(w_z: &[f32]) -> [__m256; NV] {
+    let wp = w_z.as_ptr();
+    let live = (w_z.len() - 4 * (NV - 1)) as i32;
+    let mask = _mm_cmpgt_epi32(_mm_set1_epi32(live), _mm_setr_epi32(0, 1, 2, 3));
+    let mut out = [_mm256_setzero_ps(); NV];
+    for (k, v) in out.iter_mut().enumerate() {
+        *v = if PARTIAL && k + 1 == NV {
+            dup4(_mm_maskload_ps(wp.add(4 * k), mask))
+        } else {
+            dup_weights4(wp.add(4 * k))
+        };
+    }
+    out
+}
+
+/// `acc[c][k] += f · row_k` for one box row at element offset `off` of
+/// every channel grid.
+#[inline(always)]
+unsafe fn gather_box_row<const NV: usize, const PARTIAL: bool, const C: usize>(
+    acc: &mut [[__m256; NV]; C],
+    grids: &[*const Complex32; C],
+    off: usize,
+    f: f32,
+    mask: __m256i,
+) {
+    let f = _mm256_set1_ps(f);
+    for (g, a) in grids.iter().zip(acc.iter_mut()) {
+        let p = g.add(off) as *const f32;
+        for (k, ak) in a.iter_mut().enumerate() {
+            *ak = _mm256_fmadd_ps(f, load_box::<NV, PARTIAL>(p, k, mask), *ak);
+        }
+    }
+}
+
+/// Box gather over `C` channel grids sharing one box: the row accumulators
+/// `acc[c][k] += (x.w[i]·y.w[j]) · row_k` stay in registers across every
+/// outer row — in two sets, for even and odd `y` rows, so each FMA chain is
+/// half as long — and the innermost weights are applied and the lanes
+/// folded once per channel at the end. Each channel sees the
+/// identical operation sequence, so a `C = 2` call is bitwise-equal per
+/// channel to two `C = 1` calls.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA. `rows` must be checked against every
+/// grid ([`BoxRows::check`]): every row holds `taps = w_z.len()` complex
+/// values in bounds, with `4·(NV−1) < taps ≤ 4·NV` and
+/// `PARTIAL == (taps % 4 != 0)`.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn gather_box<const NV: usize, const PARTIAL: bool, const C: usize>(
+    grids: [*const Complex32; C],
+    rows: &BoxRows<'_>,
+) -> [Complex32; C] {
+    let mask = tail_mask::<NV>(rows.w_z.len());
+    let mut even = [[_mm256_setzero_ps(); NV]; C];
+    let mut odd = [[_mm256_setzero_ps(); NV]; C];
+    for (ox, wx) in rows.x.rows() {
+        let base = ox + rows.z0;
+        let mut ys = rows.y.rows();
+        while let Some((oy, wy)) = ys.next() {
+            gather_box_row::<NV, PARTIAL, C>(&mut even, &grids, base + oy, wx * wy, mask);
+            let Some((oy, wy)) = ys.next() else { break };
+            gather_box_row::<NV, PARTIAL, C>(&mut odd, &grids, base + oy, wx * wy, mask);
+        }
+    }
+    let wz = expand_box_weights::<NV, PARTIAL>(rows.w_z);
+    let mut out = [Complex32::ZERO; C];
+    for ((o, e), d) in out.iter_mut().zip(&even).zip(&odd) {
+        let mut t = _mm256_mul_ps(_mm256_add_ps(e[0], d[0]), wz[0]);
+        for k in 1..NV {
+            t = _mm256_fmadd_ps(_mm256_add_ps(e[k], d[k]), wz[k], t);
+        }
+        *o = fold_c32(t);
+    }
+    out
+}
+
+/// Box scatter: the sample value is multiplied into the expanded innermost
+/// weights once, so each row costs `NV` FMAs
+/// `row_k += (x.w[i]·y.w[j]) · (val·w_z)_k`.
+/// The partial last vector is read and written under the tail mask, so no
+/// cell outside the box is touched.
+///
+/// # Safety
+/// As [`gather_box`], for the single grid `grid`.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn scatter_box<const NV: usize, const PARTIAL: bool>(
+    grid: *mut Complex32,
+    rows: &BoxRows<'_>,
+    val: Complex32,
+) {
+    let mask = tail_mask::<NV>(rows.w_z.len());
+    let wz = expand_box_weights::<NV, PARTIAL>(rows.w_z);
+    let v = broadcast_c32(val);
+    let mut vz = [_mm256_setzero_ps(); NV];
+    for (z, w) in vz.iter_mut().zip(&wz) {
+        *z = _mm256_mul_ps(*w, v);
+    }
+    for (ox, wx) in rows.x.rows() {
+        for (oy, wy) in rows.y.rows() {
+            let f = _mm256_set1_ps(wx * wy);
+            let p = grid.add(ox + oy + rows.z0) as *mut f32;
+            for (k, z) in vz.iter().enumerate() {
+                let d = load_box::<NV, PARTIAL>(p, k, mask);
+                store_box::<NV, PARTIAL>(p, k, mask, _mm256_fmadd_ps(f, *z, d));
+            }
+        }
     }
 }

@@ -13,14 +13,21 @@
 //! * [`IsaLevel::Avx2Fma`] — 256-bit + FMA, 4 complex values per vector (the
 //!   paper's "expected to scale to wider SIMD" projection).
 //!
+//! At AVX2+FMA, [`boxes`] adds the W-specialized per-sample kernels: one
+//! call covers a 2D/3D sample's whole window box instead of one row-kernel
+//! call per grid row.
+//!
 //! The active level is detected once at startup and can be overridden with
 //! [`set_isa_override`] — the Figure 13 experiment uses this to measure
-//! scalar-vs-SSE-vs-AVX speedups of the very same code paths.
+//! scalar-vs-SSE-vs-AVX speedups of the convolution (at AVX2+FMA, through
+//! the box kernels).
 //!
-//! All kernels are exact-operation-count equivalents of their scalar
+//! The row kernels are exact-operation-count equivalents of their scalar
 //! references; the only permitted deviations are floating-point reassociation
-//! and FMA contraction, bounded in the property tests.
+//! and FMA contraction, bounded in the property tests. The box kernels
+//! reassociate the row path's sums and are checked against it to tolerance.
 
+pub mod boxes;
 pub mod dispatch;
 pub mod fft_rows;
 pub mod horner;

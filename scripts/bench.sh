@@ -25,6 +25,10 @@
 #                        eps ∈ {1e-2, 1e-4, 1e-6}: per-apply medians,
 #                        planned half-widths, hot-table bytes
 #                        (crates/bench/benches/kernels.rs)
+# The convolution bench (crates/bench/benches/convolution.rs) writes no
+# summary JSON: it prints per-ISA row-kernel times and the per-sample
+# 2D/3D scatter/gather time of the row path (below AVX2) and the box path
+# (AVX2+FMA), and appends them to results/benchmarks.jsonl.
 #
 # Usage: scripts/bench.sh [--quick]
 #   --quick   smoke mode (NUFFT_BENCH_FAST=1): minimal warmup and samples,
@@ -67,6 +71,9 @@ cargo bench --offline --bench type3
 
 echo "== bench: kernels (matched-accuracy ES vs Kaiser-Bessel A/B) =="
 cargo bench --offline --bench kernels
+
+echo "== bench: convolution (row kernels + per-sample row vs box path, per ISA) =="
+cargo bench --offline --bench convolution
 
 echo "== BENCH_fft.json =="
 cat BENCH_fft.json

@@ -100,6 +100,14 @@ echo "== convolution-engine contracts (allocation-free applies, window modes) ==
 cargo test -q --offline -p nufft-core --test window_modes
 cargo test -q --offline -p nufft --test alloc_steady_state
 
+echo "== per-sample convolution kernels =="
+# conv_kernels pins the AVX2 box path (one nufft_simd::boxes call per 2D/3D
+# sample) against the row path for tap counts 1..=17, global and privatized
+# scatter, with signalling-NaN canaries around every box: masked tails must
+# neither read nor write outside it. It also pins forward_gather2 bitwise
+# to two forward_gather calls at every ISA level.
+cargo test -q --offline -p nufft-core --test conv_kernels
+
 echo "== clippy (deny warnings) =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings

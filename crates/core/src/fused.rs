@@ -13,10 +13,10 @@
 //!   `image·scale` inside) so no separate zeroing pass exists;
 //! * **`Zero`** (adjoint) — one grid slab per node, zeroed across all
 //!   channels;
-//! * **`Fft`** — a run of consecutive SIMD tiles of one axis of one
-//!   channel (the same tile/grain decomposition the phased
-//!   [`crate::stage::FftOp`] shards, hoisted into the plan-owned
-//!   [`TilePlan`]);
+//! * **`Fft`** — a chunk of one axis's listed SIMD tiles of one channel
+//!   (the same tile lists and grain the phased [`crate::stage::FftOp`]
+//!   shards, from the plan-owned [`TilePlan`]; the zero-aware passes list
+//!   only the tiles an operator needs — see [`TileSet`]);
 //! * **`Conv`/`Priv`/`Reduce`** — the adjoint scatter tasks with their
 //!   Gray-code exclusion edges carried over verbatim, privatized tasks
 //!   split into a dependency-free `Priv` convolve and a `Reduce` that
@@ -42,12 +42,13 @@
 //! Edges are exact at the node granularity (conservative only up to
 //! chunking):
 //!
-//! * slab → first-axis FFT: a tile chunk depends on the slabs containing
-//!   its elements (`elem / slab_len`, deduplicated with a stamp array);
-//! * axis *k−1* → axis *k*: a chunk depends on the previous-axis chunks
-//!   whose tiles wrote its elements, via
-//!   [`FftNd::tile_of_element`]/[`FftNd::for_each_tile_element`] — O(grid)
-//!   per axis, not all-to-all, wherever the layout permits fewer edges;
+//! * last writer → axis *k*: a chunk depends, for each element it reads,
+//!   on the element's last writer — the chunk of the latest earlier axis
+//!   whose tile holding it runs, else (forward) the `Scale` slab
+//!   (`elem / slab_len`) — via
+//!   [`FftNd::tile_of_element`]/[`FftNd::for_each_tile_element`],
+//!   deduplicated with a stamp array: O(grid) per axis, not all-to-all,
+//!   wherever the layout permits fewer edges;
 //! * conv → first-axis FFT and last-axis FFT → gather: a task's halo box
 //!   (cell ± ⌈W⌉, wrapped) is walked as contiguous last-dimension runs and
 //!   mapped to tile chunks;
@@ -171,10 +172,29 @@ pub fn node_phase(tag: u64, adjoint: bool, ndim: usize) -> usize {
     }
 }
 
+/// Which tiles of each axis an FFT pass runs — the zero-aware passes of
+/// DESIGN.md §9. The image band of axis `d` is the grid indices `g` with
+/// `(g + ⌊N_d/2⌋) mod M_d < N_d`: the positions the embed fills and the
+/// extract reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TileSet {
+    /// Every tile: the public full transform ([`crate::stage::FftOp::apply`]).
+    All = 0,
+    /// The forward operator's pass over an embedded image: axis `k` runs a
+    /// tile if one of its lines has every index on the axes after `k`
+    /// inside the band. Every other line is still all +0.0, which is what
+    /// its transform would write back.
+    Forward = 1,
+    /// The adjoint's pass ahead of the extract: axis `k` runs a tile if its
+    /// indices on the axes before `k` all lie inside the band. No other
+    /// line is ever read again.
+    Adjoint = 2,
+}
+
 /// Plan-owned FFT tile decomposition: per axis, the tile count at the
-/// plan's batch width and the chunk grain the executor shards — computed
-/// once at construction instead of on every apply (and per channel in the
-/// batched adjoint, as the phased path used to).
+/// plan's batch width, the four-step shard counts, and per [`TileSet`] the
+/// tiles that run with the chunk grain the executor shards them in —
+/// derived once at construction, so applies only walk lists.
 #[derive(Clone, Debug)]
 pub(crate) struct TilePlan {
     /// Lines per tile (the SIMD batch width at plan-build time).
@@ -182,14 +202,14 @@ pub(crate) struct TilePlan {
     /// `parallel_for` chunk alignment for the phased path.
     pub(crate) align: usize,
     pub(crate) axes: Vec<AxisPlan>,
+    /// Per tile set (indexed by `TileSet as usize`), per axis.
+    lists: [Vec<TileList>; 3],
 }
 
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AxisPlan {
     /// Tiles of width `b` along this axis.
     pub(crate) tiles: usize,
-    /// Tiles per executor chunk (and per fused FFT node).
-    pub(crate) grain: usize,
     /// Four-step shard counts `(col_groups, k_blocks)` per tile chunk, or
     /// `None` for the recursive tile path. When set, a chunk splits into
     /// `col_groups` sub-FFT nodes followed by `k_blocks` combine nodes
@@ -197,67 +217,162 @@ pub(crate) struct AxisPlan {
     pub(crate) shards: Option<(usize, usize)>,
 }
 
-impl TilePlan {
-    pub(crate) fn new(fft: &FftNd, threads: usize) -> Self {
-        let b = FftNd::batch_width();
-        let align = (LANE_ALIGN / b).max(1);
-        let axes = (0..fft.ndim())
-            .map(|axis| {
-                let tiles = fft.num_tiles(axis, b);
-                // ~4 chunks per worker for stealable slack, capped so one
-                // chunk never dominates an axis.
-                let grain = (tiles / (4 * threads)).clamp(1, 64);
-                let shards = if fft.axis_fourstep(axis) {
-                    Some((fft.fs_col_groups(axis, b), fft.fs_k_blocks(axis)))
-                } else {
-                    None
-                };
-                AxisPlan { tiles, grain, shards }
-            })
-            .collect();
-        TilePlan { b, align, axes }
+/// The tiles one axis runs under one [`TileSet`], in chunks.
+#[derive(Clone, Debug)]
+pub(crate) struct TileList {
+    /// Ascending ids of the tiles that run.
+    pub(crate) tiles: Vec<u32>,
+    /// Tiles per executor chunk (and per fused FFT node).
+    pub(crate) grain: usize,
+}
+
+impl TileList {
+    fn new(tiles: Vec<u32>, threads: usize) -> Self {
+        // ~4 chunks per worker for stealable slack, capped so one chunk
+        // never dominates an axis.
+        let grain = (tiles.len() / (4 * threads)).clamp(1, 64);
+        TileList { tiles, grain }
     }
 
-    /// Fused FFT tile chunks along `axis` (the [`KIND_FFT`] node count on a
-    /// recursive axis; four-step axes split each chunk into shards).
-    pub(crate) fn nodes(&self, axis: usize) -> usize {
-        self.axes[axis].tiles.div_ceil(self.axes[axis].grain)
+    /// Number of chunks (the fused [`KIND_FFT`] node count on a recursive
+    /// axis; four-step axes split each chunk into shards).
+    pub(crate) fn chunks(&self) -> usize {
+        self.tiles.len().div_ceil(self.grain)
+    }
+
+    /// The tiles of chunk `k`.
+    pub(crate) fn chunk(&self, k: usize) -> &[u32] {
+        let lo = k * self.grain;
+        &self.tiles[lo..(lo + self.grain).min(self.tiles.len())]
+    }
+}
+
+/// Row-major flags over the index space of `band`'s axes: whether every
+/// index lies inside its axis's band (`[true]` for no axes).
+fn band_mask(band: &[Vec<bool>]) -> Vec<bool> {
+    band.iter().fold(vec![true], |mask, axis| {
+        mask.iter().flat_map(|&m| axis.iter().map(move |&g| m && g)).collect()
+    })
+}
+
+impl TilePlan {
+    /// Tile lists for `fft` over the grid an `image`-extent embed fills
+    /// (per axis, `image[d] ≤ shape[d]`). With `image == shape` every set
+    /// lists every tile. Costs O(tiles + lines / extent) per axis.
+    pub(crate) fn new(fft: &FftNd, image: &[usize], threads: usize) -> Self {
+        let shape = fft.shape();
+        assert_eq!(image.len(), shape.len(), "image rank must match the FFT's");
+        let b = FftNd::batch_width();
+        let align = (LANE_ALIGN / b).max(1);
+        let band: Vec<Vec<bool>> = shape
+            .iter()
+            .zip(image)
+            .map(|(&m, &n)| (0..m).map(|g| (g + n / 2) % m < n).collect())
+            .collect();
+        let mut axes = Vec::with_capacity(shape.len());
+        let mut lists: [Vec<TileList>; 3] = Default::default();
+        for axis in 0..shape.len() {
+            let tiles = fft.num_tiles(axis, b);
+            let shards = fft
+                .axis_fourstep(axis)
+                .then(|| (fft.fs_col_groups(axis, b), fft.fs_k_blocks(axis)));
+            axes.push(AxisPlan { tiles, shards });
+            let outer_in = band_mask(&band[..axis]);
+            let inner_in = band_mask(&band[axis + 1..]);
+            let (mut fwd, mut adj) = (Vec::new(), Vec::new());
+            for tile in 0..tiles {
+                let (outer, inner) = fft.tile_lines(axis, tile, b);
+                if inner_in[inner].contains(&true) {
+                    fwd.push(tile as u32);
+                }
+                if outer_in[outer] {
+                    adj.push(tile as u32);
+                }
+            }
+            lists[TileSet::All as usize].push(TileList::new((0..tiles as u32).collect(), threads));
+            lists[TileSet::Forward as usize].push(TileList::new(fwd, threads));
+            lists[TileSet::Adjoint as usize].push(TileList::new(adj, threads));
+        }
+        TilePlan { b, align, axes, lists }
+    }
+
+    /// The tiles `axis` runs under `set`.
+    pub(crate) fn list(&self, set: TileSet, axis: usize) -> &TileList {
+        &self.lists[set as usize][axis]
+    }
+}
+
+/// One [`TileSet`]'s view of the FFT stage for graph wiring: the plan's
+/// lists plus their inverse, tile id → position in its axis's list.
+struct FftLayout<'a> {
+    fft: &'a FftNd,
+    tp: &'a TilePlan,
+    set: TileSet,
+    /// Per axis, per tile: its list position, or [`FftLayout::SKIPPED`].
+    pos: Vec<Vec<u32>>,
+}
+
+impl<'a> FftLayout<'a> {
+    const SKIPPED: u32 = u32::MAX;
+
+    fn new(fft: &'a FftNd, tp: &'a TilePlan, set: TileSet) -> Self {
+        let pos = (0..fft.ndim())
+            .map(|axis| {
+                let mut pos = vec![Self::SKIPPED; tp.axes[axis].tiles];
+                for (i, &tile) in tp.list(set, axis).tiles.iter().enumerate() {
+                    pos[tile as usize] = i as u32;
+                }
+                pos
+            })
+            .collect();
+        FftLayout { fft, tp, set, pos }
+    }
+
+    fn list(&self, axis: usize) -> &TileList {
+        self.tp.list(self.set, axis)
     }
 
     /// Nodes whose input is the axis's *untransformed* grid data: tile
     /// chunks on a recursive axis, chunk × column-group sub-FFT shards on a
     /// four-step one. Producers of the axis's elements wire edges to these.
-    pub(crate) fn entry_shards(&self, axis: usize) -> usize {
-        self.nodes(axis) * self.axes[axis].shards.map_or(1, |(colg, _)| colg)
+    fn entry_shards(&self, axis: usize) -> usize {
+        self.list(axis).chunks() * self.tp.axes[axis].shards.map_or(1, |(colg, _)| colg)
     }
 
     /// Nodes that write the axis's *finished* spectrum: tile chunks on a
     /// recursive axis, chunk × k-block combine shards on a four-step one.
     /// Consumers of the axis's elements wire edges from these.
-    pub(crate) fn writer_shards(&self, axis: usize) -> usize {
-        self.nodes(axis) * self.axes[axis].shards.map_or(1, |(_, kbg)| kbg)
+    fn writer_shards(&self, axis: usize) -> usize {
+        self.list(axis).chunks() * self.tp.axes[axis].shards.map_or(1, |(_, kbg)| kbg)
     }
-}
 
-/// The entry-shard id (see [`TilePlan::entry_shards`]) whose read set
-/// contains `elem` on `axis`.
-fn entry_shard_of(fft: &FftNd, tp: &TilePlan, axis: usize, elem: usize) -> usize {
-    let ap = &tp.axes[axis];
-    let chunk = fft.tile_of_element(axis, elem, tp.b) / ap.grain;
-    match ap.shards {
-        Some((colg, _)) => chunk * colg + fft.fs_col_group_of_element(axis, elem, tp.b),
-        None => chunk,
+    /// The chunk holding `tile` of `axis`, or `None` if the tile does not
+    /// run.
+    fn chunk_of_tile(&self, axis: usize, tile: usize) -> Option<usize> {
+        let p = self.pos[axis][tile];
+        (p != Self::SKIPPED).then(|| p as usize / self.list(axis).grain)
     }
-}
 
-/// The writer-shard id (see [`TilePlan::writer_shards`]) that writes `elem`
-/// on `axis`.
-fn writer_shard_of(fft: &FftNd, tp: &TilePlan, axis: usize, elem: usize) -> usize {
-    let ap = &tp.axes[axis];
-    let chunk = fft.tile_of_element(axis, elem, tp.b) / ap.grain;
-    match ap.shards {
-        Some((_, kbg)) => chunk * kbg + fft.fs_kblock_of_element(axis, elem),
-        None => chunk,
+    /// The entry shard whose read set contains `elem` on `axis`, or `None`
+    /// if its tile does not run.
+    fn entry_shard_of(&self, axis: usize, elem: usize) -> Option<usize> {
+        let chunk = self.chunk_of_tile(axis, self.fft.tile_of_element(axis, elem, self.tp.b))?;
+        Some(match self.tp.axes[axis].shards {
+            Some((colg, _)) => {
+                chunk * colg + self.fft.fs_col_group_of_element(axis, elem, self.tp.b)
+            }
+            None => chunk,
+        })
+    }
+
+    /// The writer shard that writes `elem` on `axis`, or `None` if its tile
+    /// does not run.
+    fn writer_shard_of(&self, axis: usize, elem: usize) -> Option<usize> {
+        let chunk = self.chunk_of_tile(axis, self.fft.tile_of_element(axis, elem, self.tp.b))?;
+        Some(match self.tp.axes[axis].shards {
+            Some((_, kbg)) => chunk * kbg + self.fft.fs_kblock_of_element(axis, elem),
+            None => chunk,
+        })
     }
 }
 
@@ -369,20 +484,11 @@ fn task_box<const D: usize>(
     (lo, len)
 }
 
-/// Approximate element count of FFT tile-chunk `[t0, t1)` on `axis` — the
-/// node's priority weight.
-fn fft_chunk_weight(fft: &FftNd, axis: usize, t0: usize, t1: usize, b: usize) -> u64 {
-    let n = fft.shape()[axis];
-    let lines = if fft.axis_stride(axis) == 1 { 1 } else { b };
-    // ~log-factor work per element folded into a flat 4.
-    (4 * n * lines * (t1 - t0)) as u64
-}
-
-/// Emits the FFT node run of one `(channel, axis)` pair, plus — on a
-/// four-step axis — the intra-axis sub → combine edges. Returns the
-/// `(entry, writer)` node bases: producers of the axis's elements wire to
-/// `entry + entry_shard_of(..)`, consumers wire from
-/// `writer + writer_shard_of(..)` (the same base on a recursive axis).
+/// Emits the FFT node run of one `(channel, axis)` pair over the axis's
+/// listed tiles, plus — on a four-step axis — the intra-axis sub → combine
+/// edges. Returns the `(entry, writer)` node bases: producers of the
+/// axis's elements wire to `entry + entry_shard_of(..)`, consumers wire
+/// from `writer + writer_shard_of(..)` (the same base on a recursive axis).
 ///
 /// A four-step chunk's combine shards each read every block of the chunk's
 /// `fs` region, and the chunk's sub-FFT shards together write exactly that
@@ -390,19 +496,17 @@ fn fft_chunk_weight(fft: &FftNd, axis: usize, t0: usize, t1: usize, b: usize) ->
 /// cross-chunk edges exist (shards never straddle a tile chunk).
 fn add_axis_nodes(
     builder: &mut DagBuilder,
-    fft: &FftNd,
-    tp: &TilePlan,
+    lay: &FftLayout<'_>,
     axis: usize,
     c: usize,
 ) -> (NodeId, NodeId) {
-    let ap = &tp.axes[axis];
-    let chunks = tp.nodes(axis);
-    let chunk_weight = |k: usize| {
-        let t0 = k * ap.grain;
-        let t1 = (t0 + ap.grain).min(ap.tiles);
-        fft_chunk_weight(fft, axis, t0, t1, tp.b)
-    };
-    match ap.shards {
+    let list = lay.list(axis);
+    let chunks = list.chunks();
+    let lines = if lay.fft.axis_stride(axis) == 1 { 1 } else { lay.tp.b };
+    // Approximate element count of the chunk — the node's priority weight
+    // (~log-factor work per element folded into a flat 4).
+    let chunk_weight = |k: usize| (4 * lay.fft.shape()[axis] * lines * list.chunk(k).len()) as u64;
+    match lay.tp.axes[axis].shards {
         None => {
             let base = builder.len() as NodeId;
             for k in 0..chunks {
@@ -448,8 +552,7 @@ fn add_axis_nodes(
 #[allow(clippy::too_many_arguments)]
 fn connect_axis_inputs(
     builder: &mut DagBuilder,
-    fft: &FftNd,
-    tp: &TilePlan,
+    lay: &FftLayout<'_>,
     axis: usize,
     channels: usize,
     stamp: &mut Stamp,
@@ -457,33 +560,27 @@ fn connect_axis_inputs(
     writer_node: impl Fn(usize, usize) -> NodeId,
     entry_node: impl Fn(usize, usize) -> NodeId,
 ) {
-    let ap = &tp.axes[axis];
-    let colg = ap.shards.map_or(1, |(colg, _)| colg);
-    for chunk in 0..tp.nodes(axis) {
-        let t0 = chunk * ap.grain;
-        let t1 = (t0 + ap.grain).min(ap.tiles);
+    let (fft, b) = (lay.fft, lay.tp.b);
+    let shards = lay.tp.axes[axis].shards;
+    let colg = shards.map_or(1, |(colg, _)| colg);
+    let list = lay.list(axis);
+    for chunk in 0..list.chunks() {
         for cg in 0..colg {
             stamp.next();
             let shard = chunk * colg + cg;
-            for tile in t0..t1 {
-                if ap.shards.is_some() {
-                    fft.for_each_fs_col_element(axis, tile, cg, tp.b, |e| {
-                        let w = writer_of(e);
-                        if stamp.hit(w) {
-                            for c in 0..channels {
-                                builder.add_edge(writer_node(c, w), entry_node(c, shard));
-                            }
-                        }
-                    });
+            let mut wire = |e: usize| {
+                let w = writer_of(e);
+                if stamp.hit(w) {
+                    for c in 0..channels {
+                        builder.add_edge(writer_node(c, w), entry_node(c, shard));
+                    }
+                }
+            };
+            for &tile in list.chunk(chunk) {
+                if shards.is_some() {
+                    fft.for_each_fs_col_element(axis, tile as usize, cg, b, &mut wire);
                 } else {
-                    fft.for_each_tile_element(axis, tile, tp.b, |e| {
-                        let w = writer_of(e);
-                        if stamp.hit(w) {
-                            for c in 0..channels {
-                                builder.add_edge(writer_node(c, w), entry_node(c, shard));
-                            }
-                        }
-                    });
+                    fft.for_each_tile_element(axis, tile as usize, b, &mut wire);
                 }
             }
         }
@@ -588,13 +685,11 @@ fn emit_spread_fragment<const D: usize>(
 /// `(entry, writer)` bases indexed `[channel][axis]`.
 fn emit_fft_fragment(
     builder: &mut DagBuilder,
-    fft: &FftNd,
-    tp: &TilePlan,
-    ndim: usize,
+    lay: &FftLayout<'_>,
     channels: usize,
 ) -> Vec<Vec<(NodeId, NodeId)>> {
     (0..channels)
-        .map(|c| (0..ndim).map(|axis| add_axis_nodes(builder, fft, tp, axis, c)).collect())
+        .map(|c| (0..lay.fft.ndim()).map(|axis| add_axis_nodes(builder, lay, axis, c)).collect())
         .collect()
 }
 
@@ -650,8 +745,7 @@ fn emit_extract_fragment(
 /// entry nodes each scatter task must precede (absent in the spread-only
 /// graph).
 struct Axis0Wiring<'a> {
-    fft: &'a FftNd,
-    tp: &'a TilePlan,
+    lay: &'a FftLayout<'a>,
     fft_base: &'a [Vec<(NodeId, NodeId)>],
     channels: usize,
 }
@@ -675,7 +769,7 @@ fn connect_spread_edges<const D: usize>(
     let nslabs = geo.grid_len().div_ceil(slab);
     let gs = geo.grid_strides();
     let mut slab_stamp = Stamp::new(nslabs);
-    let mut chunk_stamp = fft_out.as_ref().map(|f| Stamp::new(f.tp.entry_shards(0)));
+    let mut chunk_stamp = fft_out.as_ref().map(|f| Stamp::new(f.lay.entry_shards(0)));
     let mut dep_chunks: Vec<u32> = Vec::new();
     for t in 0..pre.graph.len() {
         slab_stamp.next();
@@ -693,11 +787,14 @@ fn connect_spread_edges<const D: usize>(
             let (Some(f), Some(cs)) = (&fft_out, chunk_stamp.as_mut()) else {
                 return;
             };
-            if f.tp.axes[0].shards.is_some() {
+            let (fft, b) = (f.lay.fft, f.lay.tp.b);
+            // The adjoint's axis 0 runs every tile: nothing precedes it.
+            let shard_of = |e: usize| f.lay.entry_shard_of(0, e).expect("axis 0 runs every tile");
+            if f.lay.tp.axes[0].shards.is_some() {
                 // Four-step column groups decimate a line, so a contiguous
                 // run can cross entry shards: resolve per element.
                 for e in start..start + rlen {
-                    let shard = entry_shard_of(f.fft, f.tp, 0, e);
+                    let shard = shard_of(e);
                     if cs.hit(shard) {
                         dep_chunks.push(shard as u32);
                     }
@@ -706,19 +803,11 @@ fn connect_spread_edges<const D: usize>(
                 // Axis-0 tiles of a last-dim run are contiguous (the run
                 // stays within one outer block and one inner window — see
                 // tile_of_element); stride-1 axis 0 means D == 1, one line.
-                let grain0 = f.tp.axes[0].grain;
-                let (t_first, t_last) = if f.fft.axis_stride(0) == 1 {
-                    (
-                        f.fft.tile_of_element(0, start, f.tp.b),
-                        f.fft.tile_of_element(0, start, f.tp.b),
-                    )
-                } else {
-                    (
-                        f.fft.tile_of_element(0, start, f.tp.b),
-                        f.fft.tile_of_element(0, start + rlen - 1, f.tp.b),
-                    )
-                };
-                for chunk in t_first / grain0..=t_last / grain0 {
+                let last = if fft.axis_stride(0) == 1 { start } else { start + rlen - 1 };
+                let (t_first, t_last) =
+                    (fft.tile_of_element(0, start, b), fft.tile_of_element(0, last, b));
+                for tile in t_first..=t_last {
+                    let chunk = f.lay.chunk_of_tile(0, tile).expect("axis 0 runs every tile");
                     if cs.hit(chunk) {
                         dep_chunks.push(chunk as u32);
                     }
@@ -735,27 +824,65 @@ fn connect_spread_edges<const D: usize>(
     }
 }
 
-/// Wires FFT axis `k−1` writers → axis `k` entries for every axis after
-/// the first (every channel), reusing the caller's stamp.
+/// The forward's `Scale` slabs, as the writer of last resort in
+/// [`connect_fft_chain`]: `(elements per slab, per-channel node bases)`.
+struct ScaleSlabs<'a> {
+    slab: usize,
+    base: &'a [NodeId],
+}
+
+/// Wires each FFT axis's entries, in every channel, from the **last
+/// writer** of every element they read: the latest earlier axis whose tile
+/// holding the element runs, else the forward's `Scale` slab. With
+/// `slabs` (the forward) this covers axis 0 too; without (the adjoint,
+/// whose axis 0 is fed by the scatter) it starts at axis 1.
+///
+/// Writers are deduplicated per entry shard under one dense id space —
+/// slab ids first, then each axis's writer shards — so a chunk gets one
+/// edge per distinct writer however many of its elements it wrote.
 fn connect_fft_chain(
     builder: &mut DagBuilder,
-    fft: &FftNd,
-    tp: &TilePlan,
-    ndim: usize,
+    lay: &FftLayout<'_>,
     channels: usize,
-    stamp: &mut Stamp,
     fft_base: &[Vec<(NodeId, NodeId)>],
+    slabs: Option<ScaleSlabs<'_>>,
 ) {
-    for axis in 1..ndim {
+    let ndim = lay.fft.ndim();
+    let nslabs = slabs.as_ref().map_or(0, |s| lay.fft.len().div_ceil(s.slab));
+    // axis_id[j] = the first writer id of axis j; axis_id[ndim] = total.
+    let mut axis_id = vec![nslabs];
+    for axis in 0..ndim {
+        axis_id.push(axis_id[axis] + lay.writer_shards(axis));
+    }
+    let writer_node = |c: usize, id: usize| match &slabs {
+        Some(s) if id < nslabs => s.base[c] + id as NodeId,
+        _ => {
+            let j = axis_id.partition_point(|&start| start <= id) - 1;
+            fft_base[c][j].1 + (id - axis_id[j]) as NodeId
+        }
+    };
+    let mut stamp = Stamp::new(axis_id[ndim]);
+    let first = if slabs.is_some() { 0 } else { 1 };
+    for axis in first..ndim {
+        let last_writer = |e: usize| {
+            (0..axis)
+                .rev()
+                .find_map(|j| lay.writer_shard_of(j, e).map(|s| axis_id[j] + s))
+                .unwrap_or_else(|| {
+                    let s = slabs
+                        .as_ref()
+                        .expect("an adjoint element read on axis k ≥ 1 was written on axis k − 1");
+                    e / s.slab
+                })
+        };
         connect_axis_inputs(
             builder,
-            fft,
-            tp,
+            lay,
             axis,
             channels,
-            stamp,
-            |e| writer_shard_of(fft, tp, axis - 1, e),
-            |c, k| fft_base[c][axis - 1].1 + k as NodeId,
+            &mut stamp,
+            last_writer,
+            writer_node,
             |c, k| fft_base[c][axis].0 + k as NodeId,
         );
     }
@@ -769,8 +896,7 @@ fn connect_fft_chain(
 fn connect_interp_inputs<const D: usize>(
     builder: &mut DagBuilder,
     geo: &Geometry<D>,
-    fft: &FftNd,
-    tp: &TilePlan,
+    lay: &FftLayout<'_>,
     pre: &Preprocess<D>,
     wc: usize,
     channels: usize,
@@ -780,9 +906,11 @@ fn connect_interp_inputs<const D: usize>(
 ) {
     let gs = geo.grid_strides();
     let last = D - 1;
-    let grain_last = tp.axes[last].grain;
+    // The forward's last axis runs every tile, so it is the last writer of
+    // every element a gather reads.
+    let writer_of = |e: usize| lay.writer_shard_of(last, e).expect("last axis runs every tile");
     let mut dep_chunks: Vec<u32> = Vec::new();
-    let mut task_stamp = Stamp::new(tp.writer_shards(last));
+    let mut task_stamp = Stamp::new(lay.writer_shards(last));
     for t in 0..pre.graph.len() {
         if task_chunks[t].is_empty() {
             continue;
@@ -791,20 +919,14 @@ fn connect_interp_inputs<const D: usize>(
         dep_chunks.clear();
         let (lo, len) = task_box(pre, &geo.m, wc, t);
         for_each_box_run(&geo.m, &gs, &lo, &len, |start, rlen| {
-            if tp.axes[last].shards.is_some() {
-                // Four-step k-blocks stripe a line, so a contiguous run can
-                // cross writer shards: resolve per element.
-                for e in start..start + rlen {
-                    let shard = writer_shard_of(fft, tp, last, e);
-                    if task_stamp.hit(shard) {
-                        dep_chunks.push(shard as u32);
-                    }
-                }
-            } else {
-                // A last-dimension run lies within one last-axis line = tile.
-                let chunk = fft.tile_of_element(last, start, tp.b) / grain_last;
-                if task_stamp.hit(chunk) {
-                    dep_chunks.push(chunk as u32);
+            // Four-step k-blocks stripe a line, so a contiguous run can
+            // cross writer shards: resolve per element. A recursive
+            // last-axis tile is one line, which holds the whole run.
+            let end = if lay.tp.axes[last].shards.is_some() { start + rlen } else { start + 1 };
+            for e in start..end {
+                let shard = writer_of(e);
+                if task_stamp.hit(shard) {
+                    dep_chunks.push(shard as u32);
                 }
             }
         });
@@ -825,8 +947,7 @@ fn connect_interp_inputs<const D: usize>(
 fn connect_extract_inputs<const D: usize>(
     builder: &mut DagBuilder,
     geo: &Geometry<D>,
-    fft: &FftNd,
-    tp: &TilePlan,
+    lay: &FftLayout<'_>,
     channels: usize,
     fft_base: &[Vec<(NodeId, NodeId)>],
     extract_base: &[NodeId],
@@ -836,7 +957,7 @@ fn connect_extract_inputs<const D: usize>(
     let image_len = geo.image_len();
     let nchunks = image_len.div_ceil(img_chunk);
     let last = D - 1;
-    let mut ex_stamp = Stamp::new(tp.writer_shards(last));
+    let mut ex_stamp = Stamp::new(lay.writer_shards(last));
     for k in 0..nchunks {
         ex_stamp.next();
         let lo = k * img_chunk;
@@ -847,7 +968,8 @@ fn connect_extract_inputs<const D: usize>(
                 let wrapped = (idx[d] + geo.m[d] - geo.n[d] / 2) % geo.m[d];
                 g += wrapped * gs[d];
             }
-            let shard = writer_shard_of(fft, tp, last, g);
+            // Band elements lie in listed tiles on every adjoint axis.
+            let shard = lay.writer_shard_of(last, g).expect("band tiles run");
             if ex_stamp.hit(shard) {
                 for c in 0..channels {
                     builder.add_edge(
@@ -865,7 +987,8 @@ fn connect_extract_inputs<const D: usize>(
 // ---------------------------------------------------------------------------
 
 /// Builds the fused **forward** graph for `channels` channels:
-/// scale slabs → per-axis FFT chunks (per channel) → gather chunks.
+/// scale slabs → per-axis FFT chunks over the [`TileSet::Forward`] lists
+/// (per channel) → gather chunks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_forward<const D: usize>(
     geo: &Geometry<D>,
@@ -879,33 +1002,24 @@ pub(crate) fn build_forward<const D: usize>(
 ) -> FusedApply {
     let grid_len = geo.grid_len();
     let slab = piece_len(grid_len, threads);
-    let nslabs = grid_len.div_ceil(slab);
+    let lay = FftLayout::new(fft, tp, TileSet::Forward);
     let mut builder = DagBuilder::new();
 
     let scale_base = emit_scale_fragment(&mut builder, grid_len, slab, channels);
-    let fft_base = emit_fft_fragment(&mut builder, fft, tp, D, channels);
+    let fft_base = emit_fft_fragment(&mut builder, &lay, channels);
     let (gather_base, chunks, task_chunks) = emit_interp_fragment(&mut builder, pre, gather_grain);
 
-    // Edges: slab → axis 0, then the axis chain.
-    let max_writers = nslabs.max((0..D).map(|a| tp.writer_shards(a)).max().unwrap_or(1));
-    let mut stamp = Stamp::new(max_writers);
-    connect_axis_inputs(
+    connect_fft_chain(
         &mut builder,
-        fft,
-        tp,
-        0,
+        &lay,
         channels,
-        &mut stamp,
-        |e| e / slab,
-        |c, s| scale_base[c] + s as NodeId,
-        |c, k| fft_base[c][0].0 + k as NodeId,
+        &fft_base,
+        Some(ScaleSlabs { slab, base: &scale_base }),
     );
-    connect_fft_chain(&mut builder, fft, tp, D, channels, &mut stamp, &fft_base);
     connect_interp_inputs(
         &mut builder,
         geo,
-        fft,
-        tp,
+        &lay,
         pre,
         wc,
         channels,
@@ -920,7 +1034,8 @@ pub(crate) fn build_forward<const D: usize>(
 
 /// Builds the fused **adjoint** graph for `channels` channels:
 /// zero slabs → conv/priv/reduce tasks (Gray edges preserved) → per-axis
-/// FFT chunks (per channel) → extract chunks.
+/// FFT chunks over the [`TileSet::Adjoint`] lists (per channel) → extract
+/// chunks.
 pub(crate) fn build_adjoint<const D: usize>(
     geo: &Geometry<D>,
     fft: &FftNd,
@@ -934,11 +1049,12 @@ pub(crate) fn build_adjoint<const D: usize>(
     let image_len = geo.image_len();
     let slab = piece_len(grid_len, threads);
     let img_chunk = piece_len(image_len, threads);
+    let lay = FftLayout::new(fft, tp, TileSet::Adjoint);
     let mut builder = DagBuilder::new();
 
     let zero_base = emit_zero_fragment(&mut builder, grid_len, slab, channels);
     let conv_shared = emit_spread_fragment(&mut builder, pre, channels);
-    let fft_base = emit_fft_fragment(&mut builder, fft, tp, D, channels);
+    let fft_base = emit_fft_fragment(&mut builder, &lay, channels);
     let extract_base = emit_extract_fragment(&mut builder, image_len, img_chunk, channels);
 
     connect_spread_edges(
@@ -949,21 +1065,10 @@ pub(crate) fn build_adjoint<const D: usize>(
         zero_base,
         &conv_shared,
         slab,
-        Some(Axis0Wiring { fft, tp, fft_base: &fft_base, channels }),
+        Some(Axis0Wiring { lay: &lay, fft_base: &fft_base, channels }),
     );
-    let max_writers = (0..D).map(|a| tp.writer_shards(a)).max().unwrap_or(1);
-    let mut stamp = Stamp::new(max_writers);
-    connect_fft_chain(&mut builder, fft, tp, D, channels, &mut stamp, &fft_base);
-    connect_extract_inputs(
-        &mut builder,
-        geo,
-        fft,
-        tp,
-        channels,
-        &fft_base,
-        &extract_base,
-        img_chunk,
-    );
+    connect_fft_chain(&mut builder, &lay, channels, &fft_base, None);
+    connect_extract_inputs(&mut builder, geo, &lay, channels, &fft_base, &extract_base, img_chunk);
 
     apply_phase_priorities(&mut builder, true, D);
     FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk }
@@ -1100,6 +1205,258 @@ mod tests {
         let mut runs = Vec::new();
         for_each_box_run(&m, &gs, &[8], &[5], |start, len| runs.push((start, len)));
         assert_eq!(runs, vec![(8, 2), (0, 3)]);
+    }
+
+    /// One graph-building input set: a small plan's geometry, FFT and
+    /// tile lists, preprocessed tasks and channel count.
+    struct Case<const D: usize> {
+        geo: Geometry<D>,
+        fft: FftNd,
+        tp: TilePlan,
+        pre: Preprocess<D>,
+        wc: usize,
+        channels: usize,
+    }
+
+    /// A node's grid footprint, from its body's semantics (not from its
+    /// edges): the phase it runs in and the elements it reads and writes,
+    /// as `channel · grid_len + element`. Four-step sub shards read the
+    /// grid and write only `fs`; combine shards write the grid.
+    struct Footprint {
+        phase: usize,
+        reads: Vec<usize>,
+        writes: Vec<usize>,
+    }
+
+    impl<const D: usize> Case<D> {
+        fn new(n: [usize; D], strategy: nufft_fft::FftStrategy, channels: usize) -> Self {
+            let threads = 2;
+            let geo = Geometry::new(n, 2.0);
+            let fft = FftNd::with_strategy(&geo.m, strategy, nufft_fft::DEFAULT_LLC_BUDGET);
+            let tp = TilePlan::new(&fft, &geo.n, threads);
+            let coords: Vec<[f32; D]> = (0..300)
+                .map(|i| {
+                    core::array::from_fn(|d| {
+                        let step = [0.618_034f32, 0.414_214, 0.732_051][d];
+                        ((i as f32 + 0.5) * step).fract() * geo.m[d] as f32
+                    })
+                })
+                .collect();
+            let pcfg = crate::tasks::PreprocessConfig {
+                partitions_per_dim: 3,
+                w: 2.0,
+                threads,
+                tile: 8,
+                ..Default::default()
+            };
+            let pre = crate::tasks::preprocess(&coords, geo.m, &pcfg);
+            Case { geo, fft, tp, pre, wc: 2, channels }
+        }
+
+        fn task_box_elems(&self, t: usize) -> Vec<usize> {
+            let (lo, len) = task_box(&self.pre, &self.geo.m, self.wc, t);
+            let mut elems = Vec::new();
+            for_each_box_run(&self.geo.m, &self.geo.grid_strides(), &lo, &len, |start, rlen| {
+                elems.extend(start..start + rlen)
+            });
+            elems
+        }
+
+        fn all_channels(&self, elems: &[usize]) -> Vec<usize> {
+            let glen = self.geo.grid_len();
+            (0..self.channels).flat_map(|c| elems.iter().map(move |&e| c * glen + e)).collect()
+        }
+
+        fn footprint(&self, fa: &FusedApply, v: usize, adjoint: bool) -> Footprint {
+            let (geo, fft, tp) = (&self.geo, &self.fft, &self.tp);
+            let set = if adjoint { TileSet::Adjoint } else { TileSet::Forward };
+            let glen = geo.grid_len();
+            let t = fa.dag.tag(v as NodeId);
+            let (kind, axis, c, idx) = (kind_of(t), axis_of(t), channel_of(t), index_of(t));
+            let phase = node_phase(t, adjoint, D);
+            let mut f = Footprint { phase, reads: Vec::new(), writes: Vec::new() };
+            let slab = |s: usize| s * fa.slab..((s + 1) * fa.slab).min(glen);
+            match kind {
+                KIND_SCALE => f.writes.extend(slab(idx).map(|e| c * glen + e)),
+                KIND_ZERO => f.writes = self.all_channels(&slab(idx).collect::<Vec<_>>()),
+                KIND_CONV | KIND_REDUCE => f.writes = self.all_channels(&self.task_box_elems(idx)),
+                KIND_PRIV => {}
+                KIND_FFT | KIND_FFT_SUB | KIND_FFT_TRN => {
+                    let (colg, kbg) = tp.axes[axis].shards.unwrap_or((1, 1));
+                    let chunk = match kind {
+                        KIND_FFT => idx,
+                        KIND_FFT_SUB => idx / colg,
+                        _ => idx / kbg,
+                    };
+                    for &tile in tp.list(set, axis).chunk(chunk) {
+                        let (tile, b) = (tile as usize, tp.b);
+                        let mut elems = Vec::new();
+                        let mut push = |e: usize| elems.push(c * glen + e);
+                        match kind {
+                            KIND_FFT => fft.for_each_tile_element(axis, tile, b, &mut push),
+                            KIND_FFT_SUB => {
+                                fft.for_each_fs_col_element(axis, tile, idx % colg, b, &mut push)
+                            }
+                            _ => {
+                                fft.for_each_fs_kblock_element(axis, tile, idx % kbg, b, &mut push)
+                            }
+                        }
+                        if kind != KIND_FFT_TRN {
+                            f.reads.extend(&elems);
+                        }
+                        if kind != KIND_FFT_SUB {
+                            f.writes.extend(&elems);
+                        }
+                    }
+                }
+                KIND_GATHER => {
+                    let lo = fa.chunks[idx].0 as usize;
+                    let task = self.pre.ranges.iter().position(|r| r.contains(&lo));
+                    f.reads =
+                        self.all_channels(&self.task_box_elems(task.expect("chunk in a task")));
+                }
+                KIND_EXTRACT => {
+                    let lo = idx * fa.img_chunk;
+                    let count = (geo.image_len() - lo).min(fa.img_chunk);
+                    let gs = geo.grid_strides();
+                    crate::grid::for_each_index_range(&geo.n, lo, count, |_, i| {
+                        let g: usize = (0..D)
+                            .map(|d| (i[d] + geo.m[d] - geo.n[d] / 2) % geo.m[d] * gs[d])
+                            .sum();
+                        f.reads.push(c * glen + g);
+                    });
+                }
+                k => unreachable!("kind {k}"),
+            }
+            f
+        }
+
+        /// The wiring contract of a fused graph, checked element by
+        /// element: every element a node reads has its **last writers**
+        /// (the writers in the latest earlier phase — for a skipped forward
+        /// tile, the `Scale` slab) among the node's ancestors; every pair
+        /// of nodes writing one element is ordered; and every combine shard
+        /// follows all sub-FFT shards of its chunk (they fill the `fs`
+        /// region it reads).
+        fn check_wiring(&self, fa: &FusedApply, adjoint: bool, label: &str) {
+            let fp: Vec<Footprint> =
+                (0..fa.dag.len()).map(|v| self.footprint(fa, v, adjoint)).collect();
+            let anc = ancestors(&fa.dag);
+            let is_anc = |a: usize, v: usize| anc[v][a / 64] >> (a % 64) & 1 == 1;
+            let mut writers: Vec<Vec<usize>> =
+                vec![Vec::new(); self.geo.grid_len() * self.channels];
+            for (v, f) in fp.iter().enumerate() {
+                for &e in &f.writes {
+                    writers[e].push(v);
+                }
+            }
+            for (e, ws) in writers.iter().enumerate() {
+                for (i, &a) in ws.iter().enumerate() {
+                    for &b in &ws[i + 1..] {
+                        assert!(
+                            a == b || is_anc(a, b) || is_anc(b, a),
+                            "{label}: writers {a} and {b} of element {e} are unordered"
+                        );
+                    }
+                }
+            }
+            for (v, f) in fp.iter().enumerate() {
+                for &e in &f.reads {
+                    let last =
+                        writers[e].iter().map(|&w| fp[w].phase).filter(|&p| p < f.phase).max();
+                    let last =
+                        last.unwrap_or_else(|| panic!("{label}: node {v} reads unwritten {e}"));
+                    for &w in writers[e].iter().filter(|&&w| fp[w].phase == last) {
+                        assert!(
+                            is_anc(w, v),
+                            "{label}: last writer {w} of element {e} does not precede reader {v}"
+                        );
+                    }
+                }
+                let t = fa.dag.tag(v as NodeId);
+                if kind_of(t) == KIND_FFT_TRN {
+                    let (colg, kbg) = self.tp.axes[axis_of(t)].shards.expect("four-step axis");
+                    let sub_of_chunk = |s: u64| {
+                        kind_of(s) == KIND_FFT_SUB
+                            && axis_of(s) == axis_of(t)
+                            && channel_of(s) == channel_of(t)
+                            && index_of(s) / colg == index_of(t) / kbg
+                    };
+                    for u in (0..fa.dag.len()).filter(|&u| sub_of_chunk(fa.dag.tag(u as NodeId))) {
+                        assert!(is_anc(u, v), "{label}: combine {v} does not follow sub-FFT {u}");
+                    }
+                }
+            }
+        }
+
+        fn check_graphs(&self, label: &str) {
+            let (threads, channels) = (2, self.channels);
+            let (geo, fft, tp, pre, wc) = (&self.geo, &self.fft, &self.tp, &self.pre, self.wc);
+            let fa = build_forward(geo, fft, tp, pre, wc, 16, threads, channels);
+            self.check_wiring(&fa, false, &format!("{label} forward"));
+            let fa = build_adjoint(geo, fft, tp, pre, wc, threads, channels);
+            self.check_wiring(&fa, true, &format!("{label} adjoint"));
+        }
+    }
+
+    /// `anc[v]` = bitset of the strict ancestors of node `v`.
+    fn ancestors(dag: &Dag) -> Vec<Vec<u64>> {
+        let n = dag.len();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for v in 0..n {
+            for &s in dag.succs(v as NodeId) {
+                preds[s as usize].push(v);
+            }
+        }
+        let mut pending: Vec<u32> = (0..n).map(|v| dag.pred_count(v as NodeId)).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&v| pending[v] == 0).collect();
+        let mut anc = vec![vec![0u64; n.div_ceil(64)]; n];
+        let mut seen = 0;
+        while let Some(v) = ready.pop() {
+            seen += 1;
+            for &p in &preds[v] {
+                let from = anc[p].clone();
+                for (x, y) in anc[v].iter_mut().zip(&from) {
+                    *x |= *y;
+                }
+                anc[v][p / 64] |= 1 << (p % 64);
+            }
+            for &s in dag.succs(v as NodeId) {
+                pending[s as usize] -= 1;
+                if pending[s as usize] == 0 {
+                    ready.push(s as usize);
+                }
+            }
+        }
+        assert_eq!(seen, n, "graph has a cycle");
+        anc
+    }
+
+    #[test]
+    fn pruned_graphs_wire_every_read_from_its_last_writer() {
+        use nufft_fft::FftStrategy::{FourStep, Recursive};
+        for strategy in [Recursive, FourStep] {
+            for channels in [1, 2] {
+                let label = format!("{strategy:?} channels={channels}");
+                Case::new([8, 6], strategy, channels).check_graphs(&format!("[8, 6] {label}"));
+                Case::new([6, 4, 5], strategy, channels)
+                    .check_graphs(&format!("[6, 4, 5] {label}"));
+            }
+        }
+        // Band edges off every tile width (N = 7 at M = 14: edges 4 and
+        // 11), so forward tiles hold band and non-band lines, whose
+        // elements reach later axes from earlier ones, not from the slab.
+        for strategy in [Recursive, FourStep] {
+            let case = Case::new([9, 7], strategy, 2);
+            let partly = case.tp.list(TileSet::Forward, 0).tiles.iter().any(|&tile| {
+                let (_, inner) = case.fft.tile_lines(0, tile as usize, case.tp.b);
+                let in_band = |i: usize| (i + 3) % 14 < 7;
+                inner.clone().any(in_band) && !inner.clone().all(in_band)
+            });
+            assert!(partly, "no partly-banded tile at width {}", case.tp.b);
+            case.check_graphs(&format!("[9, 7] {strategy:?}"));
+            Case::new([7, 9, 5], strategy, 1).check_graphs(&format!("[7, 9, 5] {strategy:?}"));
+        }
     }
 
     #[test]

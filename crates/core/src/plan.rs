@@ -38,7 +38,7 @@
 use crate::conv::{
     adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
 };
-use crate::fused::{self, FusedApply, TilePlan};
+use crate::fused::{self, FusedApply, TilePlan, TileSet};
 use crate::grid::{embed_scaled_slab, extract_scaled_range, Geometry};
 use crate::kernel::{beatty_beta, InterpKernel, KernelChoice, DEFAULT_LUT_DENSITY};
 use crate::stage::{
@@ -421,7 +421,8 @@ impl<const D: usize> NufftPlan<D> {
         let kernel = Arc::new(InterpKernel::of(cfg.kernel, cfg.w, cfg.alpha, cfg.lut_density));
         let deconv = DeconvOp::plan(n, cfg.alpha, &kernel);
         let threads = cfg.threads.max(1);
-        let fft_op = FftOp::plan(&geo.m, cfg.fft_strategy, cfg.fft_llc_budget, threads);
+        let fft_op =
+            FftOp::plan_banded(&geo.m, &geo.n, cfg.fft_strategy, cfg.fft_llc_budget, threads);
 
         let partitions = cfg.partitions_per_dim.unwrap_or_else(|| default_partitions(threads, D));
         let pcfg = PreprocessConfig {
@@ -685,6 +686,23 @@ impl<const D: usize> NufftPlan<D> {
         &self.fft_op
     }
 
+    /// The oversampled-FFT work of one apply, as `(run, total)` tiles per
+    /// axis: `Direction::Forward` for [`NufftPlan::forward`]'s pass over
+    /// the embedded image, `Direction::Backward` for
+    /// [`NufftPlan::adjoint`]'s pass ahead of the extract. A tile is
+    /// [`FftNd::batch_width`] adjacent lines (one line on the last axis);
+    /// the zero-aware passes skip the tiles whose lines are all zero
+    /// (forward) or never read (adjoint). Batched applies run the same
+    /// tiles per channel.
+    pub fn fft_tiles(&self, dir: Direction) -> Vec<(usize, usize)> {
+        let set = match dir {
+            Direction::Forward => TileSet::Forward,
+            Direction::Backward => TileSet::Adjoint,
+        };
+        let tp = &self.fft_op.tile_plan;
+        (0..D).map(|axis| (tp.list(set, axis).tiles.len(), tp.axes[axis].tiles)).collect()
+    }
+
     /// The plan's deconvolution (roll-off scale) stage.
     pub fn deconv_op(&self) -> &DeconvOp<D> {
         &self.deconv
@@ -748,7 +766,12 @@ impl<const D: usize> NufftPlan<D> {
 
         // Phase 2: oversampled FFT (lines parallelized per axis).
         let t0 = Instant::now();
-        let split = self.fft_op.apply_split(&self.exec, &mut self.grid, Direction::Forward);
+        let split = self.fft_op.apply_split(
+            &self.exec,
+            &mut self.grid,
+            Direction::Forward,
+            TileSet::Forward,
+        );
         let fft_t = t0.elapsed().as_secs_f64();
 
         // Phase 3: gather convolution, dynamic loop partitioning.
@@ -837,7 +860,12 @@ impl<const D: usize> NufftPlan<D> {
 
         // Phase 2: unnormalized backward FFT (the exact FFT adjoint).
         let t0 = Instant::now();
-        let split = self.fft_op.apply_split(&self.exec, &mut self.grid, Direction::Backward);
+        let split = self.fft_op.apply_split(
+            &self.exec,
+            &mut self.grid,
+            Direction::Backward,
+            TileSet::Adjoint,
+        );
         let fft_t = t0.elapsed().as_secs_f64();
 
         // Phase 3: extract + scale.
@@ -1007,7 +1035,12 @@ impl<const D: usize> NufftPlan<D> {
 
         for c in 0..channels {
             self.deconv.embed(images[c], &mut self.batch_grids[c]);
-            self.fft_op.apply_split(&self.exec, &mut self.batch_grids[c], Direction::Forward);
+            self.fft_op.apply_split(
+                &self.exec,
+                &mut self.batch_grids[c],
+                Direction::Forward,
+                TileSet::Forward,
+            );
         }
         self.ptr_scratch.clear();
         self.ptr_scratch.extend(outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())));
@@ -1107,7 +1140,12 @@ impl<const D: usize> NufftPlan<D> {
         }
         self.stats_source = StatsSource::Phased;
         for c in 0..channels {
-            self.fft_op.apply_split(&self.exec, &mut self.batch_grids[c], Direction::Backward);
+            self.fft_op.apply_split(
+                &self.exec,
+                &mut self.batch_grids[c],
+                Direction::Backward,
+                TileSet::Adjoint,
+            );
             self.deconv.extract(&self.batch_grids[c], outs[c]);
         }
     }
@@ -1219,13 +1257,15 @@ impl<const D: usize> NufftPlan<D> {
     }
 
     /// Executes one fused four-step shard ([`fused::KIND_FFT_SUB`] or
-    /// [`fused::KIND_FFT_TRN`]): the pass over the node's tile-chunk run,
-    /// against channel `c`'s grid and its region of the stage-owned `fs`
-    /// buffer. Shared by the forward and adjoint dispatchers.
+    /// [`fused::KIND_FFT_TRN`]): the pass over the node's chunk of `set`'s
+    /// tile list, against channel `c`'s grid and its region of the
+    /// stage-owned `fs` buffer. Shared by the forward and adjoint
+    /// dispatchers.
     #[allow(clippy::too_many_arguments)]
     fn run_fourstep_shard(
         tag: u64,
         tp: &TilePlan,
+        set: TileSet,
         fft: &FftNd,
         fft_scratch: &WorkerLocal<Vec<Complex32>>,
         grid_ptrs: &[SendPtr<Complex32>],
@@ -1237,8 +1277,8 @@ impl<const D: usize> NufftPlan<D> {
     ) {
         let axis = fused::axis_of(tag);
         let c = fused::channel_of(tag);
-        let ap = tp.axes[axis];
-        let (colg, kbg) = ap.shards.expect("four-step node on a recursive axis");
+        let (colg, kbg) = tp.axes[axis].shards.expect("four-step node on a recursive axis");
+        let list = tp.list(set, axis);
         let idx = fused::index_of(tag);
         // SAFETY: worker `w` owns scratch slot `w` while this node runs.
         let scratch = unsafe { fft_scratch.get(w) };
@@ -1249,22 +1289,27 @@ impl<const D: usize> NufftPlan<D> {
         let fsp = unsafe { fs.get().add((c * fft.fs_slots() + fft.fs_slot(axis)) * grid_len) };
         if fused::kind_of(tag) == fused::KIND_FFT_SUB {
             let (chunk, cg) = (idx / colg, idx % colg);
-            let t0 = chunk * ap.grain;
-            let t1 = (t0 + ap.grain).min(ap.tiles);
-            for tile in t0..t1 {
+            for &tile in list.chunk(chunk) {
                 // SAFETY: distinct (tile, column-group) shards read and
                 // write disjoint regions; graph edges order this node after
                 // every writer of its read set.
                 unsafe {
-                    fft.fs_sub_pass_raw(grid_ptrs[c].get(), fsp, axis, tile, cg, tp.b, scratch, dir)
+                    fft.fs_sub_pass_raw(
+                        grid_ptrs[c].get(),
+                        fsp,
+                        axis,
+                        tile as usize,
+                        cg,
+                        tp.b,
+                        scratch,
+                        dir,
+                    )
                 };
             }
         } else {
             let (chunk, kblock) = (idx / kbg, idx % kbg);
-            let t0 = chunk * ap.grain;
-            let t1 = (t0 + ap.grain).min(ap.tiles);
             let mut tw = 0.0;
-            for tile in t0..t1 {
+            for &tile in list.chunk(chunk) {
                 // SAFETY: distinct (tile, k-block) shards touch disjoint
                 // regions; the chunk's sub shards are all edge-ordered
                 // before this node.
@@ -1273,7 +1318,7 @@ impl<const D: usize> NufftPlan<D> {
                         fsp,
                         grid_ptrs[c].get(),
                         axis,
-                        tile,
+                        tile as usize,
                         kblock,
                         tp.b,
                         scratch,
@@ -1330,21 +1375,20 @@ impl<const D: usize> NufftPlan<D> {
                 fused::KIND_FFT => {
                     let axis = fused::axis_of(tag);
                     let c = fused::channel_of(tag);
-                    let ap = tp.axes[axis];
-                    let t0 = fused::index_of(tag) * ap.grain;
-                    let t1 = (t0 + ap.grain).min(ap.tiles);
+                    let chunk = tp.list(TileSet::Forward, axis).chunk(fused::index_of(tag));
                     // SAFETY: worker `w` owns scratch slot `w` while this
                     // node runs.
                     let scratch = unsafe { fft_scratch.get(w) };
-                    for tile in t0..t1 {
+                    for &tile in chunk {
                         // SAFETY: tiles of one axis are pairwise disjoint;
-                        // graph edges order this tile after all writers of
-                        // its elements and before all its readers.
+                        // graph edges order this tile after the last writer
+                        // of each of its elements and before all its
+                        // readers.
                         unsafe {
                             fft.transform_tile_raw(
                                 grid_ptrs[c].get(),
                                 axis,
-                                tile,
+                                tile as usize,
                                 b,
                                 scratch,
                                 Direction::Forward,
@@ -1356,6 +1400,7 @@ impl<const D: usize> NufftPlan<D> {
                     Self::run_fourstep_shard(
                         tag,
                         tp,
+                        TileSet::Forward,
                         fft,
                         fft_scratch,
                         grid_ptrs,
@@ -1525,21 +1570,20 @@ impl<const D: usize> NufftPlan<D> {
                 fused::KIND_FFT => {
                     let axis = fused::axis_of(tag);
                     let c = fused::channel_of(tag);
-                    let ap = tp.axes[axis];
-                    let t0 = fused::index_of(tag) * ap.grain;
-                    let t1 = (t0 + ap.grain).min(ap.tiles);
+                    let chunk = tp.list(TileSet::Adjoint, axis).chunk(fused::index_of(tag));
                     // SAFETY: worker `w` owns scratch slot `w` while this
                     // node runs.
                     let scratch = unsafe { fft_scratch.get(w) };
-                    for tile in t0..t1 {
+                    for &tile in chunk {
                         // SAFETY: tiles of one axis are pairwise disjoint;
-                        // graph edges order this tile after all writers of
-                        // its elements and before all its readers.
+                        // graph edges order this tile after the last writer
+                        // of each of its elements and before all its
+                        // readers.
                         unsafe {
                             fft.transform_tile_raw(
                                 grid_ptrs[c].get(),
                                 axis,
-                                tile,
+                                tile as usize,
                                 b,
                                 scratch,
                                 Direction::Backward,
@@ -1551,6 +1595,7 @@ impl<const D: usize> NufftPlan<D> {
                     Self::run_fourstep_shard(
                         tag,
                         tp,
+                        TileSet::Adjoint,
                         fft,
                         fft_scratch,
                         grid_ptrs,

@@ -46,7 +46,7 @@ use crate::conv::{
     adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
     MAX_TAPS,
 };
-use crate::fused::TilePlan;
+use crate::fused::{TilePlan, TileSet};
 use crate::grid::{embed_scaled, extract_scaled, Geometry};
 use crate::kernel::InterpKernel;
 use crate::plan::NufftConfig;
@@ -508,8 +508,21 @@ impl FftOp {
     /// Plans an FFT stage for `shape` under `strategy` (see
     /// [`FftStrategy`]), sized for `threads` workers.
     pub fn plan(shape: &[usize], strategy: FftStrategy, llc_budget: usize, threads: usize) -> Self {
+        Self::plan_banded(shape, shape, strategy, llc_budget, threads)
+    }
+
+    /// [`FftOp::plan`] for the grid an `image`-extent embed fills: besides
+    /// the full transform, the plan lists the tiles the zero-aware passes
+    /// run (see [`TileSet`]).
+    pub(crate) fn plan_banded(
+        shape: &[usize],
+        image: &[usize],
+        strategy: FftStrategy,
+        llc_budget: usize,
+        threads: usize,
+    ) -> Self {
         let fft = FftNd::with_strategy(shape, strategy, llc_budget);
-        let tile_plan = TilePlan::new(&fft, threads);
+        let tile_plan = TilePlan::new(&fft, image, threads);
         let tile_b = tile_plan.b;
         let scratch =
             WorkerLocal::new(threads, |_| vec![Complex32::ZERO; fft.batch_scratch_len(tile_b)]);
@@ -544,13 +557,14 @@ impl FftOp {
     /// Panics if `data.len() != self.len()`.
     pub fn apply(&mut self, exec: &Executor, data: &mut [Complex32], dir: Direction) {
         assert_eq!(data.len(), self.grid_len, "fft buffer length mismatch");
-        self.apply_split(exec, data, dir);
+        self.apply_split(exec, data, dir, TileSet::All);
     }
 
-    /// Parallel n-dimensional FFT: SIMD-width tiles of adjacent lines per
-    /// axis, sharded over the executor. The tile/grain decomposition comes
-    /// from the plan-owned [`TilePlan`] and tile scratch from the op's
-    /// per-worker arena — no computation or allocation at apply time.
+    /// Parallel n-dimensional FFT over the tiles `set` lists: SIMD-width
+    /// tiles of adjacent lines per axis, sharded over the executor. The
+    /// tile lists and chunk grain come from the plan-owned [`TilePlan`] and
+    /// tile scratch from the op's per-worker arena — no computation or
+    /// allocation at apply time. Tiles a list leaves out are not touched.
     ///
     /// A four-step axis runs as two dispatches over finer shards — tile ×
     /// column-group sub-FFTs into `fs`, then tile × k-block combines back —
@@ -562,18 +576,20 @@ impl FftOp {
         exec: &Executor,
         data: &mut [Complex32],
         dir: Direction,
+        set: TileSet,
     ) -> FftSplit {
         let Self { fft, tile_plan: tp, scratch, fs, .. } = self;
         let base = SendPtr(data.as_mut_ptr());
         let b = tp.b;
         let mut split = FftSplit::default();
         for axis in 0..fft.shape().len() {
-            let ap = tp.axes[axis];
-            if let Some((colg, kbg)) = ap.shards {
+            let list = tp.list(set, axis);
+            let tiles = &list.tiles[..];
+            if let Some((colg, kbg)) = tp.axes[axis].shards {
                 debug_assert!(fs.len() >= fft.len(), "fs scratch not sized for four-step");
                 let fsp = SendPtr(fs.as_mut_ptr());
                 let t0 = Instant::now();
-                exec.parallel_for_aligned(ap.tiles * colg, ap.grain, tp.align, |range, w| {
+                exec.parallel_for_aligned(tiles.len() * colg, list.grain, tp.align, |range, w| {
                     // SAFETY: the executor guarantees worker `w` is the only
                     // thread using slot `w` during this dispatch.
                     let scratch = unsafe { scratch.get(w) };
@@ -585,7 +601,7 @@ impl FftOp {
                                 base.get(),
                                 fsp.get(),
                                 axis,
-                                i / colg,
+                                tiles[i / colg] as usize,
                                 i % colg,
                                 b,
                                 scratch,
@@ -597,7 +613,7 @@ impl FftOp {
                 split.sub += t0.elapsed().as_secs_f64();
                 let twiddle_ns = AtomicU64::new(0);
                 let t0 = Instant::now();
-                exec.parallel_for_aligned(ap.tiles * kbg, ap.grain, tp.align, |range, w| {
+                exec.parallel_for_aligned(tiles.len() * kbg, list.grain, tp.align, |range, w| {
                     // SAFETY: as above.
                     let scratch = unsafe { scratch.get(w) };
                     let mut tw = 0.0;
@@ -610,7 +626,7 @@ impl FftOp {
                                 fsp.get(),
                                 base.get(),
                                 axis,
-                                i / kbg,
+                                tiles[i / kbg] as usize,
                                 i % kbg,
                                 b,
                                 scratch,
@@ -626,15 +642,17 @@ impl FftOp {
             }
             // Tile-chunk boundaries rounded to a full cache line of complex
             // elements keep two workers off the same line of line-starts.
-            exec.parallel_for_aligned(ap.tiles, ap.grain, tp.align, |range, w| {
+            exec.parallel_for_aligned(tiles.len(), list.grain, tp.align, |range, w| {
                 // SAFETY: the executor guarantees worker `w` is the only
                 // thread using slot `w` during this dispatch.
                 let scratch = unsafe { scratch.get(w) };
-                for tile in range {
+                for &tile in &tiles[range] {
                     // SAFETY: tiles of one axis are pairwise disjoint; the
                     // axes are processed with a barrier between them
                     // (parallel_for joins before returning).
-                    unsafe { fft.transform_tile_raw(base.get(), axis, tile, b, scratch, dir) };
+                    unsafe {
+                        fft.transform_tile_raw(base.get(), axis, tile as usize, b, scratch, dir)
+                    };
                 }
             });
         }

@@ -209,6 +209,29 @@ impl FftNd {
         }
     }
 
+    /// The lines of tile `tile` of `axis` at width `b`, as `(outer, inner)`:
+    /// `outer` is the row-major offset of the tile's indices on the axes
+    /// before `axis` (one value per tile — tiles never straddle an outer
+    /// block), `inner` the range of row-major offsets of its lines' indices
+    /// on the axes after it. Line `(outer, i)` starts at
+    /// `outer·shape[axis]·stride + i`; the contiguous innermost axis has
+    /// one line per tile and `inner == 0..1`.
+    pub fn tile_lines(
+        &self,
+        axis: usize,
+        tile: usize,
+        b: usize,
+    ) -> (usize, core::ops::Range<usize>) {
+        let stride = self.axis_stride(axis);
+        if stride == 1 {
+            (tile, 0..1)
+        } else {
+            let tiles_per_outer = stride.div_ceil(b);
+            let inner0 = (tile % tiles_per_outer) * b;
+            (tile / tiles_per_outer, inner0..(inner0 + b).min(stride))
+        }
+    }
+
     /// Calls `f` for every element read (and written) by tile `tile` of
     /// `axis` at width `b` — the inverse of [`FftNd::tile_of_element`].
     /// Tiles of one axis partition the buffer, so iterating all tiles
@@ -222,21 +245,11 @@ impl FftNd {
     ) {
         let n = self.shape[axis];
         let stride = self.axis_stride(axis);
-        if stride == 1 {
-            let start = tile * n;
-            for e in start..start + n {
+        let (outer, inner) = self.tile_lines(axis, tile, b);
+        for j in 0..n {
+            let base = outer * n * stride + j * stride;
+            for e in base + inner.start..base + inner.end {
                 f(e);
-            }
-        } else {
-            let tiles_per_outer = stride.div_ceil(b);
-            let outer = tile / tiles_per_outer;
-            let inner0 = (tile % tiles_per_outer) * b;
-            let lines_here = b.min(stride - inner0);
-            for j in 0..n {
-                let base = outer * n * stride + j * stride + inner0;
-                for e in base..base + lines_here {
-                    f(e);
-                }
             }
         }
     }

@@ -222,8 +222,8 @@ trait Job: Sync {
     /// recheck. Must never say `false` while a pop could succeed.
     fn has_ready(&self) -> bool;
     /// Whether the job is over (all units retired, or poisoned). For
-    /// [`ForJob`] this means "nothing left to pop" — in-flight chunks are
-    /// covered by the slot's pin drain at retirement.
+    /// [`ForJob`] this means "every index popped" — chunks still running
+    /// are covered by the slot's pin drain at retirement.
     fn done(&self) -> bool;
 }
 
@@ -1385,6 +1385,12 @@ struct ForJob<'a, F> {
     /// two workers never split a cache line of contiguous output.
     align: usize,
     body: &'a F,
+    /// Indices no worker has popped yet — in a slot or in a thief's hands
+    /// between its victim CAS and the store into its own slot. The
+    /// submitter's completion test: a scan that finds every slot empty
+    /// can miss loot in flight, and once the submitter retires the job a
+    /// thief's lease ends after one chunk, stranding the rest of its loot.
+    unclaimed: AtomicUsize,
     poisoned: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
@@ -1420,6 +1426,7 @@ where
             grain: grain.next_multiple_of(align),
             align,
             body,
+            unclaimed: AtomicUsize::new(n),
             poisoned: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
         }
@@ -1437,16 +1444,35 @@ where
             let end = (lo + self.grain).min(hi);
             match slot.compare_exchange_weak(cur, pack(end, hi), Ordering::SeqCst, Ordering::SeqCst)
             {
-                Ok(_) => return Some(lo..end),
+                Ok(_) => {
+                    self.unclaimed.fetch_sub(end - lo, Ordering::SeqCst);
+                    return Some(lo..end);
+                }
                 Err(actual) => cur = actual,
             }
         }
     }
 
     /// Steals the upper half of the first non-empty victim's range into
-    /// the worker's own slot. Returns false when every slot is empty (the
-    /// loop is then complete as far as this worker is concerned).
+    /// the worker's own slot. Returns false when every slot is empty —
+    /// which, while another thief holds loot in flight, does not mean
+    /// every index was popped (see [`ForJob::unclaimed`]).
     fn steal_into(&self, w: usize) -> bool {
+        match self.steal_loot(w) {
+            Some((mid, hi)) => {
+                // Our own slot is empty (we only steal then), so a plain
+                // store publishes the loot; concurrent thieves CAS against
+                // whatever they load.
+                self.slots[w].0.store(pack(mid, hi), Ordering::SeqCst);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Takes the upper half of the first non-empty victim's range (from
+    /// worker `w`'s point of view) out of the victim's slot and returns it.
+    fn steal_loot(&self, w: usize) -> Option<(usize, usize)> {
         for d in 1..self.threads {
             let v = (w + d) % self.threads;
             let slot = &self.slots[v].0;
@@ -1469,18 +1495,12 @@ where
                     Ordering::SeqCst,
                     Ordering::SeqCst,
                 ) {
-                    Ok(_) => {
-                        // Our own slot is empty (we only steal then), so a
-                        // plain store publishes the loot; concurrent
-                        // thieves CAS against whatever they load.
-                        self.slots[w].0.store(pack(mid, hi), Ordering::SeqCst);
-                        return true;
-                    }
+                    Ok(_) => return Some((mid, hi)),
                     Err(actual) => cur = actual,
                 }
             }
         }
-        false
+        None
     }
 }
 
@@ -1493,8 +1513,11 @@ where
             return Step::Done;
         }
         // Runs exactly one chunk per step; never `Idle` — loop work only
-        // shrinks, so once every slot is empty this worker is done (chunks
-        // still in flight elsewhere are covered by the slot's pin drain).
+        // shrinks, so once every slot is empty a background worker is done
+        // (chunks still running elsewhere are covered by the slot's pin
+        // drain). The submitter (worker 0) also waits out loot in flight:
+        // it retires the job on `Done`, after which the thief would run
+        // one chunk of its loot and strand the rest.
         loop {
             if let Some(range) = self.pop_own(w) {
                 let result = catch_unwind(AssertUnwindSafe(|| (self.body)(range, w)));
@@ -1510,9 +1533,15 @@ where
                 }
                 return Step::Ran;
             }
-            if !self.steal_into(w) {
+            if self.steal_into(w) {
+                continue;
+            }
+            if w != 0 || self.done() {
                 return Step::Done;
             }
+            // A thief sits between its victim CAS and its own-slot store;
+            // let it run.
+            std::thread::yield_now();
         }
     }
 
@@ -1524,7 +1553,7 @@ where
     }
 
     fn done(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst) || !self.has_ready()
+        self.poisoned.load(Ordering::SeqCst) || self.unclaimed.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -2133,6 +2162,32 @@ mod tests {
             assert_eq!(c.load(Ordering::SeqCst), 1, "task {t}");
         }
         assert_eq!(stats.log.len(), graph.len());
+    }
+
+    /// A loop whose last range a thief has taken from its victim but not
+    /// yet stored into its own slot is not over: every slot reads empty,
+    /// yet an index is unpopped. Were the submitter to retire the job in
+    /// that window, the thief would run one chunk of its loot and strand
+    /// the rest.
+    #[test]
+    fn loop_job_is_not_done_while_loot_is_in_flight() {
+        let slots: Vec<CachePadded<AtomicU64>> =
+            (0..2).map(|_| CachePadded(AtomicU64::new(0))).collect();
+        let body = |_: core::ops::Range<usize>, _: usize| {};
+        let job = ForJob::new(&slots, 8, 1, 1, 2, &body);
+        // Worker 0 drains its seed [0, 4); worker 1 pops down to [7, 8).
+        while job.pop_own(0).is_some() {}
+        for _ in 0..3 {
+            job.pop_own(1).expect("worker 1's seed holds four indices");
+        }
+        // A one-index range is too small to split: the thief takes it all.
+        let loot = job.steal_loot(0).expect("index 7 is left");
+        assert_eq!(loot, (7, 8));
+        assert!(!job.has_ready(), "every slot reads empty");
+        assert!(!job.done(), "index 7 has not been popped");
+        slots[0].0.store(pack(loot.0, loot.1), Ordering::SeqCst);
+        assert_eq!(job.pop_own(0), Some(7..8));
+        assert!(job.done());
     }
 
     #[test]

@@ -158,3 +158,26 @@ fn both_backends_survive_the_same_stress() {
         assert_eq!(count.load(Ordering::SeqCst), 16, "{backend:?}");
     }
 }
+
+/// Many short loops whose last chunks are stolen while the submitter
+/// looks for work: the submitter may not finish while a thief still holds
+/// loot in flight (between its victim CAS and its own-slot store), or the
+/// thief strands the rest of its loot once the job is retired. Short
+/// ranges and alignment 4 make whole-remainder steals common.
+#[test]
+fn parallel_for_aligned_does_not_strand_stolen_loot() {
+    let exec = Executor::new(stress_threads().max(4));
+    for rep in 0..4000 {
+        for n in [15usize, 24, 30, 45] {
+            let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            exec.parallel_for_aligned(n, 1, 4, |range, _w| {
+                for i in range {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "rep {rep} n={n}: index {i}");
+            }
+        }
+    }
+}

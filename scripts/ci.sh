@@ -62,11 +62,25 @@ echo "== type-3 consistency stress (oversubscribed, 16 workers) =="
 # oversubscribe the runner so both stage drivers race for real.
 NUFFT_THREADS=16 cargo test -q --offline --test type3_modes
 
+echo "== zero-aware FFT passes stress (oversubscribed, 16 workers) =="
+# fft_pruning's stress test re-runs pruned fused graphs (recursive and
+# four-step) with 16 workers oversubscribing the runner, so the slab ->
+# later-axis edges of skipped forward tiles race for real.
+NUFFT_THREADS=16 cargo test -q --offline --test fft_pruning
+
 echo "== stage-graph composition contracts =="
 # stage_ops pins that the public SpreadOp/InterpOp/FftOp/DeconvOp stages
 # compose bitwise into the monolithic forward/adjoint operators, and that
 # the standalone spread_only/interp_only entry points match the fused DAG.
 cargo test -q --offline --test stage_ops
+
+echo "== zero-aware FFT passes =="
+# fft_pruning pins forward/adjoint/forward_batch/adjoint_batch, whose FFT
+# skips the tiles the embed leaves zero and the extract never reads, to the
+# stage composition through a full FftOp::apply, bitwise, across D, even
+# and odd extents, alpha, FFT strategy, ISA level, threads, exec mode and
+# channels; it also pins the exact tile counts at AVX2.
+cargo test -q --offline --test fft_pruning
 
 echo "== examples smoke (spread-only deposition pipeline) =="
 # density_estimation drives spread_only/interp_only directly and asserts

@@ -199,8 +199,6 @@ pub(crate) enum TileSet {
 pub(crate) struct TilePlan {
     /// Lines per tile (the SIMD batch width at plan-build time).
     pub(crate) b: usize,
-    /// `parallel_for` chunk alignment for the phased path.
-    pub(crate) align: usize,
     pub(crate) axes: Vec<AxisPlan>,
     /// Per tile set (indexed by `TileSet as usize`), per axis.
     lists: [Vec<TileList>; 3],
@@ -210,6 +208,10 @@ pub(crate) struct TilePlan {
 pub(crate) struct AxisPlan {
     /// Tiles of width `b` along this axis.
     pub(crate) tiles: usize,
+    /// `parallel_for` chunk alignment for the phased path: a cache line of
+    /// line starts, on the contiguous axis rounded up to a multiple of `b`
+    /// so every chunk holds whole packed runs.
+    pub(crate) align: usize,
     /// Four-step shard counts `(col_groups, k_blocks)` per tile chunk, or
     /// `None` for the recursive tile path. When set, a chunk splits into
     /// `col_groups` sub-FFT nodes followed by `k_blocks` combine nodes
@@ -227,10 +229,13 @@ pub(crate) struct TileList {
 }
 
 impl TileList {
-    fn new(tiles: Vec<u32>, threads: usize) -> Self {
+    /// `unit` is the number of tiles a chunk must hold whole runs of: `b`
+    /// on the contiguous axis (where runs of `b` lines pack into one batched
+    /// tile), 1 elsewhere.
+    fn new(tiles: Vec<u32>, threads: usize, unit: usize) -> Self {
         // ~4 chunks per worker for stealable slack, capped so one chunk
         // never dominates an axis.
-        let grain = (tiles.len() / (4 * threads)).clamp(1, 64);
+        let grain = (tiles.len() / (4 * threads)).clamp(1, 64).next_multiple_of(unit);
         TileList { tiles, grain }
     }
 
@@ -263,7 +268,6 @@ impl TilePlan {
         let shape = fft.shape();
         assert_eq!(image.len(), shape.len(), "image rank must match the FFT's");
         let b = FftNd::batch_width();
-        let align = (LANE_ALIGN / b).max(1);
         let band: Vec<Vec<bool>> = shape
             .iter()
             .zip(image)
@@ -276,7 +280,9 @@ impl TilePlan {
             let shards = fft
                 .axis_fourstep(axis)
                 .then(|| (fft.fs_col_groups(axis, b), fft.fs_k_blocks(axis)));
-            axes.push(AxisPlan { tiles, shards });
+            let unit = if fft.axis_stride(axis) == 1 { b } else { 1 };
+            let align = (LANE_ALIGN / b).max(1).next_multiple_of(unit);
+            axes.push(AxisPlan { tiles, align, shards });
             let outer_in = band_mask(&band[..axis]);
             let inner_in = band_mask(&band[axis + 1..]);
             let (mut fwd, mut adj) = (Vec::new(), Vec::new());
@@ -289,11 +295,12 @@ impl TilePlan {
                     adj.push(tile as u32);
                 }
             }
-            lists[TileSet::All as usize].push(TileList::new((0..tiles as u32).collect(), threads));
-            lists[TileSet::Forward as usize].push(TileList::new(fwd, threads));
-            lists[TileSet::Adjoint as usize].push(TileList::new(adj, threads));
+            let all = (0..tiles as u32).collect();
+            lists[TileSet::All as usize].push(TileList::new(all, threads, unit));
+            lists[TileSet::Forward as usize].push(TileList::new(fwd, threads, unit));
+            lists[TileSet::Adjoint as usize].push(TileList::new(adj, threads, unit));
         }
-        TilePlan { b, align, axes, lists }
+        TilePlan { b, axes, lists }
     }
 
     /// The tiles `axis` runs under `set`.

@@ -1379,22 +1379,19 @@ impl<const D: usize> NufftPlan<D> {
                     // SAFETY: worker `w` owns scratch slot `w` while this
                     // node runs.
                     let scratch = unsafe { fft_scratch.get(w) };
-                    for &tile in chunk {
-                        // SAFETY: tiles of one axis are pairwise disjoint;
-                        // graph edges order this tile after the last writer
-                        // of each of its elements and before all its
-                        // readers.
-                        unsafe {
-                            fft.transform_tile_raw(
-                                grid_ptrs[c].get(),
-                                axis,
-                                tile as usize,
-                                b,
-                                scratch,
-                                Direction::Forward,
-                            )
-                        };
-                    }
+                    // SAFETY: tiles of one axis are pairwise disjoint; graph
+                    // edges order this chunk after the last writer of each
+                    // of its elements and before all its readers.
+                    unsafe {
+                        fft.transform_tiles_raw(
+                            grid_ptrs[c].get(),
+                            axis,
+                            chunk,
+                            b,
+                            scratch,
+                            Direction::Forward,
+                        )
+                    };
                 }
                 fused::KIND_FFT_SUB | fused::KIND_FFT_TRN => {
                     Self::run_fourstep_shard(
@@ -1574,22 +1571,19 @@ impl<const D: usize> NufftPlan<D> {
                     // SAFETY: worker `w` owns scratch slot `w` while this
                     // node runs.
                     let scratch = unsafe { fft_scratch.get(w) };
-                    for &tile in chunk {
-                        // SAFETY: tiles of one axis are pairwise disjoint;
-                        // graph edges order this tile after the last writer
-                        // of each of its elements and before all its
-                        // readers.
-                        unsafe {
-                            fft.transform_tile_raw(
-                                grid_ptrs[c].get(),
-                                axis,
-                                tile as usize,
-                                b,
-                                scratch,
-                                Direction::Backward,
-                            )
-                        };
-                    }
+                    // SAFETY: tiles of one axis are pairwise disjoint; graph
+                    // edges order this chunk after the last writer of each
+                    // of its elements and before all its readers.
+                    unsafe {
+                        fft.transform_tiles_raw(
+                            grid_ptrs[c].get(),
+                            axis,
+                            chunk,
+                            b,
+                            scratch,
+                            Direction::Backward,
+                        )
+                    };
                 }
                 fused::KIND_FFT_SUB | fused::KIND_FFT_TRN => {
                     Self::run_fourstep_shard(

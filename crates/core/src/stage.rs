@@ -585,11 +585,12 @@ impl FftOp {
         for axis in 0..fft.shape().len() {
             let list = tp.list(set, axis);
             let tiles = &list.tiles[..];
+            let align = tp.axes[axis].align;
             if let Some((colg, kbg)) = tp.axes[axis].shards {
                 debug_assert!(fs.len() >= fft.len(), "fs scratch not sized for four-step");
                 let fsp = SendPtr(fs.as_mut_ptr());
                 let t0 = Instant::now();
-                exec.parallel_for_aligned(tiles.len() * colg, list.grain, tp.align, |range, w| {
+                exec.parallel_for_aligned(tiles.len() * colg, list.grain, align, |range, w| {
                     // SAFETY: the executor guarantees worker `w` is the only
                     // thread using slot `w` during this dispatch.
                     let scratch = unsafe { scratch.get(w) };
@@ -613,7 +614,7 @@ impl FftOp {
                 split.sub += t0.elapsed().as_secs_f64();
                 let twiddle_ns = AtomicU64::new(0);
                 let t0 = Instant::now();
-                exec.parallel_for_aligned(tiles.len() * kbg, list.grain, tp.align, |range, w| {
+                exec.parallel_for_aligned(tiles.len() * kbg, list.grain, align, |range, w| {
                     // SAFETY: as above.
                     let scratch = unsafe { scratch.get(w) };
                     let mut tw = 0.0;
@@ -641,19 +642,18 @@ impl FftOp {
                 continue;
             }
             // Tile-chunk boundaries rounded to a full cache line of complex
-            // elements keep two workers off the same line of line-starts.
-            exec.parallel_for_aligned(tiles.len(), list.grain, tp.align, |range, w| {
+            // elements keep two workers off the same line of line-starts
+            // (on the contiguous axis also to whole runs of `b` lines).
+            exec.parallel_for_aligned(tiles.len(), list.grain, align, |range, w| {
                 // SAFETY: the executor guarantees worker `w` is the only
                 // thread using slot `w` during this dispatch.
                 let scratch = unsafe { scratch.get(w) };
-                for &tile in &tiles[range] {
-                    // SAFETY: tiles of one axis are pairwise disjoint; the
-                    // axes are processed with a barrier between them
-                    // (parallel_for joins before returning).
-                    unsafe {
-                        fft.transform_tile_raw(base.get(), axis, tile as usize, b, scratch, dir)
-                    };
-                }
+                // SAFETY: tiles of one axis are pairwise disjoint; the axes
+                // are processed with a barrier between them (parallel_for
+                // joins before returning).
+                unsafe {
+                    fft.transform_tiles_raw(base.get(), axis, &tiles[range], b, scratch, dir)
+                };
             });
         }
         split

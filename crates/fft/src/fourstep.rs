@@ -34,7 +34,7 @@
 //! tail produce identical bits per element (pinned in `nufft-simd`), so
 //! regrouping elements into different vector calls cannot change results.
 
-use crate::batch::BwdView;
+use crate::batch::{combine_cols, BwdView};
 use crate::plan::{Fft, Stage, MIN_SIMD_M};
 use nufft_math::Complex32;
 use nufft_simd::fft_rows;
@@ -174,9 +174,7 @@ impl FourStep {
         kbw: usize,
         lanes: usize,
     ) {
-        use crate::butterflies::{bfly2, bfly3, bfly4, bfly5, bfly_generic, MAX_RADIX};
         let forward = bwd.is_none();
-        let sign = if forward { -1.0f32 } else { 1.0 };
         let row = kbw * lanes;
         debug_assert_eq!(work.len(), self.p * row);
         for l in (0..self.j).rev() {
@@ -185,9 +183,9 @@ impl FourStep {
             let m = stage.m;
             let big_m = m / self.n2;
             let groups = self.p / (r * big_m);
-            let tw = match bwd {
-                None => &stage.twiddles[..],
-                Some((tws, _)) => &tws[l][..],
+            let (tw, roots) = match bwd {
+                None => (&stage.twiddles[..], &stage.roots[..]),
+                Some((tws, rts)) => (&tws[l][..], &rts[l][..]),
             };
             let simd = (r == 2 || r == 4) && m >= MIN_SIMD_M;
             let hoisted = self.fuse_gather && l == self.j - 1;
@@ -229,34 +227,11 @@ impl FourStep {
                             }
                         }
                     } else {
-                        // Scalar regime: the exact per-element arithmetic of
-                        // the recursive combine (plain complex multiply at
-                        // every ISA level).
-                        let roots = match bwd {
-                            None => &stage.roots[..],
-                            Some((_, rts)) => &rts[l][..],
-                        };
-                        let mut t = [Complex32::ZERO; MAX_RADIX];
-                        let mut s = [Complex32::ZERO; MAX_RADIX];
-                        for kk in 0..kbw {
-                            for lane in 0..lanes {
-                                let at = base + kk * lanes + lane;
-                                t[0] = work[at];
-                                for q in 1..r {
-                                    t[q] = work[at + q * step] * tw[(q - 1) * m + toff + kk];
-                                }
-                                match r {
-                                    2 => bfly2(&mut t[..2]),
-                                    3 => bfly3(&mut t[..3], sign),
-                                    4 => bfly4(&mut t[..4], sign),
-                                    5 => bfly5(&mut t[..5], sign),
-                                    _ => bfly_generic(&mut t[..r], &mut s[..r], roots),
-                                }
-                                for (k2, &v) in t[..r].iter().enumerate() {
-                                    work[at + k2 * step] = v;
-                                }
-                            }
-                        }
+                        // Plain regime: the column kernels (radix 7/11/13:
+                        // the scalar loop) run the exact per-element
+                        // arithmetic of the recursive combine.
+                        let d = &mut work[base..];
+                        combine_cols(d, step, stage, tw, roots, toff, kbw, lanes, forward);
                     }
                 }
             }

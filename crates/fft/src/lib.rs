@@ -65,6 +65,15 @@ pub fn next_fast_len(n: usize) -> usize {
     }
 }
 
+/// Serializes the unit tests that override the process-global ISA level
+/// with the ones comparing two execution paths bitwise: an override landing
+/// between the two runs of a comparison would pit one level against another.
+#[cfg(test)]
+pub(crate) fn isa_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

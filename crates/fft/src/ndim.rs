@@ -1,17 +1,20 @@
 //! n-dimensional FFT over row-major (C-order) complex buffers.
 //!
 //! The transform is separable: each axis is handled by a 1D [`Fft`] applied
-//! to every line along that axis. The innermost axis is contiguous and is
-//! transformed in place; other axes are grouped into *tiles* of
-//! [`FftNd::batch_width`] memory-adjacent lines and run through the batched
+//! to every line along that axis. Lines are grouped into *tiles*: on a
+//! strided axis a tile is [`FftNd::batch_width`] memory-adjacent lines, on
+//! the contiguous innermost axis one line. Tiles run through the batched
 //! Cooley–Tukey path (`crate::batch`), which amortizes twiddle loads over
-//! the tile and keeps every access contiguous — or fall back to a per-line
-//! bounce buffer for remainder tiles and Bluestein axes. The per-tile and
-//! per-line entry points ([`FftNd::num_tiles`], [`FftNd::transform_tile_raw`],
+//! `b` lines and keeps every access contiguous — on the contiguous axis
+//! by packing each run of `b` consecutive listed lines with a transpose —
+//! or fall back to the per-line path for remainder tiles, shorter runs and
+//! Bluestein axes. The tile-list and per-line entry points
+//! ([`FftNd::num_tiles`], [`FftNd::transform_tiles_raw`],
 //! [`FftNd::transform_line_raw`]) exist so `nufft-core` can shard work
 //! across its worker pool — the plan itself is `Sync`, and the tiles (and
 //! lines) of one axis are pairwise disjoint.
 
+use crate::batch::copy_run;
 use crate::fourstep::{FftStrategy, FourStep, DEFAULT_LLC_BUDGET};
 use crate::plan::{Direction, Fft};
 use nufft_math::Complex32;
@@ -161,7 +164,7 @@ impl FftNd {
         nufft_simd::active_isa().c32_lanes().max(2)
     }
 
-    /// Scratch length required per worker by [`FftNd::transform_tile_raw`]
+    /// Scratch length required per worker by [`FftNd::transform_tiles_raw`]
     /// with tiles of `b` lines (covers the per-line fallback too).
     pub fn batch_scratch_len(&self, b: usize) -> usize {
         let ct_max = self
@@ -586,20 +589,82 @@ impl FftNd {
         }
     }
 
-    /// Transforms tile `tile` of `axis` (width `b`, indexed as in
-    /// [`FftNd::num_tiles`]) through a raw base pointer. Full tiles of a
-    /// Cooley–Tukey axis take the batched path; remainder tiles (fewer than
-    /// `b` lines at the end of an outer block) and Bluestein axes fall back
-    /// to the per-line path, which is bit-identical (see `crate::batch`).
+    /// Transforms the tiles `tiles` of `axis` (width `b`, distinct ids as in
+    /// [`FftNd::num_tiles`] — typically one chunk of an ascending tile list)
+    /// through a raw base pointer.
+    ///
+    /// On a strided axis each full tile of a Cooley–Tukey axis takes the
+    /// batched path; remainder tiles (fewer than `b` lines at the end of an
+    /// outer block) and Bluestein axes fall back to the per-line path. On
+    /// the contiguous axis a tile is one line: every run of `b` consecutive
+    /// ids in `tiles` is packed into one interleaved tile (a `b×n`
+    /// transpose) and sent through the batched path, while the lines of
+    /// shorter runs — and every line of a Bluestein axis, or at an ISA
+    /// level without vector lanes — go per line. The per-line path is
+    /// bit-identical (see `crate::batch`), so how `tiles` is chunked never
+    /// changes a result bit.
     ///
     /// `scratch` must be at least [`FftNd::batch_scratch_len`]`(b)` long.
     ///
     /// # Safety
     /// `base` must point to the start of a buffer of [`FftNd::len`] elements
     /// valid for reads and writes, and no other thread may concurrently
-    /// access the elements of this tile (tiles of the same axis are pairwise
-    /// disjoint, so sharding whole tiles across threads is sound).
-    pub unsafe fn transform_tile_raw(
+    /// access the elements of these tiles (tiles of the same axis are
+    /// pairwise disjoint, so sharding disjoint id slices across threads is
+    /// sound).
+    pub unsafe fn transform_tiles_raw(
+        &self,
+        base: *mut Complex32,
+        axis: usize,
+        tiles: &[u32],
+        b: usize,
+        scratch: &mut [Complex32],
+        dir: Direction,
+    ) {
+        if self.axis_stride(axis) > 1 {
+            for &tile in tiles {
+                self.transform_strided_tile(base, axis, tile as usize, b, scratch, dir);
+            }
+            return;
+        }
+        let n = self.shape[axis];
+        let plan = &self.plans[axis];
+        // Packing pays only when a tile feeds vector lanes: at the scalar
+        // levels the two transposes cost more than batching saves
+        // (`BENCH_fft.json`), so there every line goes per line.
+        let pack = b > 1 && plan.is_ct() && nufft_simd::active_isa().c32_lanes() > 1;
+        let mut i = 0;
+        while i < tiles.len() {
+            let line = tiles[i] as usize;
+            // Pack only ids that list every line of the run: the transform
+            // then touches no line outside `tiles`.
+            let run = pack
+                && tiles.get(i..i + b).is_some_and(|ids| {
+                    ids.iter().enumerate().all(|(j, &t)| t as usize == line + j)
+                });
+            if !run {
+                self.transform_line_raw(base, axis, line, scratch, dir);
+                i += 1;
+                continue;
+            }
+            // The run's lines are one contiguous b×n block starting at
+            // line·n: pack it transposed, transform, unpack.
+            let lines = core::slice::from_raw_parts_mut(base.add(line * n), n * b);
+            let (tile, rest) = scratch.split_at_mut(n * b);
+            let packed = &mut rest[..n * b];
+            nufft_simd::transpose(packed, lines, b);
+            crate::batch::transform_tile(plan, packed, tile, b, dir);
+            nufft_simd::transpose(lines, tile, n);
+            i += b;
+        }
+    }
+
+    /// Transforms tile `tile` of strided `axis`: a full tile of a
+    /// Cooley–Tukey axis through the batched path, anything else per line.
+    ///
+    /// # Safety
+    /// As [`FftNd::transform_tiles_raw`] for this one tile.
+    unsafe fn transform_strided_tile(
         &self,
         base: *mut Complex32,
         axis: usize,
@@ -610,10 +675,6 @@ impl FftNd {
     ) {
         let n = self.shape[axis];
         let stride = self.axis_stride(axis);
-        if stride == 1 {
-            self.transform_line_raw(base, axis, tile, scratch, dir);
-            return;
-        }
         let tiles_per_outer = stride.div_ceil(b);
         let outer = tile / tiles_per_outer;
         let inner0 = (tile % tiles_per_outer) * b;
@@ -622,23 +683,17 @@ impl FftNd {
         if lines_here == b && plan.is_ct() {
             let start = outer * n * stride + inner0;
             let (tile_buf, rest) = scratch.split_at_mut(n * b);
-            let work = &mut rest[..n * b];
+            let packed = &mut rest[..n * b];
             // Gather: lines inner0..inner0+b are adjacent in memory, so
             // element j of all b lines is one contiguous b-complex run.
-            for j in 0..n {
-                core::ptr::copy_nonoverlapping(
-                    base.add(start + j * stride),
-                    tile_buf.as_mut_ptr().add(j * b),
-                    b,
-                );
+            for (j, run) in packed.chunks_exact_mut(b).enumerate() {
+                let line = core::slice::from_raw_parts(base.add(start + j * stride), b);
+                copy_run(run, line);
             }
-            crate::batch::transform_tile(plan, tile_buf, work, b, dir);
-            for j in 0..n {
-                core::ptr::copy_nonoverlapping(
-                    tile_buf.as_ptr().add(j * b),
-                    base.add(start + j * stride),
-                    b,
-                );
+            crate::batch::transform_tile(plan, packed, tile_buf, b, dir);
+            for (j, run) in tile_buf[..n * b].chunks_exact(b).enumerate() {
+                let line = core::slice::from_raw_parts_mut(base.add(start + j * stride), b);
+                copy_run(line, run);
             }
         } else {
             for l in 0..lines_here {
@@ -687,7 +742,7 @@ impl FftNd {
     }
 
     /// Transforms every line of `axis` sequentially via the batched tile
-    /// path.
+    /// path (on the contiguous axis: packed runs of `b` lines).
     ///
     /// # Panics
     /// Panics if `data.len()` doesn't match the plan.
@@ -731,10 +786,9 @@ impl FftNd {
             }
             return;
         }
-        for tile in 0..self.num_tiles(axis, b) {
-            // SAFETY: we hold &mut data and process tiles one at a time.
-            unsafe { self.transform_tile_raw(base, axis, tile, b, &mut scratch, dir) };
-        }
+        let tiles: Vec<u32> = (0..self.num_tiles(axis, b) as u32).collect();
+        // SAFETY: we hold &mut data and process tiles one at a time.
+        unsafe { self.transform_tiles_raw(base, axis, &tiles, b, &mut scratch, dir) };
     }
 
     /// Transforms every line of `axis` sequentially, one line at a time —
@@ -982,6 +1036,7 @@ mod tests {
     /// shapes exercising full tiles, remainder tiles, and a Bluestein axis.
     #[test]
     fn batched_axis_matches_per_line_bitwise() {
+        let _isa = crate::isa_test_lock();
         for shape in [&[6usize, 8][..], &[5, 7, 6], &[17, 4], &[4, 17], &[3, 3, 3]] {
             let len: usize = shape.iter().product();
             let x = demo(len);
@@ -996,6 +1051,68 @@ mod tests {
                         g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
                         "shape {shape:?} {dir:?} i={i}: {g:?} vs {w:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Splits the tile ids `0..tiles` into the slices a tile-list executor
+    /// could hand [`FftNd::transform_tiles_raw`]: first the ids with
+    /// `id % 7 < 5` (runs of five with gaps of two) in chunks of 6, 1, 3,
+    /// 5, 2 and 4 ids, then the rest (runs of two) in chunks of 3.
+    fn gappy_slices(tiles: usize) -> Vec<Vec<u32>> {
+        let ids = 0..tiles as u32;
+        let (first, rest): (Vec<u32>, Vec<u32>) = ids.partition(|&id| id % 7 < 5);
+        let mut slices = Vec::new();
+        let mut it = first.into_iter().peekable();
+        for len in [6usize, 1, 3, 5, 2, 4].into_iter().cycle() {
+            if it.peek().is_none() {
+                break;
+            }
+            slices.push(it.by_ref().take(len).collect());
+        }
+        slices.extend(rest.chunks(3).map(|c| c.to_vec()));
+        slices
+    }
+
+    /// The slice entry point equals the per-line path bitwise when fed tile
+    /// lists with gaps and runs shorter than `b` — on strided axes, on the
+    /// contiguous axis (packed runs, leftover lines), and on Bluestein axes,
+    /// contiguous (17) and strided (19), at several widths.
+    #[test]
+    fn tile_slices_with_gaps_match_per_line_bitwise() {
+        let _isa = crate::isa_test_lock();
+        for shape in [&[6usize, 40][..], &[3, 4, 40], &[8, 96], &[5, 17], &[19, 12], &[30]] {
+            let plan = FftNd::new(shape);
+            let x = demo(plan.len());
+            for b in [2usize, 3, 4] {
+                for dir in [Direction::Forward, Direction::Backward] {
+                    let mut got = x.clone();
+                    let mut scratch = vec![Complex32::ZERO; plan.batch_scratch_len(b)];
+                    for axis in 0..shape.len() {
+                        for slice in gappy_slices(plan.num_tiles(axis, b)) {
+                            // SAFETY: exclusive access to `got`; slices run
+                            // one at a time.
+                            unsafe {
+                                plan.transform_tiles_raw(
+                                    got.as_mut_ptr(),
+                                    axis,
+                                    &slice,
+                                    b,
+                                    &mut scratch,
+                                    dir,
+                                )
+                            };
+                        }
+                    }
+                    let mut want = x.clone();
+                    plan.process_per_line(&mut want, dir);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                            "shape {shape:?} b={b} {dir:?} i={i}: {g:?} vs {w:?}"
+                        );
+                    }
                 }
             }
         }

@@ -13,13 +13,16 @@ use nufft_math::{Complex32, Complex64};
 use nufft_simd::fft_rows;
 use std::sync::OnceLock;
 
-/// Stages whose sub-transform length `m` is at least this use the dispatched
-/// SIMD row/column butterflies (`nufft_simd::fft_rows`); smaller stages stay
-/// on the inline scalar loop — at the bottom of the recursion there are many
-/// tiny combines (e.g. 256 radix-2 nodes with `m = 1` for n = 512) where
-/// dispatch overhead would dominate. The batched tile path in
-/// [`crate::batch`] branches on the *same* `m` threshold so both paths run
-/// the identical arithmetic per element (the bit-identity contract).
+/// Picks a radix-2/4 stage's arithmetic shape. On the per-line path, stages
+/// whose sub-transform length `m` is at least this use the dispatched
+/// (FMA-contracted at AVX2) row butterflies of `nufft_simd::fft_rows`;
+/// smaller stages stay on the inline scalar loop in plain arithmetic — at
+/// the bottom of the recursion there are many tiny combines (e.g. 128
+/// radix-2 nodes with `m = 1` for n = 512) where row-kernel dispatch
+/// would dominate. The batched tile path in [`crate::batch`] runs vector
+/// column kernels at every stage and branches on the *same* threshold only
+/// to pick the fused or the plain kernel, so both paths run the identical
+/// arithmetic per element (the bit-identity contract).
 pub(crate) const MIN_SIMD_M: usize = 4;
 
 /// Transform direction.
@@ -260,6 +263,7 @@ impl Fft {
         bwd: Option<&BwdTables>,
     ) {
         if level == self.stages.len() {
+            // Only a length-1 plan gets here; longer ones stop a level early.
             debug_assert_eq!(dst.len(), 1);
             dst[0] = src[off];
             return;
@@ -269,16 +273,24 @@ impl Fft {
         let m = stage.m;
         debug_assert_eq!(dst.len(), r * m);
 
-        // Sub-transforms: Y_q = FFT_m(x[q + r·t]) into dst[q·m..(q+1)·m].
-        for q in 0..r {
-            self.recurse(
-                level + 1,
-                src,
-                off + q * stride,
-                stride * r,
-                &mut dst[q * m..(q + 1) * m],
-                bwd,
-            );
+        // Sub-transforms: Y_q = FFT_m(x[q + r·t]) into dst[q·m..(q+1)·m]. At
+        // the last stage (`m == 1`) they are single elements, read straight
+        // from the source.
+        if level + 1 == self.stages.len() {
+            for q in 0..r {
+                dst[q] = src[off + q * stride];
+            }
+        } else {
+            for q in 0..r {
+                self.recurse(
+                    level + 1,
+                    src,
+                    off + q * stride,
+                    stride * r,
+                    &mut dst[q * m..(q + 1) * m],
+                    bwd,
+                );
+            }
         }
 
         // Combine: X[k + m·k2] = Σ_q W^{qk}·Y_q[k] · W_r^{q·k2}.

@@ -116,36 +116,51 @@ fn circular_shift_theorem() {
     });
 }
 
-/// The batched (tiled) strided-axis path must be *bit-identical* to the
-/// per-line path for every shape, direction, and ISA level — the contract
-/// that lets the scheduler pick either path freely. Shapes cover batched
-/// mixed-radix strided axes (96 = 2⁵·3, 120, 126 = 2·3²·7), a Bluestein
-/// extent (31) that exercises the per-line fallback, and 3D remainder tiles.
+/// The batched (tiled) path must be *bit-identical* to the per-line path
+/// for every shape, direction, and ISA level — the contract that lets the
+/// scheduler pick either path freely. Shapes cover batched mixed-radix
+/// strided axes (96 = 2⁵·3, 120, 126 = 2·3²·7), a Bluestein extent (31)
+/// that exercises the per-line fallback, 3D remainder tiles, and on the
+/// contiguous axis packed runs (`[8, 96]`), a leftover line (`[5, 60]`:
+/// five lines at width 2 or 4), radix 3 at m = 15 and m = 5 with radix 5 at
+/// m = 1 (`[6, 45]`: 45 = 3·3·5), and a 3D grid (`[3, 4, 40]`). Every case
+/// runs every shape.
 #[test]
 fn batched_bit_identical_to_per_line_under_isa_overrides() {
     use nufft_simd::{detect_isa, set_isa_override, IsaLevel};
-    const SHAPES: [&[usize]; 6] =
-        [&[96, 8], &[120, 5], &[31, 12], &[8, 126], &[16, 3, 10], &[12, 18]];
+    const SHAPES: [&[usize]; 10] = [
+        &[96, 8],
+        &[120, 5],
+        &[31, 12],
+        &[8, 126],
+        &[16, 3, 10],
+        &[12, 18],
+        &[8, 96],
+        &[5, 60],
+        &[6, 45],
+        &[3, 4, 40],
+    ];
     let detected = detect_isa();
     let levels = [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma];
     prop_check("batched_bit_identical_to_per_line", 0xFF7_0008, 16, |rng| {
-        let shape = SHAPES[rng.gen_usize(0..SHAPES.len())];
-        let len: usize = shape.iter().product();
-        let x = rng.gen_c32_vec(len, 2.0);
-        let plan = FftNd::new(shape);
-        for &level in levels.iter().filter(|&&l| l <= detected) {
-            set_isa_override(level).unwrap();
-            for dir in [Direction::Forward, Direction::Backward] {
-                let mut batched = x.clone();
-                plan.process(&mut batched, dir);
-                let mut per_line = x.clone();
-                plan.process_per_line(&mut per_line, dir);
-                for (i, (g, w)) in batched.iter().zip(&per_line).enumerate() {
-                    assert!(
-                        g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
-                        "shape {shape:?} {dir:?} {} i={i}: {g:?} vs {w:?}",
-                        level.name()
-                    );
+        for shape in SHAPES {
+            let len: usize = shape.iter().product();
+            let x = rng.gen_c32_vec(len, 2.0);
+            let plan = FftNd::new(shape);
+            for &level in levels.iter().filter(|&&l| l <= detected) {
+                set_isa_override(level).unwrap();
+                for dir in [Direction::Forward, Direction::Backward] {
+                    let mut batched = x.clone();
+                    plan.process(&mut batched, dir);
+                    let mut per_line = x.clone();
+                    plan.process_per_line(&mut per_line, dir);
+                    for (i, (g, w)) in batched.iter().zip(&per_line).enumerate() {
+                        assert!(
+                            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                            "shape {shape:?} {dir:?} {} i={i}: {g:?} vs {w:?}",
+                            level.name()
+                        );
+                    }
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Dispatched complex-SIMD FFT stage butterflies (radix-2 / radix-4).
+//! Dispatched complex-SIMD FFT stage butterflies (radix 2 / 3 / 4 / 5).
 //!
 //! These are the vector butterflies of the FFT execution path (EFFT-style
 //! cache-blocked execution): a Cooley–Tukey combine stage applies the same
@@ -7,12 +7,20 @@
 //!
 //! * **rows** — per-element twiddles. One stage of a single contiguous
 //!   transform: `d0/d1/…` are the `m`-long sub-rows of one combine and
-//!   `tw[k]` multiplies element `k`. Used by the 1D plan for every line
-//!   (including the contiguous innermost axis of an n-D transform).
+//!   `tw[k]` multiplies element `k`. Used by the 1D per-line plan.
 //! * **cols** — one twiddle broadcast across `b` interleaved lines. The
-//!   batched tile path packs `b` strided lines element-interleaved
+//!   batched tile path packs `b` lines element-interleaved
 //!   (`tile[k·b + lane]` = element `k` of line `lane`), so one twiddle load
 //!   amortizes over `b` lines and every memory access is contiguous.
+//!
+//! Two arithmetic shapes exist. The *fused* kernels ([`bfly2_rows`],
+//! [`bfly4_rows`], [`bfly2_cols`], [`bfly4_cols`]) contract the twiddle
+//! product with FMA at `Avx2Fma`. The *plain* column kernels
+//! ([`bfly2_cols_plain`], [`bfly3_cols`], [`bfly4_cols_plain`],
+//! [`bfly5_cols`]) never do: at every level they reproduce, lane for lane,
+//! the plain `Complex32` operator arithmetic of `nufft-fft`'s scalar
+//! combine (twiddle product, then `bfly2`…`bfly5`), so the batched path can
+//! vectorize the combines the per-line path runs as scalar loops.
 //!
 //! Bit-compatibility contract: at a fixed [`IsaLevel`], the *rows* and
 //! *cols* kernels perform the identical arithmetic per element (same
@@ -22,7 +30,9 @@
 //! plain `Complex32` operator arithmetic of the scalar butterflies in
 //! `nufft-fft` (SSE2 matches it too — its lane ops are the same
 //! mul/add/sub, only commuted where IEEE addition commutes exactly);
-//! `Avx2Fma` contracts with FMA and therefore only matches itself.
+//! `Avx2Fma` fused kernels contract with FMA and therefore only match
+//! themselves. Every kernel's scalar tail (the `b mod width` lanes) runs the
+//! same arithmetic as its vector body.
 //!
 //! `StrictScalar` arms defeat auto-vectorization with per-element
 //! `black_box`, preserving the Figure-13-style ISA comparison for the FFT
@@ -151,7 +161,7 @@ pub fn bfly2_cols(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32], 
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols(d0, d1, tw, b) },
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<true>(d0, d1, tw, b) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(d0, d1, tw, b) },
@@ -189,7 +199,9 @@ pub fn bfly4_cols(
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward) },
+        IsaLevel::Avx2Fma => unsafe {
+            avx2::bfly4_cols::<true>(d0, d1, d2, d3, tw1, tw2, tw3, b, forward)
+        },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above.
         IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward) },
@@ -198,10 +210,145 @@ pub fn bfly4_cols(
     }
 }
 
+/// Validates a plain column kernel's geometry from its block and twiddle
+/// row lengths: `b > 0`, every twiddle row `m = rows[0]` long and every
+/// block `m·b` long.
+#[inline]
+fn check_cols(blocks: &[usize], rows: &[usize], b: usize) {
+    assert!(b > 0, "batch width must be positive");
+    let m = rows[0];
+    assert!(blocks.iter().all(|&len| len == m * b), "column block length mismatch");
+    assert!(rows.iter().all(|&len| len == m), "twiddle row length mismatch");
+}
+
+/// [`bfly2_cols`] in plain arithmetic at every level (no FMA at
+/// `Avx2Fma`): bitwise the scalar combine `t = d1·tw`, `(d0 + t, d0 − t)`.
+///
+/// # Panics
+/// Panics if `b == 0` or `d0`/`d1` lengths differ from `tw.len()·b`.
+#[inline]
+pub fn bfly2_cols_plain(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32], b: usize) {
+    check_cols(&[d0.len(), d1.len()], &[tw.len()], b);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports.
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<false>(d0, d1, tw, b) },
+        // The SSE2 and scalar fused arms are already plain.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(d0, d1, tw, b) },
+        IsaLevel::StrictScalar => strict::bfly2_cols(d0, d1, tw, b),
+        _ => scalar::bfly2_cols(d0, d1, tw, b),
+    }
+}
+
+/// [`bfly4_cols`] in plain arithmetic at every level (no FMA at
+/// `Avx2Fma`): bitwise the scalar combine (twiddle products, then
+/// `nufft-fft`'s `bfly4`).
+///
+/// # Panics
+/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn bfly4_cols_plain(
+    d0: &mut [Complex32],
+    d1: &mut [Complex32],
+    d2: &mut [Complex32],
+    d3: &mut [Complex32],
+    tw1: &[Complex32],
+    tw2: &[Complex32],
+    tw3: &[Complex32],
+    b: usize,
+    forward: bool,
+) {
+    check_cols(&[d0.len(), d1.len(), d2.len(), d3.len()], &[tw1.len(), tw2.len(), tw3.len()], b);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports.
+        IsaLevel::Avx2Fma => unsafe {
+            avx2::bfly4_cols::<false>(d0, d1, d2, d3, tw1, tw2, tw3, b, forward)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward) },
+        IsaLevel::StrictScalar => strict::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
+        _ => scalar::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
+    }
+}
+
+/// Radix-3 combine over `b` interleaved lines (layout as in
+/// [`bfly2_cols`]) in plain arithmetic at every level: bitwise the scalar
+/// combine `t = (d0, d1·tw1, d2·tw2)` followed by `nufft-fft`'s `bfly3`.
+///
+/// # Panics
+/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn bfly3_cols(
+    d0: &mut [Complex32],
+    d1: &mut [Complex32],
+    d2: &mut [Complex32],
+    tw1: &[Complex32],
+    tw2: &[Complex32],
+    b: usize,
+    forward: bool,
+) {
+    check_cols(&[d0.len(), d1.len(), d2.len()], &[tw1.len(), tw2.len()], b);
+    let (d, tw) = ([d0, d1, d2], [tw1, tw2]);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports.
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly3_cols(d, tw, b, forward) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe { sse2::bfly3_cols(d, tw, b, forward) },
+        IsaLevel::StrictScalar => strict::bfly3_cols(d, tw, b, forward),
+        _ => scalar::bfly3_cols(d, tw, b, forward),
+    }
+}
+
+/// Radix-5 combine over `b` interleaved lines (layout as in
+/// [`bfly2_cols`]) in plain arithmetic at every level: bitwise the scalar
+/// combine `t = (d[0], d[1]·tw[0], …, d[4]·tw[3])` followed by
+/// `nufft-fft`'s `bfly5`. Blocks and twiddle rows come as arrays (eleven
+/// separate arguments would obscure which is which).
+///
+/// # Panics
+/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+#[inline]
+pub fn bfly5_cols(d: [&mut [Complex32]; 5], tw: [&[Complex32]; 4], b: usize, forward: bool) {
+    check_cols(&d.each_ref().map(|x| x.len()), &tw.map(|w| w.len()), b);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports.
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly5_cols(d, tw, b, forward) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe { sse2::bfly5_cols(d, tw, b, forward) },
+        IsaLevel::StrictScalar => strict::bfly5_cols(d, tw, b, forward),
+        _ => scalar::bfly5_cols(d, tw, b, forward),
+    }
+}
+
 /// Scalar reference arms: plain `Complex32` operator arithmetic, identical
 /// element-for-element to the scalar butterflies in `nufft-fft`.
 mod scalar {
     use super::Complex32;
+
+    /// `sign·√3/2`, the imaginary part of the radix-3 root `W3`.
+    const HALF_SQRT3: f32 = 0.866_025_4;
+    /// cos/sin of 2π/5 and 4π/5 (the radix-5 roots).
+    pub(super) const C1: f32 = 0.309_017;
+    pub(super) const S1: f32 = 0.951_056_5;
+    pub(super) const C2: f32 = -0.809_017;
+    pub(super) const S2: f32 = 0.587_785_24;
+
+    /// The `(re, im)` factors of the radix-3 rotation `sign·i·(√3/2)·z`:
+    /// `re = k.0·z.im`, `im = k.1·z.re` (the scalar `bfly3`'s products).
+    #[inline(always)]
+    pub(super) fn bfly3_rot(sign: f32) -> (f32, f32) {
+        (-sign * HALF_SQRT3, sign * HALF_SQRT3)
+    }
 
     /// `(a + b·w, a − b·w)` with plain complex arithmetic.
     #[inline(always)]
@@ -231,6 +378,102 @@ mod scalar {
         let d13 = b - d;
         let j = Complex32::new(-sign * d13.im, sign * d13.re);
         (s02 + s13, d02 + j, s02 - s13, d02 - j)
+    }
+
+    /// Twiddled 3-point DFT of `x` (the arithmetic of `nufft-fft`'s
+    /// `bfly3` after the plain twiddle products).
+    #[inline(always)]
+    pub(super) fn bfly3_one(x: [Complex32; 3], w: [Complex32; 2], sign: f32) -> [Complex32; 3] {
+        let (a, b, c) = (x[0], x[1] * w[0], x[2] * w[1]);
+        let (kr, ki) = bfly3_rot(sign);
+        let sum = b + c;
+        let diff = b - c;
+        let rot = Complex32::new(kr * diff.im, ki * diff.re);
+        let mid = a - sum.scale(0.5);
+        [a + sum, mid + rot, mid - rot]
+    }
+
+    /// Twiddled 5-point DFT of `x` (the arithmetic of `nufft-fft`'s
+    /// `bfly5` after the plain twiddle products).
+    #[inline(always)]
+    pub(super) fn bfly5_one(x: [Complex32; 5], w: [Complex32; 4], sign: f32) -> [Complex32; 5] {
+        let a = x[0];
+        let (b, c, d, e) = (x[1] * w[0], x[2] * w[1], x[3] * w[2], x[4] * w[3]);
+        let (p1, m1) = (b + e, b - e);
+        let (p2, m2) = (c + d, c - d);
+        let r1 = a + p1.scale(C1) + p2.scale(C2);
+        let r2 = a + p1.scale(C2) + p2.scale(C1);
+        let i1 =
+            Complex32::new(-sign * (S1 * m1.im + S2 * m2.im), sign * (S1 * m1.re + S2 * m2.re));
+        let i2 =
+            Complex32::new(-sign * (S2 * m1.im - S1 * m2.im), sign * (S2 * m1.re - S1 * m2.re));
+        [a + p1 + p2, r1 + i1, r2 + i2, r2 - i2, r1 - i1]
+    }
+
+    /// Runs `f` — one radix-`R` combine of `R` elements under their `T`
+    /// twiddles — at element `i` of every block, in place.
+    ///
+    /// # Safety
+    /// Each `p[q]` must be valid for reads and writes at offset `i`.
+    #[inline(always)]
+    pub(super) unsafe fn one_at<const R: usize, const T: usize>(
+        p: &[*mut Complex32; R],
+        i: usize,
+        w: [Complex32; T],
+        load: impl Fn(*const Complex32) -> Complex32,
+        f: impl Fn([Complex32; R], [Complex32; T]) -> [Complex32; R],
+    ) {
+        // SAFETY: the caller guarantees every offset is in bounds.
+        let y = f(core::array::from_fn(|q| load(unsafe { p[q].add(i) })), w);
+        for (q, v) in y.into_iter().enumerate() {
+            // SAFETY: as above.
+            unsafe { p[q].add(i).write(v) };
+        }
+    }
+
+    /// Runs `f` over every element of `b` interleaved lines: element `i` of
+    /// column `k` combines under twiddles `tw[·][k]`, its inputs read
+    /// through `load`. The scalar and strict-scalar arms of the plain
+    /// column kernels.
+    pub(super) fn cols_with<const R: usize, const T: usize>(
+        mut d: [&mut [Complex32]; R],
+        tw: [&[Complex32]; T],
+        b: usize,
+        load: impl Fn(*const Complex32) -> Complex32,
+        f: impl Fn([Complex32; R], [Complex32; T]) -> [Complex32; R],
+    ) {
+        let m = tw[0].len();
+        assert!(d.iter().all(|x| x.len() == m * b), "column block length mismatch");
+        let p = d.each_mut().map(|x| x.as_mut_ptr());
+        for k in 0..m {
+            let w = tw.map(|row| row[k]);
+            for i in k * b..(k + 1) * b {
+                // SAFETY: i < m·b, the length of every block (checked).
+                unsafe { one_at(&p, i, w, &load, &f) };
+            }
+        }
+    }
+
+    pub(super) fn bfly3_cols(
+        d: [&mut [Complex32]; 3],
+        tw: [&[Complex32]; 2],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: `cols_with` only loads in-bounds element pointers.
+        cols_with(d, tw, b, |z| unsafe { *z }, |x, w| bfly3_one(x, w, sign));
+    }
+
+    pub(super) fn bfly5_cols(
+        d: [&mut [Complex32]; 5],
+        tw: [&[Complex32]; 4],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: as above.
+        cols_with(d, tw, b, |z| unsafe { *z }, |x, w| bfly5_one(x, w, sign));
     }
 
     pub(super) fn bfly2_rows(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32]) {
@@ -460,6 +703,30 @@ mod strict {
             }
         }
     }
+
+    pub(super) fn bfly3_cols(
+        d: [&mut [Complex32]; 3],
+        tw: [&[Complex32]; 2],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let bfly = |x, w| super::scalar::bfly3_one(x, w, sign);
+        // SAFETY: `cols_with` only loads in-bounds element pointers.
+        super::scalar::cols_with(d, tw, b, |z| unsafe { *black_box(&*z) }, bfly);
+    }
+
+    pub(super) fn bfly5_cols(
+        d: [&mut [Complex32]; 5],
+        tw: [&[Complex32]; 4],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let bfly = |x, w| super::scalar::bfly5_one(x, w, sign);
+        // SAFETY: as above.
+        super::scalar::cols_with(d, tw, b, |z| unsafe { *black_box(&*z) }, bfly);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -495,6 +762,21 @@ mod sse2 {
             _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN))
         };
         _mm_xor_ps(sw, mask)
+    }
+
+    /// Broadcast-twiddle form of [`cmul2`]: the same plain lane arithmetic
+    /// with `w = (wr, wi)` splatted across both complexes.
+    #[inline(always)]
+    unsafe fn cmul2_bcast(x: __m128, wr: __m128, wi: __m128) -> __m128 {
+        let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
+        let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
+        _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re))
+    }
+
+    /// Swaps re/im within each complex lane.
+    #[inline(always)]
+    unsafe fn swap2(z: __m128) -> __m128 {
+        _mm_shuffle_ps(z, z, 0b1011_0001)
     }
 
     /// # Safety
@@ -655,14 +937,11 @@ mod sse2 {
         for (k, &w) in tw.iter().enumerate() {
             let wr = _mm_set1_ps(w.re);
             let wi = _mm_set1_ps(w.im);
-            let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
             let mut lane = 0;
             while lane + 2 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm_loadu_ps(p0.add(o));
-                let x = _mm_loadu_ps(p1.add(o));
-                let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
-                let t = _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re));
+                let t = cmul2_bcast(_mm_loadu_ps(p1.add(o)), wr, wi);
                 _mm_storeu_ps(p0.add(o), _mm_add_ps(a, t));
                 _mm_storeu_ps(p1.add(o), _mm_sub_ps(a, t));
                 lane += 2;
@@ -696,7 +975,6 @@ mod sse2 {
         let sign = if forward { -1.0f32 } else { 1.0 };
         let (p0, p1) = (d0.as_mut_ptr() as *mut f32, d1.as_mut_ptr() as *mut f32);
         let (p2, p3) = (d2.as_mut_ptr() as *mut f32, d3.as_mut_ptr() as *mut f32);
-        let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
         for k in 0..tw1.len() {
             let (w1, w2, w3) = (tw1[k], tw2[k], tw3[k]);
             let (w1r, w1i) = (_mm_set1_ps(w1.re), _mm_set1_ps(w1.im));
@@ -706,14 +984,9 @@ mod sse2 {
             while lane + 2 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm_loadu_ps(p0.add(o));
-                let bcast_mul = |p: *mut f32, wr: __m128, wi: __m128| {
-                    let x = _mm_loadu_ps(p);
-                    let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
-                    _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re))
-                };
-                let bb = bcast_mul(p1.add(o), w1r, w1i);
-                let c = bcast_mul(p2.add(o), w2r, w2i);
-                let d = bcast_mul(p3.add(o), w3r, w3i);
+                let bb = cmul2_bcast(_mm_loadu_ps(p1.add(o)), w1r, w1i);
+                let c = cmul2_bcast(_mm_loadu_ps(p2.add(o)), w2r, w2i);
+                let d = cmul2_bcast(_mm_loadu_ps(p3.add(o)), w3r, w3i);
                 let s02 = _mm_add_ps(a, c);
                 let d02 = _mm_sub_ps(a, c);
                 let s13 = _mm_add_ps(bb, d);
@@ -733,6 +1006,104 @@ mod sse2 {
                 d2[i] = x2;
                 d3[i] = x3;
                 lane += 1;
+            }
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly2_rows`]; the blocks must hold `tw[0].len()·b` elements.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn bfly3_cols(
+        mut d: [&mut [Complex32]; 3],
+        tw: [&[Complex32]; 2],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let p = d.each_mut().map(|x| x.as_mut_ptr());
+        let f = p.map(|x| x as *mut f32);
+        let (kr, ki) = super::scalar::bfly3_rot(sign);
+        let krot = _mm_setr_ps(kr, ki, kr, ki);
+        let half = _mm_set1_ps(0.5);
+        for k in 0..tw[0].len() {
+            let w = tw.map(|row| row[k]);
+            let (w1r, w1i) = (_mm_set1_ps(w[0].re), _mm_set1_ps(w[0].im));
+            let (w2r, w2i) = (_mm_set1_ps(w[1].re), _mm_set1_ps(w[1].im));
+            let (mut i, end) = (k * b, (k + 1) * b);
+            while i + 2 <= end {
+                let o = 2 * i;
+                let a = _mm_loadu_ps(f[0].add(o));
+                let x1 = cmul2_bcast(_mm_loadu_ps(f[1].add(o)), w1r, w1i);
+                let x2 = cmul2_bcast(_mm_loadu_ps(f[2].add(o)), w2r, w2i);
+                let sum = _mm_add_ps(x1, x2);
+                let rot = _mm_mul_ps(swap2(_mm_sub_ps(x1, x2)), krot);
+                let mid = _mm_sub_ps(a, _mm_mul_ps(sum, half));
+                _mm_storeu_ps(f[0].add(o), _mm_add_ps(a, sum));
+                _mm_storeu_ps(f[1].add(o), _mm_add_ps(mid, rot));
+                _mm_storeu_ps(f[2].add(o), _mm_sub_ps(mid, rot));
+                i += 2;
+            }
+            for i in i..end {
+                super::scalar::one_at(
+                    &p,
+                    i,
+                    w,
+                    |z| *z,
+                    |x, w| super::scalar::bfly3_one(x, w, sign),
+                );
+            }
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly3_cols`].
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn bfly5_cols(
+        mut d: [&mut [Complex32]; 5],
+        tw: [&[Complex32]; 4],
+        b: usize,
+        forward: bool,
+    ) {
+        use super::scalar::{C1, C2, S1, S2};
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let p = d.each_mut().map(|x| x.as_mut_ptr());
+        let f = p.map(|x| x as *mut f32);
+        let sg = _mm_setr_ps(-sign, sign, -sign, sign);
+        let (c1, c2) = (_mm_set1_ps(C1), _mm_set1_ps(C2));
+        let (s1, s2) = (_mm_set1_ps(S1), _mm_set1_ps(S2));
+        for k in 0..tw[0].len() {
+            let w = tw.map(|row| row[k]);
+            let wr = w.map(|z| _mm_set1_ps(z.re));
+            let wi = w.map(|z| _mm_set1_ps(z.im));
+            let (mut i, end) = (k * b, (k + 1) * b);
+            while i + 2 <= end {
+                let o = 2 * i;
+                let a = _mm_loadu_ps(f[0].add(o));
+                let x = core::array::from_fn::<_, 4, _>(|q| {
+                    cmul2_bcast(_mm_loadu_ps(f[q + 1].add(o)), wr[q], wi[q])
+                });
+                let (p1, m1) = (_mm_add_ps(x[0], x[3]), _mm_sub_ps(x[0], x[3]));
+                let (p2, m2) = (_mm_add_ps(x[1], x[2]), _mm_sub_ps(x[1], x[2]));
+                let r1 = _mm_add_ps(_mm_add_ps(a, _mm_mul_ps(p1, c1)), _mm_mul_ps(p2, c2));
+                let r2 = _mm_add_ps(_mm_add_ps(a, _mm_mul_ps(p1, c2)), _mm_mul_ps(p2, c1));
+                let (m1s, m2s) = (swap2(m1), swap2(m2));
+                let i1 = _mm_mul_ps(_mm_add_ps(_mm_mul_ps(m1s, s1), _mm_mul_ps(m2s, s2)), sg);
+                let i2 = _mm_mul_ps(_mm_sub_ps(_mm_mul_ps(m1s, s2), _mm_mul_ps(m2s, s1)), sg);
+                _mm_storeu_ps(f[0].add(o), _mm_add_ps(_mm_add_ps(a, p1), p2));
+                _mm_storeu_ps(f[1].add(o), _mm_add_ps(r1, i1));
+                _mm_storeu_ps(f[2].add(o), _mm_add_ps(r2, i2));
+                _mm_storeu_ps(f[3].add(o), _mm_sub_ps(r2, i2));
+                _mm_storeu_ps(f[4].add(o), _mm_sub_ps(r1, i1));
+                i += 2;
+            }
+            for i in i..end {
+                super::scalar::one_at(
+                    &p,
+                    i,
+                    w,
+                    |z| *z,
+                    |x, w| super::scalar::bfly5_one(x, w, sign),
+                );
             }
         }
     }
@@ -756,11 +1127,17 @@ mod avx2 {
         _mm256_fmaddsub_ps(a, wr, _mm256_mul_ps(asw, wi))
     }
 
-    /// Broadcast-twiddle variant of [`cmul4`] (same per-lane arithmetic).
+    /// Broadcast-twiddle variant of [`cmul4`]: with `FMA` the same per-lane
+    /// arithmetic, without it the plain shape `re = ar·wr − ai·wi`,
+    /// `im = ai·wr + ar·wi` (bitwise scalar `Complex32` multiplication).
     #[inline(always)]
-    unsafe fn cmul4_bcast(a: __m256, wr: __m256, wi: __m256) -> __m256 {
+    unsafe fn cmul4_bcast<const FMA: bool>(a: __m256, wr: __m256, wi: __m256) -> __m256 {
         let asw = _mm256_shuffle_ps(a, a, 0b1011_0001);
-        _mm256_fmaddsub_ps(a, wr, _mm256_mul_ps(asw, wi))
+        if FMA {
+            _mm256_fmaddsub_ps(a, wr, _mm256_mul_ps(asw, wi))
+        } else {
+            _mm256_addsub_ps(_mm256_mul_ps(a, wr), _mm256_mul_ps(asw, wi))
+        }
     }
 
     /// Scalar tail op matching [`cmul4`] bit-for-bit (FMA contraction via
@@ -772,11 +1149,21 @@ mod avx2 {
         Complex32::new(a.re.mul_add(w.re, -tr), a.im.mul_add(w.re, ti))
     }
 
-    /// Scalar tail of the radix-4 butterfly with FMA-contracted twiddle
-    /// multiplies (matches the vector arithmetic lane-for-lane).
+    /// Scalar tail op matching [`cmul4_bcast`]`::<FMA>` bit-for-bit.
+    #[inline(always)]
+    fn cmul_one_as<const FMA: bool>(a: Complex32, w: Complex32) -> Complex32 {
+        if FMA {
+            cmul_one(a, w)
+        } else {
+            a * w
+        }
+    }
+
+    /// Scalar tail of the radix-4 butterfly with [`cmul_one_as`]`::<FMA>`
+    /// twiddle multiplies (matches the vector arithmetic lane-for-lane).
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn bfly4_one_fma(
+    fn bfly4_one_as<const FMA: bool>(
         a: Complex32,
         b: Complex32,
         c: Complex32,
@@ -786,7 +1173,8 @@ mod avx2 {
         w3: Complex32,
         sign: f32,
     ) -> (Complex32, Complex32, Complex32, Complex32) {
-        let (b, c, d) = (cmul_one(b, w1), cmul_one(c, w2), cmul_one(d, w3));
+        let (b, c, d) =
+            (cmul_one_as::<FMA>(b, w1), cmul_one_as::<FMA>(c, w2), cmul_one_as::<FMA>(d, w3));
         let s02 = a + c;
         let d02 = a - c;
         let s13 = b + d;
@@ -889,7 +1277,7 @@ mod avx2 {
         }
         while k < m {
             let (x0, x1, x2, x3) =
-                bfly4_one_fma(d0[k], d1[k], d2[k], d3[k], tw1[k], tw2[k], tw3[k], sign);
+                bfly4_one_as::<true>(d0[k], d1[k], d2[k], d3[k], tw1[k], tw2[k], tw3[k], sign);
             d0[k] = x0;
             d1[k] = x1;
             d2[k] = x2;
@@ -967,10 +1355,12 @@ mod avx2 {
         }
     }
 
+    /// Radix-2 columns in the `FMA` (fused) or plain arithmetic shape.
+    ///
     /// # Safety
     /// See [`bfly2_rows`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn bfly2_cols(
+    pub(super) unsafe fn bfly2_cols<const FMA: bool>(
         d0: &mut [Complex32],
         d1: &mut [Complex32],
         tw: &[Complex32],
@@ -985,7 +1375,7 @@ mod avx2 {
             while lane + 4 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm256_loadu_ps(p0.add(o));
-                let t = cmul4_bcast(_mm256_loadu_ps(p1.add(o)), wr, wi);
+                let t = cmul4_bcast::<FMA>(_mm256_loadu_ps(p1.add(o)), wr, wi);
                 _mm256_storeu_ps(p0.add(o), _mm256_add_ps(a, t));
                 _mm256_storeu_ps(p1.add(o), _mm256_sub_ps(a, t));
                 lane += 4;
@@ -993,7 +1383,7 @@ mod avx2 {
             while lane < b {
                 let i = k * b + lane;
                 let a = d0[i];
-                let t = cmul_one(d1[i], w);
+                let t = cmul_one_as::<FMA>(d1[i], w);
                 d0[i] = a + t;
                 d1[i] = a - t;
                 lane += 1;
@@ -1001,11 +1391,13 @@ mod avx2 {
         }
     }
 
+    /// Radix-4 columns in the `FMA` (fused) or plain arithmetic shape.
+    ///
     /// # Safety
     /// See [`bfly2_rows`].
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn bfly4_cols(
+    pub(super) unsafe fn bfly4_cols<const FMA: bool>(
         d0: &mut [Complex32],
         d1: &mut [Complex32],
         d2: &mut [Complex32],
@@ -1028,9 +1420,9 @@ mod avx2 {
             while lane + 4 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm256_loadu_ps(p0.add(o));
-                let bb = cmul4_bcast(_mm256_loadu_ps(p1.add(o)), w1r, w1i);
-                let c = cmul4_bcast(_mm256_loadu_ps(p2.add(o)), w2r, w2i);
-                let d = cmul4_bcast(_mm256_loadu_ps(p3.add(o)), w3r, w3i);
+                let bb = cmul4_bcast::<FMA>(_mm256_loadu_ps(p1.add(o)), w1r, w1i);
+                let c = cmul4_bcast::<FMA>(_mm256_loadu_ps(p2.add(o)), w2r, w2i);
+                let d = cmul4_bcast::<FMA>(_mm256_loadu_ps(p3.add(o)), w3r, w3i);
                 let s02 = _mm256_add_ps(a, c);
                 let d02 = _mm256_sub_ps(a, c);
                 let s13 = _mm256_add_ps(bb, d);
@@ -1043,12 +1435,129 @@ mod avx2 {
             }
             while lane < b {
                 let i = k * b + lane;
-                let (x0, x1, x2, x3) = bfly4_one_fma(d0[i], d1[i], d2[i], d3[i], w1, w2, w3, sign);
+                let (x0, x1, x2, x3) =
+                    bfly4_one_as::<FMA>(d0[i], d1[i], d2[i], d3[i], w1, w2, w3, sign);
                 d0[i] = x0;
                 d1[i] = x1;
                 d2[i] = x2;
                 d3[i] = x3;
                 lane += 1;
+            }
+        }
+    }
+
+    /// Swaps re/im within each complex lane.
+    #[inline(always)]
+    unsafe fn swap4(z: __m256) -> __m256 {
+        _mm256_shuffle_ps(z, z, 0b1011_0001)
+    }
+
+    /// Plain-shape radix-3 columns (no FMA).
+    ///
+    /// # Safety
+    /// See [`bfly2_rows`]; the blocks must hold `tw[0].len()·b` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn bfly3_cols(
+        mut d: [&mut [Complex32]; 3],
+        tw: [&[Complex32]; 2],
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let p = d.each_mut().map(|x| x.as_mut_ptr());
+        let f = p.map(|x| x as *mut f32);
+        let (kr, ki) = super::scalar::bfly3_rot(sign);
+        let krot = _mm256_setr_ps(kr, ki, kr, ki, kr, ki, kr, ki);
+        let half = _mm256_set1_ps(0.5);
+        for k in 0..tw[0].len() {
+            let w = tw.map(|row| row[k]);
+            let (w1r, w1i) = (_mm256_set1_ps(w[0].re), _mm256_set1_ps(w[0].im));
+            let (w2r, w2i) = (_mm256_set1_ps(w[1].re), _mm256_set1_ps(w[1].im));
+            let (mut i, end) = (k * b, (k + 1) * b);
+            while i + 4 <= end {
+                let o = 2 * i;
+                let a = _mm256_loadu_ps(f[0].add(o));
+                let x1 = cmul4_bcast::<false>(_mm256_loadu_ps(f[1].add(o)), w1r, w1i);
+                let x2 = cmul4_bcast::<false>(_mm256_loadu_ps(f[2].add(o)), w2r, w2i);
+                let sum = _mm256_add_ps(x1, x2);
+                let rot = _mm256_mul_ps(swap4(_mm256_sub_ps(x1, x2)), krot);
+                let mid = _mm256_sub_ps(a, _mm256_mul_ps(sum, half));
+                _mm256_storeu_ps(f[0].add(o), _mm256_add_ps(a, sum));
+                _mm256_storeu_ps(f[1].add(o), _mm256_add_ps(mid, rot));
+                _mm256_storeu_ps(f[2].add(o), _mm256_sub_ps(mid, rot));
+                i += 4;
+            }
+            for i in i..end {
+                super::scalar::one_at(
+                    &p,
+                    i,
+                    w,
+                    |z| *z,
+                    |x, w| super::scalar::bfly3_one(x, w, sign),
+                );
+            }
+        }
+    }
+
+    /// Plain-shape radix-5 columns (no FMA).
+    ///
+    /// # Safety
+    /// See [`bfly3_cols`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn bfly5_cols(
+        mut d: [&mut [Complex32]; 5],
+        tw: [&[Complex32]; 4],
+        b: usize,
+        forward: bool,
+    ) {
+        use super::scalar::{C1, C2, S1, S2};
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let p = d.each_mut().map(|x| x.as_mut_ptr());
+        let f = p.map(|x| x as *mut f32);
+        let sg = _mm256_setr_ps(-sign, sign, -sign, sign, -sign, sign, -sign, sign);
+        let (c1, c2) = (_mm256_set1_ps(C1), _mm256_set1_ps(C2));
+        let (s1, s2) = (_mm256_set1_ps(S1), _mm256_set1_ps(S2));
+        for k in 0..tw[0].len() {
+            let w = tw.map(|row| row[k]);
+            let wr = w.map(|z| _mm256_set1_ps(z.re));
+            let wi = w.map(|z| _mm256_set1_ps(z.im));
+            let (mut i, end) = (k * b, (k + 1) * b);
+            while i + 4 <= end {
+                let o = 2 * i;
+                let a = _mm256_loadu_ps(f[0].add(o));
+                let x = core::array::from_fn::<_, 4, _>(|q| {
+                    cmul4_bcast::<false>(_mm256_loadu_ps(f[q + 1].add(o)), wr[q], wi[q])
+                });
+                let (p1, m1) = (_mm256_add_ps(x[0], x[3]), _mm256_sub_ps(x[0], x[3]));
+                let (p2, m2) = (_mm256_add_ps(x[1], x[2]), _mm256_sub_ps(x[1], x[2]));
+                let r1 =
+                    _mm256_add_ps(_mm256_add_ps(a, _mm256_mul_ps(p1, c1)), _mm256_mul_ps(p2, c2));
+                let r2 =
+                    _mm256_add_ps(_mm256_add_ps(a, _mm256_mul_ps(p1, c2)), _mm256_mul_ps(p2, c1));
+                let (m1s, m2s) = (swap4(m1), swap4(m2));
+                let i1 = _mm256_mul_ps(
+                    _mm256_add_ps(_mm256_mul_ps(m1s, s1), _mm256_mul_ps(m2s, s2)),
+                    sg,
+                );
+                let i2 = _mm256_mul_ps(
+                    _mm256_sub_ps(_mm256_mul_ps(m1s, s2), _mm256_mul_ps(m2s, s1)),
+                    sg,
+                );
+                _mm256_storeu_ps(f[0].add(o), _mm256_add_ps(_mm256_add_ps(a, p1), p2));
+                _mm256_storeu_ps(f[1].add(o), _mm256_add_ps(r1, i1));
+                _mm256_storeu_ps(f[2].add(o), _mm256_add_ps(r2, i2));
+                _mm256_storeu_ps(f[3].add(o), _mm256_sub_ps(r2, i2));
+                _mm256_storeu_ps(f[4].add(o), _mm256_sub_ps(r1, i1));
+                i += 4;
+            }
+            for i in i..end {
+                super::scalar::one_at(
+                    &p,
+                    i,
+                    w,
+                    |z| *z,
+                    |x, w| super::scalar::bfly5_one(x, w, sign),
+                );
             }
         }
     }

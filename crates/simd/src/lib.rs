@@ -42,5 +42,5 @@ mod sse;
 pub use dispatch::{active_isa, detect_isa, set_isa_override, IsaLevel};
 pub use horner::horner_row;
 pub use rows::{gather_row, gather_row2, scatter_row, scatter_row2};
-pub use transpose::{gather_chunks, gather_chunks_cmul, scatter_chunks};
+pub use transpose::{gather_chunks, gather_chunks_cmul, scatter_chunks, transpose};
 pub use vecops::{accumulate, dotc, scale_by_real, sum_norm_sqr};

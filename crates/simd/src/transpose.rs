@@ -12,7 +12,11 @@
 //! * [`gather_chunks_cmul`] — the same sweep with the four-step twiddle
 //!   multiply **fused into the gather** (one twiddle per chunk, broadcast
 //!   across the chunk), so the twiddle pass costs no extra memory sweep;
-//! * [`scatter_chunks`] — the inverse scatter.
+//! * [`scatter_chunks`] — the inverse scatter;
+//! * [`transpose`] — a dense row-major transpose in 4×4 (AVX2) or 2×2
+//!   (SSE2) complex blocks. The batched FFT path uses it to pack `b`
+//!   consecutive lines of a contiguous axis into one interleaved tile (a
+//!   `b×n` transpose) and to unpack the result.
 //!
 //! `chunk_len == 1 && stride == 1` degenerates to a contiguous elementwise
 //! sweep (the layout of a contiguous innermost axis, where every element
@@ -134,6 +138,48 @@ pub fn gather_chunks_cmul(
     }
 }
 
+/// Transposes the row-major `rows × cols` matrix `src` (`cols =
+/// src.len() / rows`) into the row-major `cols × rows` matrix `dst`:
+/// `dst[c·rows + r] = src[r·cols + c]`. Pure data movement, so every level
+/// is bitwise equal.
+///
+/// # Panics
+/// Panics if `rows == 0`, `dst` and `src` lengths differ, or `src.len()`
+/// is not a multiple of `rows`.
+#[inline]
+pub fn transpose(dst: &mut [Complex32], src: &[Complex32], rows: usize) {
+    assert!(rows > 0, "row count must be positive");
+    assert_eq!(dst.len(), src.len(), "transpose length mismatch");
+    assert!(src.len().is_multiple_of(rows), "source must be a whole number of rows");
+    let cols = src.len() / rows;
+    // Full `w × w` blocks go through the vector kernel; the ragged right and
+    // bottom edges (if any) through the scalar loop.
+    let w = match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports, and
+        // every block lies inside the validated `rows × cols` geometry.
+        IsaLevel::Avx2Fma => unsafe {
+            avx2::transpose_blocks(dst.as_mut_ptr(), src.as_ptr(), rows, cols);
+            4
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe {
+            sse2::transpose_blocks(dst.as_mut_ptr(), src.as_ptr(), rows, cols);
+            2
+        },
+        _ => 0,
+    };
+    let blocked = |len: usize| len.checked_div(w).map_or(0, |q| q * w);
+    let (rb, cb) = (blocked(rows), blocked(cols));
+    for r in 0..rows {
+        let c0 = if r < rb { cb } else { 0 };
+        for c in c0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
 /// Scalar reference arm: plain `Complex32` operator arithmetic (the shape
 /// of the scalar/SSE2 stage butterflies).
 mod scalar {
@@ -221,6 +267,28 @@ mod sse2 {
     use super::{Complex32, PREFETCH_AHEAD};
     use core::arch::x86_64::*;
 
+    /// The full 2×2 complex blocks of [`super::transpose`].
+    ///
+    /// # Safety
+    /// `src` and `dst` must each hold `rows·cols` elements and not overlap.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn transpose_blocks(
+        dst: *mut Complex32,
+        src: *const Complex32,
+        rows: usize,
+        cols: usize,
+    ) {
+        let (s, d) = (src as *const f32, dst as *mut f32);
+        for r in (0..rows / 2 * 2).step_by(2) {
+            for c in (0..cols / 2 * 2).step_by(2) {
+                let a = _mm_loadu_ps(s.add(2 * (r * cols + c)));
+                let b = _mm_loadu_ps(s.add(2 * ((r + 1) * cols + c)));
+                _mm_storeu_ps(d.add(2 * (c * rows + r)), _mm_movelh_ps(a, b));
+                _mm_storeu_ps(d.add(2 * ((c + 1) * rows + r)), _mm_movehl_ps(b, a));
+            }
+        }
+    }
+
     /// # Safety
     /// Geometry validated by the dispatcher; CPU must support SSE2.
     #[target_feature(enable = "sse2")]
@@ -287,6 +355,35 @@ mod avx2 {
 
     use super::{Complex32, PREFETCH_AHEAD};
     use core::arch::x86_64::*;
+
+    /// The full 4×4 complex blocks of [`super::transpose`]: a complex is
+    /// one `f64` lane, so each block is the classic 4×4 double transpose.
+    ///
+    /// # Safety
+    /// `src` and `dst` must each hold `rows·cols` elements and not overlap;
+    /// the CPU must support AVX2.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn transpose_blocks(
+        dst: *mut Complex32,
+        src: *const Complex32,
+        rows: usize,
+        cols: usize,
+    ) {
+        let (s, d) = (src as *const f64, dst as *mut f64);
+        for r in (0..rows / 4 * 4).step_by(4) {
+            for c in (0..cols / 4 * 4).step_by(4) {
+                let row = |i: usize| _mm256_loadu_pd(s.add((r + i) * cols + c));
+                let (r0, r1, r2, r3) = (row(0), row(1), row(2), row(3));
+                let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+                let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+                let col = |i: usize| d.add((c + i) * rows + r);
+                _mm256_storeu_pd(col(0), _mm256_permute2f128_pd(t0, t2, 0x20));
+                _mm256_storeu_pd(col(1), _mm256_permute2f128_pd(t1, t3, 0x20));
+                _mm256_storeu_pd(col(2), _mm256_permute2f128_pd(t0, t2, 0x31));
+                _mm256_storeu_pd(col(3), _mm256_permute2f128_pd(t1, t3, 0x31));
+            }
+        }
+    }
 
     /// Scalar tail matching the vector `fmaddsub` complex multiply
     /// bit-for-bit (same shape as `fft_rows::avx2::cmul_one`).
@@ -459,6 +556,28 @@ mod tests {
                         );
                     }
                 }
+            });
+        }
+    }
+
+    /// The blocked transpose moves every element to its transposed slot at
+    /// every level, for shapes with and without ragged block edges, and
+    /// transposing back restores the input.
+    #[test]
+    fn transpose_round_trips_exactly() {
+        for (rows, cols) in [(4usize, 96usize), (2, 10), (4, 7), (5, 9), (3, 3), (1, 6), (8, 8)] {
+            let src = demo(rows * cols, 5);
+            for_each_isa(|level| {
+                let mut t = vec![Complex32::ZERO; rows * cols];
+                transpose(&mut t, &src, rows);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        assert_eq!(t[c * rows + r], src[r * cols + c], "{level:?} {rows}x{cols}");
+                    }
+                }
+                let mut back = vec![Complex32::ZERO; rows * cols];
+                transpose(&mut back, &t, cols);
+                assert_eq!(back, src, "{level:?} {rows}x{cols} round trip");
             });
         }
     }

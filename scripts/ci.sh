@@ -122,6 +122,14 @@ echo "== per-sample convolution kernels =="
 # to two forward_gather calls at every ISA level.
 cargo test -q --offline -p nufft-core --test conv_kernels
 
+echo "== FFT column kernels and packed contiguous axis =="
+# nufft-fft pins each plain column kernel (radix 2/3/4/5, every ISA
+# override, lane counts 1..=9 for vector bodies and tails) bitwise to the
+# scalar combine it replaces, the batched path (packed contiguous runs,
+# leftover lines, gappy tile lists, Bluestein axes) bitwise to the per-line
+# path, and four-step bitwise to recursive.
+cargo test -q --offline -p nufft-fft
+
 echo "== clippy (deny warnings) =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings

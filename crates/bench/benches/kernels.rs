@@ -54,8 +54,9 @@ fn eps_name(eps: f64) -> String {
     format!("1e{}", eps.log10().round() as i32)
 }
 
-/// Records `arm`'s median as the minimum of the interleaved repetitions
-/// (noise only ever adds time; see `benches/pool.rs`).
+/// Records `arm`'s median as the minimum of the interleaved repetitions: a
+/// host-wide slowdown can skew one arm of a pair, and noise only ever adds
+/// time.
 fn record_min(medians: &mut BTreeMap<String, f64>, arm: String, median_ns: f64) {
     let slot = medians.entry(arm).or_insert(f64::INFINITY);
     *slot = slot.min(median_ns);

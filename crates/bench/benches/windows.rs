@@ -48,8 +48,9 @@ fn mode_name(precomputed: bool) -> &'static str {
     }
 }
 
-/// Records `arm`'s median as the minimum of the interleaved repetitions
-/// (noise only ever adds time; see `benches/pool.rs`).
+/// Records `arm`'s median as the minimum of the interleaved repetitions: a
+/// host-wide slowdown can skew one arm of a pair, and noise only ever adds
+/// time.
 fn record_min(medians: &mut BTreeMap<String, f64>, arm: String, median_ns: f64) {
     let slot = medians.entry(arm).or_insert(f64::INFINITY);
     *slot = slot.min(median_ns);

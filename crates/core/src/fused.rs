@@ -15,8 +15,8 @@
 //!   channels;
 //! * **`Fft`** — a chunk of one axis's listed SIMD tiles of one channel
 //!   (the same tile lists and grain the phased [`crate::stage::FftOp`]
-//!   shards, from the plan-owned [`TilePlan`]; the zero-aware passes list
-//!   only the tiles an operator needs — see [`TileSet`]);
+//!   shards, from the plan-owned `TilePlan`; the zero-aware passes list
+//!   only the tiles an operator needs — see `TileSet`);
 //! * **`Conv`/`Priv`/`Reduce`** — the adjoint scatter tasks with their
 //!   Gray-code exclusion edges carried over verbatim, privatized tasks
 //!   split into a dependency-free `Priv` convolve and a `Reduce` that
@@ -30,8 +30,8 @@
 //!
 //! Each stage operator contributes its node set through one `emit_*`
 //! fragment function and its data dependencies through one `connect_*`
-//! function; the whole-operator builders ([`build_forward`],
-//! [`build_adjoint`], [`build_spread`]) are thin compositions of those
+//! function; the whole-operator builders (`build_forward`,
+//! `build_adjoint`, `build_spread`) are thin compositions of those
 //! fragments instead of bespoke compilers. The spread-only graph is the
 //! adjoint's zero + scatter fragments with nothing downstream — same node
 //! bodies, same exclusion edges, so it stays bitwise-equal to the phased

@@ -111,10 +111,6 @@ pub struct InterpKernel {
     ft_quad: Option<FtQuad>,
 }
 
-/// Backwards-compatible name for the default kernel type.
-#[deprecated(note = "the kernel layer is multi-family; use `InterpKernel` (identical type)")]
-pub type KbKernel = InterpKernel;
-
 /// Beatty et al.'s β for kernel width `2W` (grid units) at oversampling `α`:
 /// `β = π·√((2W/α)²·(α − 1/2)² − 0.8)`.
 ///

@@ -63,8 +63,6 @@ pub mod tasks;
 pub mod type3;
 pub mod windows;
 
-#[allow(deprecated)]
-pub use kernel::KbKernel;
 pub use kernel::{InterpKernel, KernelChoice};
 pub use nufft_parallel::exec::JobPriority;
 pub use plan::{ExecMode, NufftConfig, NufftPlan, OpTimers};

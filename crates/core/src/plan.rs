@@ -43,14 +43,13 @@ use crate::grid::{embed_scaled_slab, extract_scaled_range, Geometry};
 use crate::kernel::{beatty_beta, InterpKernel, KernelChoice, DEFAULT_LUT_DENSITY};
 use crate::stage::{
     check_kernel_fit, default_partitions, DeconvOp, FftOp, InterpOp, SendPtr, SpreadOp,
+    SAMPLE_GRAIN,
 };
 use crate::tasks::{preprocess, Preprocess, PreprocessConfig, SortMode};
 use crate::windows::{WindowMode, WindowSource, WindowTable};
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
-use nufft_parallel::exec::{
-    DagScratch, ExecBackend, Executor, JobPriority, RunStats, TaskPhase, TaskRecord,
-};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority, RunStats, TaskPhase, TaskRecord};
 use nufft_parallel::graph::{Dag, QueuePolicy, TaskGraph};
 use nufft_parallel::scratch::WorkerLocal;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,12 +108,6 @@ pub struct NufftConfig {
     pub kernel: KernelChoice,
     /// Kernel LUT entries per unit argument.
     pub lut_density: usize,
-    /// Samples per chunk in the forward gather's dynamic loop.
-    pub grain: usize,
-    /// Scheduler backend. The default persistent pool keeps workers
-    /// resident across operator applies; `SpawnPerCall` is the historical
-    /// baseline retained for A/B measurement (`benches/pool.rs`).
-    pub backend: ExecBackend,
     /// How Part 1 windows are obtained at apply time: recomputed on the
     /// fly (historical default), precomputed into a plan-owned table, or
     /// chosen automatically under a memory budget. See
@@ -128,7 +121,6 @@ pub struct NufftConfig {
     /// share one persistent pool: the fair-share scheduler grants runnable
     /// jobs worker steps proportional to their priority tickets, so a
     /// `High` 2D forward keeps progressing under a `Low` 3D adjoint flood.
-    /// Ignored by [`ExecBackend::SpawnPerCall`] (one job at a time there).
     pub admission: JobPriority,
     /// Per-axis FFT execution strategy: `Auto` (default) runs the four-step
     /// (sub-FFT + cache-blocked transpose) decomposition on axes whose
@@ -155,8 +147,6 @@ impl Default for NufftConfig {
             sort: SortMode::Auto,
             kernel: KernelChoice::KaiserBessel,
             lut_density: DEFAULT_LUT_DENSITY,
-            grain: 256,
-            backend: ExecBackend::Persistent,
             window_mode: WindowMode::OnTheFly,
             exec_mode: ExecMode::Fused,
             admission: JobPriority::Normal,
@@ -389,7 +379,7 @@ impl<const D: usize> NufftPlan<D> {
     /// # Panics
     /// See [`NufftPlan::new`].
     pub fn from_grid_coords(n: [usize; D], coords: Vec<[f32; D]>, cfg: NufftConfig) -> Self {
-        let exec = Executor::with_backend(cfg.threads.max(1), cfg.backend);
+        let exec = Executor::new(cfg.threads.max(1));
         Self::from_grid_coords_shared(n, coords, cfg, exec, None)
     }
 
@@ -451,19 +441,15 @@ impl<const D: usize> NufftPlan<D> {
                 .window_mode
                 .resolve(WindowTable::<D>::estimate_bytes(pre.coords.len(), cfg.w))
             {
-                WindowMode::Precomputed => Some(Arc::new(WindowTable::build(
-                    &pre.coords,
-                    cfg.w as f32,
-                    &kernel,
-                    &exec,
-                    cfg.grain,
-                ))),
+                WindowMode::Precomputed => {
+                    Some(Arc::new(WindowTable::build(&pre.coords, cfg.w as f32, &kernel, &exec)))
+                }
                 _ => None,
             },
         };
 
         let spread = SpreadOp::from_parts(geo.m, pre, kernel, cfg.w as f32, cfg.policy, windows);
-        let interp = InterpOp::from_spread(&spread, cfg.grain);
+        let interp = InterpOp::from_spread(&spread);
 
         let grid = vec![Complex32::ZERO; geo.grid_len()];
         NufftPlan {
@@ -635,7 +621,6 @@ impl<const D: usize> NufftPlan<D> {
                         self.cfg.w as f32,
                         &self.spread.kernel,
                         &self.exec,
-                        self.cfg.grain,
                     ));
                     self.spread.windows = Some(Arc::clone(&table));
                     self.interp.windows = Some(table);
@@ -1236,7 +1221,7 @@ impl<const D: usize> NufftPlan<D> {
                 &self.fft_op.tile_plan,
                 &self.spread.pre,
                 wc,
-                self.cfg.grain,
+                SAMPLE_GRAIN,
                 threads,
                 channels,
             )
@@ -1762,9 +1747,9 @@ mod tests {
 
     #[test]
     fn tolerance_keeps_non_kernel_knobs() {
-        let c =
-            NufftConfig { threads: 3, grain: 99, ..NufftConfig::default() }.with_tolerance(1e-3);
-        assert_eq!((c.threads, c.grain), (3, 99));
+        let c = NufftConfig { threads: 3, fft_llc_budget: 99, ..NufftConfig::default() }
+            .with_tolerance(1e-3);
+        assert_eq!((c.threads, c.fft_llc_budget), (3, 99));
         assert_eq!(c.kernel, KernelChoice::EsKernel);
     }
 

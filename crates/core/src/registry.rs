@@ -169,7 +169,7 @@ impl<const D: usize> PlanRegistry<D> {
     /// A registry whose plans all dispatch on one pool of `cfg.threads`
     /// workers.
     pub fn new(cfg: NufftConfig) -> Self {
-        let exec = Executor::with_backend(cfg.threads.max(1), cfg.backend);
+        let exec = Executor::new(cfg.threads.max(1));
         Self::with_executor(cfg, exec)
     }
 

@@ -66,6 +66,10 @@ use std::time::Instant;
 /// output loops are rounded to this so two workers never split a line.
 pub(crate) const LANE_ALIGN: usize = 64 / core::mem::size_of::<Complex32>();
 
+/// Samples per chunk of the per-sample loops: the forward gather (phased
+/// and fused) and the window-table build.
+pub(crate) const SAMPLE_GRAIN: usize = 256;
+
 /// Raw-pointer wrapper for disjoint-region writes from worker threads.
 ///
 /// Soundness is established by the callers: grid writers are serialized by
@@ -208,13 +212,9 @@ impl<const D: usize> SpreadOp<D> {
             .window_mode
             .resolve(WindowTable::<D>::estimate_bytes(pre.coords.len(), cfg.w))
         {
-            WindowMode::Precomputed => Some(Arc::new(WindowTable::build(
-                &pre.coords,
-                cfg.w as f32,
-                &kernel,
-                exec,
-                cfg.grain,
-            ))),
+            WindowMode::Precomputed => {
+                Some(Arc::new(WindowTable::build(&pre.coords, cfg.w as f32, &kernel, exec)))
+            }
             _ => None,
         };
         Self::from_parts(m, pre, kernel, cfg.w as f32, cfg.policy, windows)
@@ -391,22 +391,19 @@ pub struct InterpOp<const D: usize> {
     pub(crate) pre: Arc<Preprocess<D>>,
     pub(crate) kernel: Arc<InterpKernel>,
     pub(crate) wrad: f32,
-    /// Samples per chunk of the dynamic gather loop.
-    pub(crate) grain: usize,
     pub(crate) windows: Option<Arc<WindowTable<D>>>,
 }
 
 impl<const D: usize> InterpOp<D> {
     /// An interpolation operator over the same trajectory, kernel and
     /// window table as `spread` (cheap: shares the `Arc`s).
-    pub fn from_spread(spread: &SpreadOp<D>, grain: usize) -> Self {
+    pub fn from_spread(spread: &SpreadOp<D>) -> Self {
         InterpOp {
             m: spread.m,
             grid_len: spread.grid_len,
             pre: Arc::clone(&spread.pre),
             kernel: Arc::clone(&spread.kernel),
             wrad: spread.wrad,
-            grain,
             windows: spread.windows.clone(),
         }
     }
@@ -414,7 +411,7 @@ impl<const D: usize> InterpOp<D> {
     /// Plans a standalone interpolation operator (see [`SpreadOp::plan`]
     /// for the coordinate convention and panics).
     pub fn plan(m: [usize; D], coords: Vec<[f32; D]>, cfg: &NufftConfig, exec: &Executor) -> Self {
-        Self::from_spread(&SpreadOp::plan(m, coords, cfg, exec), cfg.grain)
+        Self::from_spread(&SpreadOp::plan(m, coords, cfg, exec))
     }
 
     /// [`InterpOp::plan`] with kernel parameters derived from a
@@ -466,7 +463,7 @@ impl<const D: usize> InterpOp<D> {
         out_ptrs: &[SendPtr<Complex32>],
     ) {
         let source = self.window_source();
-        gather_driver(exec, self.grain, &self.pre, &source, &self.m, grids, out_ptrs);
+        gather_driver(exec, &self.pre, &source, &self.m, grids, out_ptrs);
     }
 
     pub(crate) fn window_source(&self) -> WindowSource<'_, D> {
@@ -733,10 +730,8 @@ impl<const D: usize> DeconvOp<D> {
 ///
 /// `grids[c]` is channel `c`'s oversampled spectrum; `out_ptrs[c]` its
 /// output base pointer (written at permuted positions `order[i]`).
-#[allow(clippy::too_many_arguments)]
 fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
     exec: &Executor,
-    grain: usize,
     pre: &Preprocess<D>,
     source: &WindowSource<'_, D>,
     m: &[usize; D],
@@ -751,7 +746,7 @@ fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
     // the result is permutation-invariant (each write lands at the
     // original position `order[i]`) and no de-permutation pass is
     // needed — outputs are bitwise-identical across sort modes.
-    exec.parallel_for_aligned(pre.coords.len(), grain, LANE_ALIGN, |range, _w| {
+    exec.parallel_for_aligned(pre.coords.len(), SAMPLE_GRAIN, LANE_ALIGN, |range, _w| {
         let mut stage = [Window::EMPTY; D];
         for i in range {
             let win = source.at(i, &mut stage);

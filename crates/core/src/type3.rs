@@ -112,7 +112,7 @@ impl<const D: usize> Type3Plan<D> {
     /// scaled targets would not fit the inner plan's band), or any
     /// [`NufftPlan::new`] precondition fails for the derived fine grid.
     pub fn new(sources: &[[f64; D]], targets: &[[f64; D]], cfg: NufftConfig) -> Self {
-        let exec = Executor::with_backend(cfg.threads.max(1), cfg.backend);
+        let exec = Executor::new(cfg.threads.max(1));
         Self::new_shared(sources, targets, cfg, exec)
     }
 
@@ -171,7 +171,7 @@ impl<const D: usize> Type3Plan<D> {
             .map(|x| core::array::from_fn(|d| (x[d] / h[d] + (nf[d] / 2) as f64) as f32))
             .collect();
         let mut spread = SpreadOp::plan(nf, coords, &cfg, &exec);
-        let interp = InterpOp::from_spread(&spread, cfg.grain);
+        let interp = InterpOp::from_spread(&spread);
         spread.ensure_priv_channels(1);
 
         // Inner type-2 over the fine grid at the scaled targets

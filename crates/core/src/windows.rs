@@ -20,6 +20,7 @@
 
 use crate::conv::{WinRef, Window, MAX_TAPS};
 use crate::kernel::InterpKernel;
+use crate::stage::SAMPLE_GRAIN;
 use nufft_parallel::exec::Executor;
 
 /// How a plan obtains per-sample interpolation windows (Part 1).
@@ -110,13 +111,7 @@ impl<const D: usize> WindowTable<D> {
     /// Builds the table by running Part 1 once over every coordinate
     /// (parallelized over samples). Stores the exact [`Window::compute`]
     /// output, so table lookups reproduce on-the-fly windows bit-for-bit.
-    pub fn build(
-        coords: &[[f32; D]],
-        wrad: f32,
-        kernel: &InterpKernel,
-        exec: &Executor,
-        grain: usize,
-    ) -> Self {
+    pub fn build(coords: &[[f32; D]], wrad: f32, kernel: &InterpKernel, exec: &Executor) -> Self {
         let n = coords.len();
         let stride = Self::stride_for(wrad as f64);
         let mut starts = vec![0i32; n * D];
@@ -126,7 +121,7 @@ impl<const D: usize> WindowTable<D> {
             let sp = SendPtr(starts.as_mut_ptr());
             let lp = SendPtr(lens.as_mut_ptr());
             let wp = SendPtr(weights.as_mut_ptr());
-            exec.parallel_for(n, grain.max(1), |range, _w| {
+            exec.parallel_for(n, SAMPLE_GRAIN, |range, _w| {
                 for i in range {
                     for d in 0..D {
                         let win = Window::compute(coords[i][d], wrad, kernel);
@@ -228,7 +223,7 @@ mod tests {
             })
             .collect();
         let exec = Executor::new(2);
-        let table = WindowTable::<2>::build(&coords, 2.0, &k, &exec, 64);
+        let table = WindowTable::<2>::build(&coords, 2.0, &k, &exec);
         assert_eq!(table.len(), coords.len());
         let mut stage = [Window::EMPTY; 2];
         let fly = WindowSource::Fly { coords: &coords, wrad: 2.0, kernel: &k };
@@ -260,7 +255,7 @@ mod tests {
         let k = kernel();
         let coords: Vec<[f32; 1]> = (0..100).map(|i| [(i as f32 * 0.37) % 16.0]).collect();
         let exec = Executor::new(1);
-        let table = WindowTable::<1>::build(&coords, 2.0, &k, &exec, 16);
+        let table = WindowTable::<1>::build(&coords, 2.0, &k, &exec);
         assert_eq!(table.bytes(), WindowTable::<1>::estimate_bytes(100, 2.0));
     }
 

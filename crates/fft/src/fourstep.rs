@@ -11,7 +11,7 @@
 //! 1. **Sub-FFT pass** — the `P` leaf calls at level `j` are independent
 //!    length-`n2` transforms of the decimated sequences `x[c + P·t]`
 //!    (`c ∈ [0, P)`). Each runs through the existing batched stage-suffix
-//!    recursion ([`crate::batch::recurse`] from `level = j`) and lands in a
+//!    recursion (`crate::batch::recurse` from `level = j`) and lands in a
 //!    block-major intermediate buffer: column `c`'s spectrum occupies block
 //!    `β(c)` (the digit-reversed block index the recursion would have written
 //!    it to), positions `β·n2 .. (β+1)·n2`.

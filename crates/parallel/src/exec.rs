@@ -49,10 +49,6 @@
 //! *per-job* quiescence (its table slot drains its worker pins before the
 //! submitter returns), not at pool quiescence. Dropping the last
 //! [`Executor`] clone shuts the pool down and joins its threads.
-//!
-//! The spawn-per-call scheduler this pool replaced is retained as
-//! [`ExecBackend::SpawnPerCall`] so the `pool` benchmark can measure the
-//! improvement honestly (see `crates/bench/benches/pool.rs`).
 
 use crate::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
 use crate::queue::{Entry, ReadyQueue};
@@ -145,21 +141,6 @@ impl RunStats {
         let busy: f64 = self.worker_busy.iter().sum();
         busy / (self.makespan * self.worker_busy.len() as f64)
     }
-}
-
-/// Scheduler implementation behind an [`Executor`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Resident worker pool with per-worker sharded queues and work
-    /// stealing — the production backend.
-    #[default]
-    Persistent,
-    /// The historical scheduler: a fresh `std::thread::scope` per call and
-    /// one global `Mutex`-protected ready queue. Kept as the measurement
-    /// baseline for `benches/pool.rs`; produces bit-identical operator
-    /// results (the TDG exclusion fixes the summation order, not the
-    /// schedule).
-    SpawnPerCall,
 }
 
 /// Admission priority of a job submitted to the persistent pool,
@@ -1558,296 +1539,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Spawn-per-call baseline (the scheduler this PR replaced)
-// ---------------------------------------------------------------------------
-
-mod spawn {
-    //! The pre-pool scheduler, verbatim semantics: scoped threads per call,
-    //! one global `Mutex<Inner>` + `Condvar` ready queue, a shared atomic
-    //! counter for `parallel_for`. Retained as [`super::ExecBackend::SpawnPerCall`]
-    //! so `benches/pool.rs` can measure what the persistent pool buys.
-
-    use super::{dag_entry, entry, lock, DagRecord, DagRunStats, RunStats, TaskPhase, TaskRecord};
-    use crate::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
-    use crate::queue::{Entry, ReadyQueue};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex};
-    use std::time::Instant;
-
-    struct Inner {
-        ready: ReadyQueue,
-        pending: Vec<u32>,
-        conv_done: Vec<bool>,
-        completed: usize,
-        total: usize,
-        poisoned: bool,
-    }
-
-    struct Shared<'g> {
-        graph: &'g TaskGraph,
-        inner: Mutex<Inner>,
-        cv: Condvar,
-    }
-
-    impl Shared<'_> {
-        fn pop_blocking(&self) -> Option<Entry> {
-            let mut inner = lock(&self.inner);
-            loop {
-                if inner.poisoned {
-                    return None;
-                }
-                if let Some(e) = inner.ready.pop() {
-                    return Some(e);
-                }
-                if inner.completed == inner.total {
-                    return None;
-                }
-                inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        fn poison(&self) {
-            let mut inner = lock(&self.inner);
-            inner.poisoned = true;
-            self.cv.notify_all();
-        }
-
-        fn complete(&self, task: TaskId, phase: TaskPhase) {
-            let graph = self.graph;
-            let mut inner = lock(&self.inner);
-            inner.completed += 1;
-            match phase {
-                TaskPhase::PrivateConvolve => {
-                    inner.conv_done[task] = true;
-                    if inner.pending[task] == 0 {
-                        inner.ready.push(entry(graph, task, TaskPhase::Reduce));
-                    }
-                }
-                TaskPhase::Normal | TaskPhase::Reduce => {
-                    for s in graph.succs(task) {
-                        inner.pending[s] -= 1;
-                        if inner.pending[s] == 0 {
-                            if graph.privatized(s) {
-                                if inner.conv_done[s] {
-                                    inner.ready.push(entry(graph, s, TaskPhase::Reduce));
-                                }
-                            } else {
-                                inner.ready.push(entry(graph, s, TaskPhase::Normal));
-                            }
-                        }
-                    }
-                }
-            }
-            self.cv.notify_all();
-        }
-    }
-
-    pub(super) fn run_graph<F>(
-        threads: usize,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        task_fn: &F,
-    ) -> RunStats
-    where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        let n = graph.len();
-        let mut ready = ReadyQueue::new(policy);
-        let mut pending = vec![0u32; n];
-        let mut total = 0usize;
-        for t in 0..n {
-            pending[t] = graph.pred_count(t) as u32;
-            if graph.privatized(t) {
-                total += 2;
-                ready.push(entry(graph, t, TaskPhase::PrivateConvolve));
-            } else {
-                total += 1;
-                if pending[t] == 0 {
-                    ready.push(entry(graph, t, TaskPhase::Normal));
-                }
-            }
-        }
-        let shared = Shared {
-            graph,
-            inner: Mutex::new(Inner {
-                ready,
-                pending,
-                conv_done: vec![false; n],
-                completed: 0,
-                total,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-        };
-
-        let t0 = Instant::now();
-        let busy: Vec<Mutex<f64>> = (0..threads).map(|_| Mutex::new(0.0)).collect();
-        let logs: Vec<Mutex<Vec<TaskRecord>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                let busy = &busy[w];
-                let log = &logs[w];
-                scope.spawn(move || {
-                    while let Some(e) = shared.pop_blocking() {
-                        let task = (e.payload / 4) as TaskId;
-                        let phase = TaskPhase::decode(e.payload % 4);
-                        let start = t0.elapsed().as_secs_f64();
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            task_fn(task, phase, w)
-                        }));
-                        if let Err(payload) = result {
-                            shared.poison();
-                            std::panic::resume_unwind(payload);
-                        }
-                        let end = t0.elapsed().as_secs_f64();
-                        *lock(busy) += end - start;
-                        lock(log).push(TaskRecord { task, phase, worker: w, start, end });
-                        shared.complete(task, phase);
-                    }
-                });
-            }
-        });
-
-        let makespan = t0.elapsed().as_secs_f64();
-        let worker_busy: Vec<f64> = busy.iter().map(|m| *lock(m)).collect();
-        let mut log = Vec::new();
-        for l in logs {
-            log.extend(l.into_inner().unwrap_or_else(|e| e.into_inner()));
-        }
-        RunStats { makespan, worker_busy, log, tile_revisits: 0 }
-    }
-
-    /// The spawn-per-call twin of the pool's `DagJob`: scoped threads, one
-    /// global ready queue, blocking pops. Same edge-retirement semantics.
-    pub(super) fn run_dag<F>(
-        threads: usize,
-        dag: &Dag,
-        policy: QueuePolicy,
-        node_fn: &F,
-    ) -> DagRunStats
-    where
-        F: Fn(NodeId, u64, usize) + Sync,
-    {
-        struct DagInner {
-            ready: ReadyQueue,
-            pending: Vec<u32>,
-            completed: usize,
-            poisoned: bool,
-        }
-        struct DagShared<'g> {
-            dag: &'g Dag,
-            inner: Mutex<DagInner>,
-            cv: Condvar,
-        }
-        impl DagShared<'_> {
-            fn pop_blocking(&self) -> Option<Entry> {
-                let mut inner = lock(&self.inner);
-                loop {
-                    if inner.poisoned {
-                        return None;
-                    }
-                    if let Some(e) = inner.ready.pop() {
-                        return Some(e);
-                    }
-                    if inner.completed == self.dag.len() {
-                        return None;
-                    }
-                    inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-
-        let n = dag.len();
-        let mut ready = ReadyQueue::new(policy);
-        let mut pending = vec![0u32; n];
-        for v in 0..n as NodeId {
-            pending[v as usize] = dag.pred_count(v);
-            if pending[v as usize] == 0 {
-                ready.push(dag_entry(dag, v));
-            }
-        }
-        let shared = DagShared {
-            dag,
-            inner: Mutex::new(DagInner { ready, pending, completed: 0, poisoned: false }),
-            cv: Condvar::new(),
-        };
-
-        let t0 = Instant::now();
-        let busy: Vec<Mutex<f64>> = (0..threads).map(|_| Mutex::new(0.0)).collect();
-        let logs: Vec<Mutex<Vec<DagRecord>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                let busy = &busy[w];
-                let log = &logs[w];
-                scope.spawn(move || {
-                    while let Some(e) = shared.pop_blocking() {
-                        let node = e.payload as NodeId;
-                        let tag = dag.tag(node);
-                        let start = t0.elapsed().as_secs_f64();
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            node_fn(node, tag, w)
-                        }));
-                        if let Err(payload) = result {
-                            let mut inner = lock(&shared.inner);
-                            inner.poisoned = true;
-                            shared.cv.notify_all();
-                            drop(inner);
-                            std::panic::resume_unwind(payload);
-                        }
-                        let end = t0.elapsed().as_secs_f64();
-                        *lock(busy) += end - start;
-                        lock(log).push(DagRecord { node, tag, worker: w, start, end });
-                        let mut inner = lock(&shared.inner);
-                        inner.completed += 1;
-                        for &s in dag.succs(node) {
-                            inner.pending[s as usize] -= 1;
-                            if inner.pending[s as usize] == 0 {
-                                inner.ready.push(dag_entry(dag, s));
-                            }
-                        }
-                        shared.cv.notify_all();
-                    }
-                });
-            }
-        });
-
-        let makespan = t0.elapsed().as_secs_f64();
-        let worker_busy: Vec<f64> = busy.iter().map(|m| *lock(m)).collect();
-        let mut log = Vec::new();
-        for l in logs {
-            log.extend(l.into_inner().unwrap_or_else(|e| e.into_inner()));
-        }
-        DagRunStats { makespan, worker_busy, log }
-    }
-
-    pub(super) fn parallel_for<F>(threads: usize, n: usize, grain: usize, body: &F)
-    where
-        F: Fn(core::ops::Range<usize>, usize) + Sync,
-    {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let next = &next;
-                scope.spawn(move || loop {
-                    let start = next.fetch_add(grain, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + grain).min(n);
-                    body(start..end, w);
-                });
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
 
@@ -1868,56 +1559,33 @@ mod spawn {
 /// });
 /// assert_eq!(ran.load(Ordering::Relaxed), 9); // every task ran exactly once
 /// ```
+#[derive(Clone)]
 pub struct Executor {
     threads: usize,
-    backend: ExecBackend,
-    /// Lazily populated worker pool; `None` under [`ExecBackend::SpawnPerCall`].
-    pool: Option<Arc<Pool>>,
-}
-
-impl Clone for Executor {
-    fn clone(&self) -> Self {
-        Executor { threads: self.threads, backend: self.backend, pool: self.pool.clone() }
-    }
+    /// The worker pool; its threads are spawned lazily.
+    pool: Arc<Pool>,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("threads", &self.threads)
-            .field("backend", &self.backend)
-            .finish()
+        f.debug_struct("Executor").field("threads", &self.threads).finish()
     }
 }
 
 impl Executor {
-    /// Creates an executor with `threads` resident workers (persistent
-    /// backend). The workers themselves are spawned lazily on the first
-    /// dispatch that can use them.
+    /// Creates an executor with `threads` resident workers. The workers
+    /// themselves are spawned lazily on the first dispatch that can use
+    /// them.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Executor::with_backend(threads, ExecBackend::Persistent)
-    }
-
-    /// Creates an executor with an explicit scheduler backend — used by the
-    /// `pool` benchmark to A/B the persistent pool against the historical
-    /// spawn-per-call scheduler.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_backend(threads: usize, backend: ExecBackend) -> Self {
         assert!(
             threads > 0,
             "executor needs at least one worker thread (got threads = 0); \
              use Executor::host() to size from the machine"
         );
-        let pool = match backend {
-            ExecBackend::Persistent => Some(Arc::new(Pool::new(threads))),
-            ExecBackend::SpawnPerCall => None,
-        };
-        Executor { threads, backend, pool }
+        Executor { threads, pool: Arc::new(Pool::new(threads)) }
     }
 
     /// An executor sized to the host's available parallelism (probed once
@@ -1936,11 +1604,6 @@ impl Executor {
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The scheduler backend in use.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Runs every task of `graph` exactly once, respecting dependency edges
@@ -1978,7 +1641,7 @@ impl Executor {
     /// [`Executor::run_graph_reuse`] with an explicit admission priority
     /// for the pool's fair-share scheduler. Priority only matters when
     /// jobs from several threads are in flight on the shared pool; the
-    /// spawn-per-call baseline and the serial fast paths ignore it.
+    /// serial fast paths ignore it.
     pub fn run_graph_reuse_prio<F>(
         &self,
         graph: &TaskGraph,
@@ -1989,31 +1652,22 @@ impl Executor {
     ) where
         F: Fn(TaskId, TaskPhase, usize) + Sync,
     {
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                scratch.stats = spawn::run_graph(self.threads, graph, policy, &task_fn);
-            }
-            ExecBackend::Persistent => {
-                if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-                    return run_graph_serial_reuse(graph, policy, scratch, &task_fn);
-                }
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                let total = scratch.prepare(graph, policy, self.threads);
-                let makespan;
-                let payload;
-                {
-                    let job =
-                        GraphJob::new(graph, self.threads, &task_fn, scratch, total, pool.hub());
-                    pool.run_to_completion(&job, priority);
-                    makespan = job.t0.elapsed().as_secs_f64();
-                    payload = lock(&job.panic_payload).take();
-                }
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-                scratch.harvest(makespan);
-            }
+        if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
+            return run_graph_serial_reuse(graph, policy, scratch, &task_fn);
         }
+        let total = scratch.prepare(graph, policy, self.threads);
+        let makespan;
+        let payload;
+        {
+            let job = GraphJob::new(graph, self.threads, &task_fn, scratch, total, self.pool.hub());
+            self.pool.run_to_completion(&job, priority);
+            makespan = job.t0.elapsed().as_secs_f64();
+            payload = lock(&job.panic_payload).take();
+        }
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+        scratch.harvest(makespan);
     }
 
     /// Runs every node of a heterogeneous [`Dag`] exactly once, respecting
@@ -2047,8 +1701,8 @@ impl Executor {
 
     /// [`Executor::run_dag_reuse`] with an explicit admission priority for
     /// the pool's fair-share scheduler. Priority only matters when jobs
-    /// from several threads are in flight on the shared pool; the
-    /// spawn-per-call baseline and the serial fast paths ignore it.
+    /// from several threads are in flight on the shared pool; the serial
+    /// fast paths ignore it.
     pub fn run_dag_reuse_prio<F>(
         &self,
         dag: &Dag,
@@ -2059,30 +1713,22 @@ impl Executor {
     ) where
         F: Fn(NodeId, u64, usize) + Sync,
     {
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                scratch.stats = spawn::run_dag(self.threads, dag, policy, &node_fn);
-            }
-            ExecBackend::Persistent => {
-                if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-                    return run_dag_serial_reuse(dag, policy, scratch, &node_fn);
-                }
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                scratch.prepare(dag, policy, self.threads);
-                let makespan;
-                let payload;
-                {
-                    let job = DagJob::new(dag, self.threads, &node_fn, scratch, pool.hub());
-                    pool.run_to_completion(&job, priority);
-                    makespan = job.t0.elapsed().as_secs_f64();
-                    payload = lock(&job.panic_payload).take();
-                }
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-                scratch.harvest(makespan);
-            }
+        if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
+            return run_dag_serial_reuse(dag, policy, scratch, &node_fn);
         }
+        scratch.prepare(dag, policy, self.threads);
+        let makespan;
+        let payload;
+        {
+            let job = DagJob::new(dag, self.threads, &node_fn, scratch, self.pool.hub());
+            self.pool.run_to_completion(&job, priority);
+            makespan = job.t0.elapsed().as_secs_f64();
+            payload = lock(&job.panic_payload).take();
+        }
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+        scratch.harvest(makespan);
     }
 
     /// Dynamic parallel loop over `0..n`: every worker starts with one
@@ -2119,27 +1765,18 @@ impl Executor {
             body(0..n, 0);
             return;
         }
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                // The shared-counter baseline: boundaries are multiples of
-                // the (align-rounded) grain, so alignment still holds.
-                spawn::parallel_for(self.threads, n, grain.next_multiple_of(align), &body);
-            }
-            ExecBackend::Persistent => {
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                // Seed the pool-owned deque words and run under a single
-                // hold of the loop lock, so a concurrent `parallel_for`
-                // from another handle cannot clobber the seeds. Graph/DAG
-                // jobs still interleave: only loop dispatches serialize.
-                let serial = lock(&pool.for_lock);
-                let job = ForJob::new(&pool.for_slots, n, grain, align, self.threads, &body);
-                pool.run_to_completion(&job, JobPriority::Normal);
-                drop(serial);
-                let payload = lock(&job.panic_payload).take();
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-            }
+        let pool = &*self.pool;
+        // Seed the pool-owned deque words and run under a single hold of
+        // the loop lock, so a concurrent `parallel_for` from another handle
+        // cannot clobber the seeds. Graph/DAG jobs still interleave: only
+        // loop dispatches serialize.
+        let serial = lock(&pool.for_lock);
+        let job = ForJob::new(&pool.for_slots, n, grain, align, self.threads, &body);
+        pool.run_to_completion(&job, JobPriority::Normal);
+        drop(serial);
+        let payload = lock(&job.panic_payload).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
         }
     }
 }
@@ -2223,23 +1860,6 @@ mod tests {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn spawn_backend_still_works() {
-        let graph = TaskGraph::new(&[4, 4]);
-        let exec = Executor::with_backend(3, ExecBackend::SpawnPerCall);
-        let count = AtomicU32::new(0);
-        let stats = exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 16);
-        assert_eq!(stats.log.len(), 16);
-        let hits = AtomicU32::new(0);
-        exec.parallel_for(1000, 64, |r, _w| {
-            hits.fetch_add(r.len() as u32, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
     }
 
     #[test]
@@ -2545,27 +2165,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backend_runs_produce_identical_task_sets() {
-        // Same graph through both backends: same (task, phase) multiset.
-        let mut graph = TaskGraph::new(&[4, 4]);
-        for t in 0..graph.len() {
-            graph.set_weight(t, (t as u64 * 37) % 100);
-            graph.set_privatized(t, t % 3 == 0);
-        }
-        let collect = |backend| {
-            let exec = Executor::with_backend(3, backend);
-            let log = Mutex::new(Vec::new());
-            exec.run_graph(&graph, QueuePolicy::Priority, |t, p, _w| {
-                lock(&log).push((t, p.encode()));
-            });
-            let mut v = log.into_inner().unwrap();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(collect(ExecBackend::Persistent), collect(ExecBackend::SpawnPerCall));
-    }
-
     /// A small diamond-rich layered DAG for the run_dag tests: `layers`
     /// layers of `width` nodes, every node depending on all nodes of the
     /// previous layer. Tag = layer * 100 + position.
@@ -2615,8 +2214,8 @@ mod tests {
     #[test]
     fn dag_backends_and_thread_counts_agree() {
         let dag = layered_dag(3, 4);
-        let collect = |backend, threads| {
-            let exec = Executor::with_backend(threads, backend);
+        let collect = |threads| {
+            let exec = Executor::new(threads);
             let log = Mutex::new(Vec::new());
             exec.run_dag(&dag, QueuePolicy::Fifo, |v, tag, _w| {
                 lock(&log).push((v, tag));
@@ -2625,11 +2224,9 @@ mod tests {
             v.sort_unstable();
             v
         };
-        let reference = collect(ExecBackend::Persistent, 1);
-        for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-            for threads in [2usize, 4] {
-                assert_eq!(collect(backend, threads), reference, "{backend:?} × {threads}");
-            }
+        let reference = collect(1);
+        for threads in [2usize, 4] {
+            assert_eq!(collect(threads), reference, "threads = {threads}");
         }
     }
 

@@ -19,9 +19,9 @@
 //!   *selective privatization* protocol (§III-B4): privatized tasks run their
 //!   convolution immediately into a private buffer and enqueue a reduction
 //!   that respects the TDG edges; plus a work-stealing `parallel_for` used
-//!   for the forward (gather) convolution and FFT lines. The historical
-//!   spawn-per-call scheduler survives as [`ExecBackend::SpawnPerCall`]
-//!   for A/B measurement.
+//!   for the forward (gather) convolution and FFT lines. This pool is the
+//!   only scheduler: the paper's single global ready queue is not shipped,
+//!   and `nufft-sim`'s `simulate_shared_queue` models it for Figure 11.
 //!
 //! Everything is instrumented: the executor returns per-worker busy times and
 //! a per-task execution log, which both the load-balance experiments and the
@@ -38,8 +38,7 @@ pub mod queue;
 pub mod scratch;
 
 pub use exec::{
-    DagRecord, DagRunStats, DagScratch, ExecBackend, Executor, GraphScratch, JobPriority, RunStats,
-    TaskPhase,
+    DagRecord, DagRunStats, DagScratch, Executor, GraphScratch, JobPriority, RunStats, TaskPhase,
 };
 pub use graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph, TaskId};
 pub use gray::{gray_code, gray_rank};

@@ -6,7 +6,7 @@
 //! arenas here let a caller hoist every per-dispatch allocation into plan
 //! construction:
 //!
-//! * [`CachePadded`] — aligns a per-worker hot word to its own cache line;
+//! * `CachePadded` — aligns a per-worker hot word to its own cache line;
 //! * [`WorkerLocal`] — a fixed array of per-worker slots, one cache line
 //!   apart, with unsynchronized access handed out under the executor's
 //!   worker-exclusivity guarantee.

@@ -7,7 +7,7 @@
 //! failing seed replays), and a worker count chosen to oversubscribe the
 //! host — override it with `NUFFT_THREADS` (the CI stress step runs 16).
 
-use nufft_parallel::exec::{ExecBackend, Executor, TaskPhase};
+use nufft_parallel::exec::{Executor, TaskPhase};
 use nufft_parallel::graph::{QueuePolicy, TaskGraph};
 use nufft_testkit::Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -137,25 +137,6 @@ fn parallel_for_covers_exactly_once_under_stealing_with_random_delays() {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "seed {seed}: index {i}");
         }
-    }
-}
-
-#[test]
-fn both_backends_survive_the_same_stress() {
-    // The retained spawn-per-call baseline gets the same exactly-once
-    // treatment so A/B benches compare two correct schedulers.
-    let mut rng = Rng::seed_from_u64(0x57EA_4000);
-    let mut graph = TaskGraph::new(&[4, 4]);
-    for t in 0..graph.len() {
-        graph.set_weight(t, rng.gen_usize(0..100) as u64);
-    }
-    for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-        let exec = Executor::with_backend(stress_threads(), backend);
-        let count = AtomicU32::new(0);
-        exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 16, "{backend:?}");
     }
 }
 

@@ -8,21 +8,20 @@
 //! experiments can be run for 10/20/40 workers on any host — the development
 //! container for this reproduction has a single core.
 //!
-//! Two scheduler models are provided, matching the two
-//! [`nufft_parallel::ExecBackend`]s:
+//! Two scheduler models are provided:
 //!
-//! * [`simulate`] replays the **persistent sharded runtime**
-//!   (`ExecBackend::Persistent`): one ready-queue shard per worker, initial
-//!   seeds dealt round-robin in task order, a worker pops the policy-best
-//!   entry of its *own* shard and otherwise steals the policy-best entry of
-//!   the first non-empty victim scanning `(w+1) % T` upward; a completed
-//!   task's newly-ready successors land on the completing worker's own
-//!   shard. Each shard is its own serial resource: dequeues of the *same*
-//!   shard (owner pops and steals alike) serialize on
+//! * [`simulate`] replays the **persistent sharded runtime** that
+//!   [`nufft_parallel::Executor`] ships: one ready-queue shard per worker,
+//!   initial seeds dealt round-robin in task order, a worker pops the
+//!   policy-best entry of its *own* shard and otherwise steals the
+//!   policy-best entry of the first non-empty victim scanning `(w+1) % T`
+//!   upward; a completed task's newly-ready successors land on the
+//!   completing worker's own shard. Each shard is its own serial resource:
+//!   dequeues of the *same* shard (owner pops and steals alike) serialize on
 //!   [`CostModel::queue_overhead`], dequeues of different shards proceed in
 //!   parallel — exactly the contention profile of per-shard mutexes.
-//! * [`simulate_shared_queue`] replays the historical spawn-per-call
-//!   scheduler (`ExecBackend::SpawnPerCall`): one global ready queue whose
+//! * [`simulate_shared_queue`] models the paper's global-queue scheduler
+//!   (§III-B3), which the runtime no longer ships: one ready queue whose
 //!   dequeues serialize on a single resource. That global contention term
 //!   is what makes fixed-width partitioning (thousands of tiny tasks) stop
 //!   scaling in Figure 11, and is the cost the sharded runtime removes.
@@ -173,10 +172,9 @@ fn decode(payload: u64) -> (TaskId, TaskPhase) {
 
 /// Simulates `graph` on `workers` virtual workers under `policy`, replaying
 /// the **persistent sharded runtime**
-/// ([`nufft_parallel::Executor::run_graph`] with the default
-/// `ExecBackend::Persistent`): per-worker ready-queue shards with
-/// round-robin seeding (the k-th initially-ready unit, in task order, lands
-/// on shard `k % workers`), own-shard-first popping, and steals that take
+/// ([`nufft_parallel::Executor::run_graph`]): per-worker ready-queue shards
+/// with round-robin seeding (the k-th initially-ready unit, in task order,
+/// lands on shard `k % workers`), own-shard-first popping, and steals that take
 /// the policy-best entry of the first non-empty victim scanning `(w+1) % T`
 /// upward — so largest-first priority is preserved *per steal victim*, not
 /// globally. Newly-ready successors are pushed to the completing worker's
@@ -297,12 +295,12 @@ pub fn simulate(
     SimResult { makespan, worker_busy: busy, timeline }
 }
 
-/// Simulates `graph` under the historical **spawn-per-call** scheduler
-/// (`ExecBackend::SpawnPerCall`): one global ready queue, every dequeue
-/// serialized on a single [`CostModel::queue_overhead`] resource. This is
-/// the baseline the sharded runtime of [`simulate`] is measured against —
-/// its global contention term caps the scaling of many-tiny-task
-/// partitionings (Figure 11).
+/// Simulates `graph` under the paper's **global-queue** scheduler
+/// (§III-B3), which the runtime no longer ships: one ready queue, every
+/// dequeue serialized on a single [`CostModel::queue_overhead`] resource.
+/// This is the baseline the sharded runtime of [`simulate`] is measured
+/// against — its global contention term caps the scaling of
+/// many-tiny-task partitionings (Figure 11).
 pub fn simulate_shared_queue(
     graph: &TaskGraph,
     policy: QueuePolicy,

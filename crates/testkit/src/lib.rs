@@ -13,7 +13,7 @@
 //!   per-case derived seeds, counterexample **seed replay** via the
 //!   `NUFFT_PROP_SEED` environment variable, and greedy size shrinking.
 //!   Replaces `proptest`.
-//! * [`bench`] — a micro-benchmark harness (warmup, batch auto-sizing,
+//! * [`bench`](mod@bench) — a micro-benchmark harness (warmup, batch auto-sizing,
 //!   median/p10/p90, JSON-lines output into `results/`). Replaces
 //!   `criterion` for the `crates/bench/benches/*` entrypoints.
 //!

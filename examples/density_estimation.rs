@@ -67,16 +67,18 @@ fn main() {
         local.iter().fold((f32::INFINITY, 0.0f32), |(lo, hi), c| (lo.min(c.re), hi.max(c.re)));
     println!("local   : per-particle density in [{lo:.1}, {hi:.1}]");
 
-    // Cross-check 1: the fused spread DAG deposits the identical field.
-    let fused_cfg = NufftConfig { w: 4.0, exec_mode: ExecMode::Fused, ..NufftConfig::default() };
-    let mut fused = NufftPlan::new(n, &particles, fused_cfg);
-    let mut density_fused = vec![Complex32::ZERO; fused.grid_len()];
-    fused.spread_only(&mass, &mut density_fused);
+    // Cross-check 1: `plan` deposited through the fused spread DAG (the
+    // default); the phased path, the `SpreadOp` task-graph driver, must
+    // deposit the identical field.
+    let phased_cfg = NufftConfig { exec_mode: ExecMode::Phased, ..cfg };
+    let mut phased = NufftPlan::new(n, &particles, phased_cfg);
+    let mut density_phased = vec![Complex32::ZERO; phased.grid_len()];
+    phased.spread_only(&mass, &mut density_phased);
     let bitwise = density
         .iter()
-        .zip(&density_fused)
+        .zip(&density_phased)
         .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-    println!("check   : fused-DAG deposition bitwise-identical: {bitwise}");
+    println!("check   : phased and fused-DAG depositions bitwise-identical: {bitwise}");
     assert!(bitwise, "fused and phased deposition diverged");
 
     // Cross-check 2: scatter and gather are exact transposes,

@@ -6,8 +6,6 @@
 #                        axis-length crossover sweep + strategy-forced A/B
 #                        on 256²/512²/64³/128³ grids with an Auto arm
 #                        (crates/bench/benches/fourstep.rs)
-#   BENCH_pool.json    — persistent-pool vs spawn-per-call operator applies
-#                        (crates/bench/benches/pool.rs)
 #   BENCH_windows.json — precomputed window table vs on-the-fly Part 1
 #                        (crates/bench/benches/windows.rs)
 #   BENCH_fused.json   — fused single-DAG vs phased join-per-phase applies
@@ -51,9 +49,6 @@ cargo bench --offline --bench fourstep
 echo "== bench: operators =="
 cargo bench --offline --bench operators
 
-echo "== bench: pool (persistent runtime vs spawn-per-call baseline) =="
-cargo bench --offline --bench pool
-
 echo "== bench: windows (precomputed table vs on-the-fly Part 1) =="
 cargo bench --offline --bench windows
 
@@ -80,9 +75,6 @@ cat BENCH_fft.json
 
 echo "== BENCH_fourstep.json =="
 cat BENCH_fourstep.json
-
-echo "== BENCH_pool.json =="
-cat BENCH_pool.json
 
 echo "== BENCH_windows.json =="
 cat BENCH_windows.json

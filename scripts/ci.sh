@@ -37,7 +37,7 @@ NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel --test job_isolation_
 
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
 # scheduler_consistency includes the fused-vs-phased bitwise equality
-# matrix (backend x ISA x threads) and the fused-DAG sim dominance check;
+# matrix (ISA x threads) and the fused-DAG sim dominance check;
 # 16 workers oversubscribe the runner so the single-dispatch DAG path runs
 # under real preemption.
 NUFFT_THREADS=16 cargo test -q --offline --test scheduler_consistency
@@ -137,7 +137,12 @@ else
     echo "clippy not installed; skipping"
 fi
 
-echo "== bench smoke (fft + operators + pool + windows, fast mode) =="
+echo "== rustdoc (deny warnings) =="
+# Broken or private intra-doc links fail the build rather than rendering
+# as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
+echo "== bench smoke (every bench, fast mode) =="
 scripts/bench.sh --quick
 
 echo "CI OK"

@@ -117,36 +117,6 @@ fn repeated_applies_on_a_reused_pool_match_a_fresh_plan() {
     }
 }
 
-/// The persistent pool and the retained spawn-per-call baseline must agree
-/// to the bit: the TDG fixes the summation order, not the scheduler. This
-/// is what makes the `pool` benchmark an apples-to-apples comparison.
-#[test]
-fn persistent_and_spawn_backends_agree_bitwise() {
-    use nufft::parallel::ExecBackend;
-    let (traj, samples) = seeded_problem(900, 0xDE7E_0005);
-    let n = [12usize, 12, 12];
-    let grid_for = |backend: ExecBackend| {
-        let cfg = NufftConfig {
-            threads: 4,
-            w: 3.0,
-            policy: QueuePolicy::Priority,
-            privatization: true,
-            partitions_per_dim: Some(4),
-            backend,
-            ..NufftConfig::default()
-        };
-        let mut plan = NufftPlan::new(n, &traj, cfg);
-        let mut grid = vec![Complex32::ZERO; 12 * 12 * 12];
-        plan.adjoint(&samples, &mut grid);
-        grid
-    };
-    assert_bit_identical(
-        &grid_for(ExecBackend::Persistent),
-        &grid_for(ExecBackend::SpawnPerCall),
-        "persistent vs spawn-per-call backend",
-    );
-}
-
 /// The privatized-convolution partial results (per-task private buffers)
 /// must reduce into the same grid the non-privatized path writes — the
 /// privatization protocol only changes *when* work happens, never *what*

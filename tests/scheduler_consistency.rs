@@ -131,7 +131,7 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
 //
 // The fused path must be a pure *scheduling* change: every operator output
 // is required to be bitwise-identical to the phased pipeline at every ISA
-// level, thread count, and executor backend. The per-element arithmetic is
+// level and thread count. The per-element arithmetic is
 // schedule-independent by construction (the Gray-code exclusion edges fix
 // the adjoint summation order, and every other node writes disjoint
 // elements); these tests are the tripwire that keeps it that way.
@@ -139,7 +139,6 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
 
 use nufft::core::{fused, ExecMode, NufftConfig, NufftPlan};
 use nufft::math::Complex32;
-use nufft::parallel::exec::ExecBackend;
 use nufft::sim::{simulate_dag, simulate_dag_phased, DagLinearCost};
 use nufft::simd::{detect_isa, set_isa_override, IsaLevel};
 use std::sync::Mutex;
@@ -169,13 +168,12 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn plan_cfg(threads: usize, backend: ExecBackend, mode: ExecMode) -> NufftConfig {
+fn plan_cfg(threads: usize, mode: ExecMode) -> NufftConfig {
     NufftConfig {
         threads,
         w: 3.0,
         // Pin the decomposition so only the schedule varies.
         partitions_per_dim: Some(4),
-        backend,
         exec_mode: mode,
         ..NufftConfig::default()
     }
@@ -183,15 +181,15 @@ fn plan_cfg(threads: usize, backend: ExecBackend, mode: ExecMode) -> NufftConfig
 
 /// Runs all four operators under both exec modes on identical inputs and
 /// asserts exact bit equality of every output buffer.
-fn check_fused_matches_phased(threads: usize, backend: ExecBackend, label: &str) {
+fn check_fused_matches_phased(threads: usize, label: &str) {
     let n = [16usize, 16];
     let traj = traj2(350);
     let img_len = 256;
     let k = traj.len();
     let channels = 2usize;
 
-    let mut fus = NufftPlan::new(n, &traj, plan_cfg(threads, backend, ExecMode::Fused));
-    let mut pha = NufftPlan::new(n, &traj, plan_cfg(threads, backend, ExecMode::Phased));
+    let mut fus = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Fused));
+    let mut pha = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Phased));
     assert_eq!(fus.exec_mode(), ExecMode::Fused, "{label}");
     assert_eq!(pha.exec_mode(), ExecMode::Phased, "{label}");
 
@@ -248,22 +246,16 @@ fn check_fused_matches_phased(threads: usize, backend: ExecBackend, label: &str)
 }
 
 #[test]
-fn fused_matches_phased_bitwise_across_backend_isa_and_threads() {
+fn fused_matches_phased_bitwise_across_isa_and_threads() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let detected = detect_isa();
-    for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-        for isa in [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma] {
-            if isa > detected {
-                continue;
-            }
-            set_isa_override(isa).unwrap();
-            for threads in [1usize, 2, 4] {
-                check_fused_matches_phased(
-                    threads,
-                    backend,
-                    &format!("backend={backend:?} isa={isa:?} threads={threads}"),
-                );
-            }
+    for isa in [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma] {
+        if isa > detected {
+            continue;
+        }
+        set_isa_override(isa).unwrap();
+        for threads in [1usize, 2, 4] {
+            check_fused_matches_phased(threads, &format!("isa={isa:?} threads={threads}"));
         }
     }
     set_isa_override(detected).unwrap();
@@ -274,7 +266,7 @@ fn exec_mode_switch_on_one_plan_stays_bitwise() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let n = [16usize, 16];
     let traj = traj2(300);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecBackend::Persistent, ExecMode::Fused));
+    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
     let samples = signal(traj.len(), 0.7);
 
     let mut img_fused = vec![Complex32::ZERO; 256];
@@ -327,7 +319,7 @@ fn fused_dag_simulated_speedup_dominates_phased_on_real_plans() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let n = [16usize, 16];
     let traj = clustered_traj2(2000);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecBackend::Persistent, ExecMode::Fused));
+    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
     let model = DagLinearCost::per_unit(0.001);
     for adjoint in [false, true] {
         let dag = plan.fused_dag(adjoint, 1);

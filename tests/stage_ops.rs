@@ -125,7 +125,7 @@ fn standalone_spread_interp_are_transposes() {
     let c = NufftConfig { threads: 2, w: 3.0, ..NufftConfig::default() };
     let exec = Executor::new(c.threads);
     let mut spread = SpreadOp::plan(m, coords.clone(), &c, &exec);
-    let interp = InterpOp::from_spread(&spread, c.grain);
+    let interp = InterpOp::from_spread(&spread);
     assert_eq!(spread.grid_extents(), m);
     assert_eq!(spread.grid_len(), interp.grid_len());
 

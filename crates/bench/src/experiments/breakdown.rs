@@ -2,9 +2,12 @@
 //! headline baseline-vs-optimized comparison.
 
 use crate::report::{secs, speedup, Table};
-use crate::{build_problem, calibrate_cost, host_threads, time_median, RunScale};
+use crate::{
+    build_problem, calibrate_cost, host_threads, plan_timers, time_median, warm_median_timers,
+    RunScale,
+};
 use nufft_baselines::sequential::SequentialNufft;
-use nufft_core::{ExecMode, NufftConfig};
+use nufft_core::NufftConfig;
 use nufft_math::Complex32;
 use nufft_parallel::graph::QueuePolicy;
 use nufft_sim::simulate;
@@ -23,11 +26,15 @@ pub fn fig3(scale: &RunScale) {
     let image: Vec<Complex32> =
         (0..p.n.pow(3)).map(|i| Complex32::new((i % 13) as f32, 0.5)).collect();
     let mut samples = vec![Complex32::ZERO; traj.len()];
-    seq.forward(&image, &mut samples);
-    let ft = seq.forward_timers();
+    let ft = warm_median_timers(scale.reps, || {
+        seq.forward(&image, &mut samples);
+        seq.forward_timers()
+    });
     let mut out = vec![Complex32::ZERO; p.n.pow(3)];
-    seq.adjoint(&samples, &mut out);
-    let at = seq.adjoint_timers();
+    let at = warm_median_timers(scale.reps, || {
+        seq.adjoint(&samples, &mut out);
+        seq.adjoint_timers()
+    });
 
     let total = ft.total + at.total;
     let pct = |x: f64| format!("{:.1}%", 100.0 * x / total);
@@ -63,10 +70,7 @@ pub fn fig7(scale: &RunScale) {
         &["W", "part1", "ADJ part2", "FWD part2", "part1 % of ADJ", "part1 % of FWD"],
     );
     for w in [2.0f64, 4.0, 6.0, 8.0] {
-        // Phase attribution needs join-separated phases; the fused DAG
-        // overlaps them, so the breakdown figures pin the phased pipeline.
-        let cfg =
-            NufftConfig { threads: 1, w, exec_mode: ExecMode::Phased, ..NufftConfig::default() };
+        let cfg = NufftConfig { threads: 1, w, ..NufftConfig::default() };
         let mut prob = build_problem(DatasetKind::Radial, &p, cfg);
         let part1 = time_median(scale.reps, || prob.plan.part1_seconds());
         let adj = time_median(scale.reps, || prob.plan.adjoint_convolution_only(&prob.samples));
@@ -93,23 +97,13 @@ fn fft_projection(fft_1core: f64, lines: usize, p: usize) -> f64 {
 }
 
 /// Figure 8: breakdown after all optimizations (measured at host threads +
-/// simulated 40-core projection).
+/// simulated 40-core projection). Each measured phase is the span its
+/// node kinds were in flight in the fused graph; the spans overlap.
 pub fn fig8(scale: &RunScale) {
     let p = workload(scale);
-    let cfg = NufftConfig {
-        threads: host_threads(),
-        w: 4.0,
-        // Per-phase attribution: run the join-separated pipeline.
-        exec_mode: ExecMode::Phased,
-        ..NufftConfig::default()
-    };
+    let cfg = NufftConfig { threads: host_threads(), w: 4.0, ..NufftConfig::default() };
     let mut prob = build_problem(DatasetKind::Radial, &p, cfg);
-    let mut samples_out = vec![Complex32::ZERO; prob.samples.len()];
-    let mut image_out = vec![Complex32::ZERO; prob.image.len()];
-    prob.plan.forward(&prob.image, &mut samples_out);
-    let ft = prob.plan.forward_timers();
-    prob.plan.adjoint(&prob.samples, &mut image_out);
-    let at = prob.plan.adjoint_timers();
+    let (ft, at) = plan_timers(&mut prob, scale.reps);
 
     // 40-core projection: adjoint conv via the scheduler simulator on a
     // task graph partitioned *for* 40 cores, forward conv + FFT via the
@@ -149,28 +143,23 @@ pub fn tab2(scale: &RunScale) {
     let image: Vec<Complex32> =
         (0..p.n.pow(3)).map(|i| Complex32::new((i % 13) as f32, 0.5)).collect();
     let mut samples = vec![Complex32::ZERO; traj.len()];
-    seq.forward(&image, &mut samples);
+    let bft = warm_median_timers(scale.reps, || {
+        seq.forward(&image, &mut samples);
+        seq.forward_timers()
+    });
     let mut out_img = vec![Complex32::ZERO; p.n.pow(3)];
-    seq.adjoint(&samples, &mut out_img);
-    let (bft, bat) = (seq.forward_timers(), seq.adjoint_timers());
+    let bat = warm_median_timers(scale.reps, || {
+        seq.adjoint(&samples, &mut out_img);
+        seq.adjoint_timers()
+    });
     let base_conv = bft.conv + bat.conv;
     let base_fft = bft.fft + bat.fft;
     let base_total = bft.total + bat.total;
 
     // Optimized: measured at host threads.
-    let cfg = NufftConfig {
-        threads: host_threads(),
-        w: 4.0,
-        // Per-phase attribution: run the join-separated pipeline.
-        exec_mode: ExecMode::Phased,
-        ..NufftConfig::default()
-    };
+    let cfg = NufftConfig { threads: host_threads(), w: 4.0, ..NufftConfig::default() };
     let mut prob = build_problem(DatasetKind::Radial, &p, cfg);
-    let mut s_out = vec![Complex32::ZERO; prob.samples.len()];
-    let mut i_out = vec![Complex32::ZERO; prob.image.len()];
-    prob.plan.forward(&prob.image, &mut s_out);
-    prob.plan.adjoint(&prob.samples, &mut i_out);
-    let (oft, oat) = (prob.plan.forward_timers(), prob.plan.adjoint_timers());
+    let (oft, oat) = plan_timers(&mut prob, scale.reps);
     let opt_conv = oft.conv + oat.conv;
     let opt_fft = oft.fft + oat.fft;
     let opt_total = oft.total + oat.total;

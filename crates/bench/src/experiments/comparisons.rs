@@ -1,7 +1,7 @@
 //! Tables IV and V: comparisons against published implementations.
 
 use crate::report::{secs, speedup, Table};
-use crate::{calibrate_cost, host_threads, RunScale};
+use crate::{calibrate_cost, host_threads, warm_median_timers, RunScale};
 use nufft_baselines::privatized::PrivatizedAdjoint;
 use nufft_core::{NufftConfig, NufftPlan};
 use nufft_math::Complex32;
@@ -30,16 +30,25 @@ pub fn tab4(scale: &RunScale) {
         (0..n.pow(3)).map(|i| Complex32::new((i % 11) as f32 * 0.1, 0.0)).collect();
     let mut img_out = vec![Complex32::ZERO; n.pow(3)];
     let mut smp_out = vec![Complex32::ZERO; traj.len()];
-    plan.adjoint(&ksamples, &mut img_out);
-    let ours_adj = plan.adjoint_timers().total;
-    plan.forward(&image, &mut smp_out);
-    let ours_fwd = plan.forward_timers().total;
+    let ours_adj = warm_median_timers(scale.reps, || {
+        plan.adjoint(&ksamples, &mut img_out);
+        plan.adjoint_timers()
+    })
+    .total;
+    let ours_fwd = warm_median_timers(scale.reps, || {
+        plan.forward(&image, &mut smp_out);
+        plan.forward_timers()
+    })
+    .total;
 
     // Shu-style comparator: full-grid privatization (W=2.5 per the paper's
     // description of that implementation).
     let mut shu = PrivatizedAdjoint::new([n; 3], &traj.points, alpha, 2.5, threads);
-    shu.adjoint(&ksamples, &mut img_out);
-    let shu_adj = shu.adjoint_timers().total;
+    let shu_adj = warm_median_timers(scale.reps, || {
+        shu.adjoint(&ksamples, &mut img_out);
+        shu.adjoint_timers()
+    })
+    .total;
 
     // 12-core projection of the adjoint (the paper's WSM12C) via the
     // simulator for ours; for the Shu baseline the reduction is serial-ish
@@ -97,10 +106,16 @@ pub fn tab5(scale: &RunScale) {
         (0..n.pow(3)).map(|i| Complex32::new(0.1 * (i % 7) as f32, 0.0)).collect();
     let mut img_out = vec![Complex32::ZERO; n.pow(3)];
     let mut smp_out = vec![Complex32::ZERO; traj.len()];
-    plan.adjoint(&ksamples, &mut img_out);
-    let adj = plan.adjoint_timers().total;
-    plan.forward(&image, &mut smp_out);
-    let fwd = plan.forward_timers().total;
+    let adj = warm_median_timers(scale.reps, || {
+        plan.adjoint(&ksamples, &mut img_out);
+        plan.adjoint_timers()
+    })
+    .total;
+    let fwd = warm_median_timers(scale.reps, || {
+        plan.forward(&image, &mut smp_out);
+        plan.forward_timers()
+    })
+    .total;
 
     let model = calibrate_cost(&mut plan, &ksamples);
     let adj16 = simulate(plan.graph(), QueuePolicy::Priority, 16, &model).makespan;

@@ -6,9 +6,8 @@
 //! DESIGN.md §1 for why this substitution preserves the figures' shapes).
 
 use crate::report::{secs, speedup, Table};
-use crate::{build_problem, calibrate_cost, time_median, RunScale, SIM_CORES};
-use nufft_core::{ExecMode, NufftConfig, SortMode};
-use nufft_math::Complex32;
+use crate::{build_problem, calibrate_cost, plan_timers, time_median, RunScale, SIM_CORES};
+use nufft_core::{NufftConfig, SortMode};
 use nufft_parallel::graph::QueuePolicy;
 use nufft_sim::simulate;
 use nufft_traj::{DatasetKind, DatasetParams, TABLE1};
@@ -26,16 +25,7 @@ fn n_variants(scale: &RunScale) -> Vec<DatasetParams> {
 /// fine — only its total time is used).
 fn sim_cfg(w: f64, cores: usize) -> NufftConfig {
     let p = (((8 * cores) as f64).powf(1.0 / 3.0).ceil() as usize).max(2);
-    NufftConfig {
-        threads: cores,
-        w,
-        partitions_per_dim: Some(p),
-        // Fig. 14 decomposes per-phase timers additively (fft/40, scale
-        // serial, …); the fused DAG overlaps phases, so these experiments
-        // measure the join-separated pipeline.
-        exec_mode: ExecMode::Phased,
-        ..NufftConfig::default()
-    }
+    NufftConfig { threads: cores, w, partitions_per_dim: Some(p), ..NufftConfig::default() }
 }
 
 /// Simulated adjoint-convolution speedup curve for a built problem.
@@ -258,18 +248,18 @@ pub fn fig14(scale: &RunScale) {
     );
     for (i, row) in TABLE1.iter().enumerate() {
         let params = scale.apply(row);
+        // The simulated 40-core machine: its task graph, preprocessing and
+        // calibration.
         let mut prob = build_problem(DatasetKind::Radial, &params, sim_cfg(4.0, 40));
         let pre = prob.plan.preprocess_seconds();
-        let mut s_out = vec![Complex32::ZERO; prob.samples.len()];
-        let mut i_out = vec![Complex32::ZERO; prob.image.len()];
-        prob.plan.forward(&prob.image, &mut s_out);
-        prob.plan.adjoint(&prob.samples, &mut i_out);
-        let it1 = prob.plan.forward_timers().total + prob.plan.adjoint_timers().total;
-        // Iteration at 40 cores: conv simulated, FFT/scale by line model.
         let model = calibrate_cost(&mut prob.plan, &prob.samples);
         let adj40 = simulate(prob.plan.graph(), QueuePolicy::Priority, 40, &model).makespan;
-        let ft = prob.plan.forward_timers();
-        let at = prob.plan.adjoint_timers();
+        // One iteration measured on one worker, same pinned partitions.
+        let one_cfg = NufftConfig { threads: 1, ..sim_cfg(4.0, 40) };
+        let mut one = build_problem(DatasetKind::Radial, &params, one_cfg);
+        let (ft, at) = plan_timers(&mut one, scale.reps);
+        let it1 = ft.total + at.total;
+        // Iteration at 40 cores: conv simulated, FFT/scale by line model.
         let it40 = adj40 + ft.conv / 40.0 + (ft.fft + at.fft) / 40.0 + ft.scale + at.scale;
         t.row(&[
             (i + 1).to_string(),

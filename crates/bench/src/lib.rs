@@ -22,7 +22,7 @@
 pub mod experiments;
 pub mod report;
 
-use nufft_core::{NufftConfig, NufftPlan};
+use nufft_core::{NufftConfig, NufftPlan, OpTimers};
 use nufft_math::Complex32;
 use nufft_sim::LinearCost;
 use nufft_traj::{DatasetKind, DatasetParams};
@@ -143,6 +143,35 @@ pub fn time_median(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
     let mut v: Vec<f64> = (0..reps.max(1)).map(|_| f()).collect();
     v.sort_by(f64::total_cmp);
     v[v.len() / 2]
+}
+
+/// The apply with the median `total` among `reps` timed calls of `apply`,
+/// after one untimed warm-up call. `apply` runs one operator application
+/// and returns its [`OpTimers`]. The warm-up keeps one-time costs out of
+/// the figures: a plan builds a direction's fused graph on that
+/// direction's first apply, inside `total`.
+pub fn warm_median_timers(reps: usize, mut apply: impl FnMut() -> OpTimers) -> OpTimers {
+    apply();
+    let mut runs: Vec<OpTimers> = (0..reps.max(1)).map(|_| apply()).collect();
+    runs.sort_by(|a, b| a.total.total_cmp(&b.total));
+    runs[runs.len() / 2]
+}
+
+/// [`warm_median_timers`] of a problem's forward and adjoint, in that
+/// order.
+pub fn plan_timers(prob: &mut Problem, reps: usize) -> (OpTimers, OpTimers) {
+    let Problem { plan, samples, image, .. } = prob;
+    let mut s_out = vec![Complex32::ZERO; samples.len()];
+    let mut i_out = vec![Complex32::ZERO; image.len()];
+    let ft = warm_median_timers(reps, || {
+        plan.forward(image, &mut s_out);
+        plan.forward_timers()
+    });
+    let at = warm_median_timers(reps, || {
+        plan.adjoint(samples, &mut i_out);
+        plan.adjoint_timers()
+    });
+    (ft, at)
 }
 
 /// Calibrates a [`LinearCost`] for the simulator from one measured adjoint

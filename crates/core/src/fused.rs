@@ -1,12 +1,14 @@
 //! Fused whole-transform task graphs (the tentpole of the barrier-free
 //! pipeline).
 //!
-//! The phased pipeline runs an operator as scale → per-axis FFT →
-//! convolution with an executor-level join after every stage — `D + 2`
-//! stragglers' worth of idle time per apply. This module builds, once at
-//! plan time, a single heterogeneous [`Dag`] whose nodes cover *every*
-//! phase of an operator and whose edges are the actual data dependencies
-//! between them, so one `run_dag_reuse` dispatch replaces all the joins:
+//! Composing an operator from its stage operators runs scale → per-axis
+//! FFT → convolution with an executor-level join after every stage —
+//! `D + 2` stragglers' worth of idle time per apply. This module builds,
+//! once per plan and channel count, a single heterogeneous [`Dag`] whose
+//! nodes cover *every* phase of an operator and whose edges are the actual
+//! data dependencies between them, so one `run_dag_reuse` dispatch
+//! replaces all the joins. It is the only schedule
+//! [`NufftPlan`](crate::plan::NufftPlan) runs:
 //!
 //! * **`Scale`** (forward) — one contiguous grid *slab* per node per
 //!   channel, filled with the inverse-embed map (zero outside the image,
@@ -14,14 +16,14 @@
 //! * **`Zero`** (adjoint) — one grid slab per node, zeroed across all
 //!   channels;
 //! * **`Fft`** — a chunk of one axis's listed SIMD tiles of one channel
-//!   (the same tile lists and grain the phased [`crate::stage::FftOp`]
-//!   shards, from the plan-owned `TilePlan`; the zero-aware passes list
-//!   only the tiles an operator needs — see `TileSet`);
+//!   (from the plan-owned `TilePlan`, whose full lists
+//!   [`crate::stage::FftOp`] shards too; the zero-aware passes list only
+//!   the tiles an operator needs — see `TileSet`);
 //! * **`Conv`/`Priv`/`Reduce`** — the adjoint scatter tasks with their
 //!   Gray-code exclusion edges carried over verbatim, privatized tasks
 //!   split into a dependency-free `Priv` convolve and a `Reduce` that
-//!   inherits the edges (exactly the phased protocol, now as two plain
-//!   nodes joined by an edge);
+//!   inherits the edges (exactly the task-graph driver's protocol, now as
+//!   two plain nodes joined by an edge);
 //! * **`Gather`** (forward) — a chunk of one task's samples (so a chunk's
 //!   kernel windows stay inside that task's halo box);
 //! * **`Extract`** (adjoint) — a contiguous image chunk.
@@ -31,11 +33,8 @@
 //! Each stage operator contributes its node set through one `emit_*`
 //! fragment function and its data dependencies through one `connect_*`
 //! function; the whole-operator builders (`build_forward`,
-//! `build_adjoint`, `build_spread`) are thin compositions of those
-//! fragments instead of bespoke compilers. The spread-only graph is the
-//! adjoint's zero + scatter fragments with nothing downstream — same node
-//! bodies, same exclusion edges, so it stays bitwise-equal to the phased
-//! spread.
+//! `build_adjoint`) are thin compositions of those fragments instead of
+//! bespoke compilers.
 //!
 //! ## Edge construction
 //!
@@ -67,17 +66,18 @@
 //! adjoint scatter, where the summation *order* on shared grid cells is
 //! fixed by the Gray-code edges (adjacent tasks are totally ordered, and
 //! the direction of each edge — not the schedule — decides who goes
-//! first). Those edges are copied into the fused graph unchanged, every
-//! node kind executes the identical code the phased drivers run, and the
-//! slab/chunk decompositions partition their domains; so fused output is
-//! bitwise equal to phased output at any thread count, backend and ISA —
-//! pinned by `tests/scheduler_consistency.rs`.
+//! first). Those edges are copied into the fused graph unchanged, the
+//! gather and scatter nodes call the stage drivers' own bodies, every
+//! other node writes disjoint elements, and the slab/chunk decompositions
+//! partition their domains; so fused output is bitwise equal to the stage
+//! composition at any thread count and ISA — pinned by
+//! `tests/fft_pruning.rs`.
 
 use crate::grid::Geometry;
 use crate::tasks::Preprocess;
 use nufft_fft::FftNd;
 use nufft_math::Complex32;
-use nufft_parallel::exec::DagRunStats;
+use nufft_parallel::exec::{DagRunStats, TaskPhase};
 use nufft_parallel::graph::{Dag, DagBuilder, NodeId};
 
 /// Complex elements per 64-byte cache line (slab/chunk boundaries are
@@ -154,9 +154,9 @@ pub fn kind_name(kind: u8) -> &'static str {
     }
 }
 
-/// The phase index a node would occupy in the *phased* schedule — used by
-/// `nufft-sim` to replay the same node set with barriers between phases
-/// and measure what the fusion buys.
+/// The phase index a node would occupy in a join-per-phase schedule —
+/// used by `nufft-sim` to replay the same node set with barriers between
+/// phases and measure what the fusion buys.
 ///
 /// Forward: scale = 0, FFT axis k = 1+k, gather = 1+D.
 /// Adjoint: zero = 0, conv/priv/reduce = 1, FFT axis k = 2+k,
@@ -169,6 +169,17 @@ pub fn node_phase(tag: u64, adjoint: bool, ndim: usize) -> usize {
         KIND_GATHER => 1 + ndim,
         KIND_EXTRACT => 2 + ndim,
         _ => unreachable!("unknown node kind"),
+    }
+}
+
+/// The scatter-task phase a conv-stage node kind runs ([`KIND_CONV`],
+/// [`KIND_PRIV`], [`KIND_REDUCE`]), or `None` for every other kind.
+pub(crate) fn task_phase(kind: u8) -> Option<TaskPhase> {
+    match kind {
+        KIND_CONV => Some(TaskPhase::Normal),
+        KIND_PRIV => Some(TaskPhase::PrivateConvolve),
+        KIND_REDUCE => Some(TaskPhase::Reduce),
+        _ => None,
     }
 }
 
@@ -208,9 +219,9 @@ pub(crate) struct TilePlan {
 pub(crate) struct AxisPlan {
     /// Tiles of width `b` along this axis.
     pub(crate) tiles: usize,
-    /// `parallel_for` chunk alignment for the phased path: a cache line of
-    /// line starts, on the contiguous axis rounded up to a multiple of `b`
-    /// so every chunk holds whole packed runs.
+    /// `parallel_for` chunk alignment for [`crate::stage::FftOp::apply`]: a
+    /// cache line of line starts, on the contiguous axis rounded up to a
+    /// multiple of `b` so every chunk holds whole packed runs.
     pub(crate) align: usize,
     /// Four-step shard counts `(col_groups, k_blocks)` per tile chunk, or
     /// `None` for the recursive tile path. When set, a chunk splits into
@@ -748,41 +759,32 @@ fn emit_extract_fragment(
         .collect()
 }
 
-/// The downstream-FFT wiring of [`connect_spread_edges`]: which axis-0
-/// entry nodes each scatter task must precede (absent in the spread-only
-/// graph).
-struct Axis0Wiring<'a> {
-    lay: &'a FftLayout<'a>,
-    fft_base: &'a [Vec<(NodeId, NodeId)>],
-    channels: usize,
-}
-
 /// Wires the spread fragment's inputs and outputs in one halo-box pass per
-/// task: `zero slab → conv` (a task reads-modifies-writes its box) and —
-/// when an FFT stage follows — `conv → axis-0 entry` for the chunks
-/// covering the box. `Zero → Fft` is transitively covered (see module
-/// docs).
+/// task: `zero slab → conv` (a task reads-modifies-writes its box) and
+/// `conv → axis-0 entry` for the chunks covering the box, in every
+/// channel. `Zero → Fft` is transitively covered (see module docs).
 #[allow(clippy::too_many_arguments)]
 fn connect_spread_edges<const D: usize>(
     builder: &mut DagBuilder,
     geo: &Geometry<D>,
+    lay: &FftLayout<'_>,
     pre: &Preprocess<D>,
     wc: usize,
+    channels: usize,
     zero_base: NodeId,
     conv_shared: &[NodeId],
     slab: usize,
-    fft_out: Option<Axis0Wiring<'_>>,
+    fft_base: &[Vec<(NodeId, NodeId)>],
 ) {
     let nslabs = geo.grid_len().div_ceil(slab);
     let gs = geo.grid_strides();
+    let (fft, b) = (lay.fft, lay.tp.b);
     let mut slab_stamp = Stamp::new(nslabs);
-    let mut chunk_stamp = fft_out.as_ref().map(|f| Stamp::new(f.lay.entry_shards(0)));
+    let mut chunk_stamp = Stamp::new(lay.entry_shards(0));
     let mut dep_chunks: Vec<u32> = Vec::new();
     for t in 0..pre.graph.len() {
         slab_stamp.next();
-        if let Some(cs) = chunk_stamp.as_mut() {
-            cs.next();
-        }
+        chunk_stamp.next();
         dep_chunks.clear();
         let (lo, len) = task_box(pre, &geo.m, wc, t);
         for_each_box_run(&geo.m, &gs, &lo, &len, |start, rlen| {
@@ -791,18 +793,14 @@ fn connect_spread_edges<const D: usize>(
                     builder.add_edge(zero_base + s as NodeId, conv_shared[t]);
                 }
             }
-            let (Some(f), Some(cs)) = (&fft_out, chunk_stamp.as_mut()) else {
-                return;
-            };
-            let (fft, b) = (f.lay.fft, f.lay.tp.b);
             // The adjoint's axis 0 runs every tile: nothing precedes it.
-            let shard_of = |e: usize| f.lay.entry_shard_of(0, e).expect("axis 0 runs every tile");
-            if f.lay.tp.axes[0].shards.is_some() {
+            let shard_of = |e: usize| lay.entry_shard_of(0, e).expect("axis 0 runs every tile");
+            if lay.tp.axes[0].shards.is_some() {
                 // Four-step column groups decimate a line, so a contiguous
                 // run can cross entry shards: resolve per element.
                 for e in start..start + rlen {
                     let shard = shard_of(e);
-                    if cs.hit(shard) {
+                    if chunk_stamp.hit(shard) {
                         dep_chunks.push(shard as u32);
                     }
                 }
@@ -814,18 +812,16 @@ fn connect_spread_edges<const D: usize>(
                 let (t_first, t_last) =
                     (fft.tile_of_element(0, start, b), fft.tile_of_element(0, last, b));
                 for tile in t_first..=t_last {
-                    let chunk = f.lay.chunk_of_tile(0, tile).expect("axis 0 runs every tile");
-                    if cs.hit(chunk) {
+                    let chunk = lay.chunk_of_tile(0, tile).expect("axis 0 runs every tile");
+                    if chunk_stamp.hit(chunk) {
                         dep_chunks.push(chunk as u32);
                     }
                 }
             }
         });
-        if let Some(f) = &fft_out {
-            for &chunk in &dep_chunks {
-                for c in 0..f.channels {
-                    builder.add_edge(conv_shared[t], f.fft_base[c][0].0 + chunk as NodeId);
-                }
+        for &chunk in &dep_chunks {
+            for c in 0..channels {
+                builder.add_edge(conv_shared[t], fft_base[c][0].0 + chunk as NodeId);
             }
         }
     }
@@ -1067,40 +1063,20 @@ pub(crate) fn build_adjoint<const D: usize>(
     connect_spread_edges(
         &mut builder,
         geo,
+        &lay,
         pre,
         wc,
+        channels,
         zero_base,
         &conv_shared,
         slab,
-        Some(Axis0Wiring { lay: &lay, fft_base: &fft_base, channels }),
+        &fft_base,
     );
     connect_fft_chain(&mut builder, &lay, channels, &fft_base, None);
     connect_extract_inputs(&mut builder, geo, &lay, channels, &fft_base, &extract_base, img_chunk);
 
     apply_phase_priorities(&mut builder, true, D);
     FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk }
-}
-
-/// Builds the fused **spread-only** graph: the adjoint's zero and scatter
-/// fragments with nothing downstream — consumed by
-/// [`NufftPlan::spread_only`](crate::plan::NufftPlan::spread_only). The
-/// Gray-code exclusion edges and `zero → conv` wiring are identical to the
-/// full adjoint's, so the scattered grid is bitwise-identical to the
-/// phased spread at any thread count.
-pub(crate) fn build_spread<const D: usize>(
-    geo: &Geometry<D>,
-    pre: &Preprocess<D>,
-    wc: usize,
-    threads: usize,
-) -> FusedApply {
-    let grid_len = geo.grid_len();
-    let slab = piece_len(grid_len, threads);
-    let mut builder = DagBuilder::new();
-    let zero_base = emit_zero_fragment(&mut builder, grid_len, slab, 1);
-    let conv_shared = emit_spread_fragment(&mut builder, pre, 1);
-    connect_spread_edges(&mut builder, geo, pre, wc, zero_base, &conv_shared, slab, None);
-    apply_phase_priorities(&mut builder, true, D);
-    FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk: 0 }
 }
 
 /// Writes a Chrome `trace_event` JSON (load in `chrome://tracing` or

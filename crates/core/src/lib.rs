@@ -65,7 +65,7 @@ pub mod windows;
 
 pub use kernel::{InterpKernel, KernelChoice};
 pub use nufft_parallel::exec::JobPriority;
-pub use plan::{ExecMode, NufftConfig, NufftPlan, OpTimers};
+pub use plan::{NufftConfig, NufftPlan, OpTimers};
 pub use registry::{
     ApplyHandle, ApplyOp, ApplyRequest, NufftService, PlanKey, PlanLease, PlanRegistry,
     RegistryStats, TransformKind, Type3Lease,

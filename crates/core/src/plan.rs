@@ -20,65 +20,48 @@
 //! [`crate::type3::Type3Plan`] composes the same operators into a
 //! nonuniform→nonuniform (type-3) transform.
 //!
-//! All four transform paths (single and batched, forward and adjoint) run
-//! through *one* convolution engine — the stage drivers in `crate::stage` —
-//! so the batched variants are bitwise-identical to a loop of single
-//! applies at `C = 1` by construction, and the privatization protocol
-//! applies to the batched adjoint as well.
+//! Each direction runs as **one** fused whole-operator task graph per
+//! channel count (`crate::fused`, DESIGN.md §12): the single applies are
+//! the `C = 1` case of the batched ones, so batched output is
+//! bitwise-identical to a loop of single applies by construction, and the
+//! privatization protocol applies to the batched adjoint as well. The
+//! graph's convolution nodes run the same task bodies as the stage drivers
+//! in `crate::stage`, so every operator is bitwise-equal to the composition
+//! of its stage operators.
 //!
 //! Steady-state applies perform **zero heap allocations**: the task-graph
 //! run state, FFT tile scratch and four-step `fs` buffer live inside the
-//! stage operators, and pointer staging uses reusable plan vectors
-//! (verified by the umbrella crate's counting-allocator test).
+//! stage operators and the plan, and pointer staging uses reusable plan
+//! vectors (verified by the umbrella crate's counting-allocator test).
 //!
 //! Every phase is timed ([`OpTimers`]) and the adjoint convolution records
 //! per-worker/per-task execution logs ([`NufftPlan::last_run_stats`]) for
 //! the load-balance experiments.
 
-use crate::conv::{
-    adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
-};
+use crate::conv::Window;
 use crate::fused::{self, FusedApply, TilePlan, TileSet};
 use crate::grid::{embed_scaled_slab, extract_scaled_range, Geometry};
 use crate::kernel::{beatty_beta, InterpKernel, KernelChoice, DEFAULT_LUT_DENSITY};
 use crate::stage::{
-    check_kernel_fit, default_partitions, DeconvOp, FftOp, InterpOp, SendPtr, SpreadOp,
-    SAMPLE_GRAIN,
+    check_kernel_fit, default_partitions, DeconvOp, FftOp, Gather, InterpOp, Scatter, SendPtr,
+    SpreadOp, SAMPLE_GRAIN,
 };
 use crate::tasks::{preprocess, Preprocess, PreprocessConfig, SortMode};
 use crate::windows::{WindowMode, WindowSource, WindowTable};
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
-use nufft_parallel::exec::{DagScratch, Executor, JobPriority, RunStats, TaskPhase, TaskRecord};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority, RunStats, TaskRecord};
 use nufft_parallel::graph::{Dag, QueuePolicy, TaskGraph};
 use nufft_parallel::scratch::WorkerLocal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// How an operator application is scheduled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One heterogeneous task graph — built at plan time — covers the whole
-    /// operator (scale/zero slabs, per-axis FFT tile chunks, the scatter
-    /// task graph, gather/extract chunks) and runs in a single executor
-    /// dispatch with **no joins between phases**: a worker finishing its
-    /// last axis-0 FFT chunk starts an axis-1 chunk whose inputs are ready
-    /// while stragglers still work on axis 0. Output is bitwise-identical
-    /// to [`ExecMode::Phased`]. See `crate::fused` and DESIGN.md §12.
-    #[default]
-    Fused,
-    /// The historical pipeline: each phase is a separate executor dispatch
-    /// with an implicit join after it (`D + 2` joins per apply). Retained
-    /// for A/B measurement (`benches/fused.rs`) and for experiments that
-    /// want clean per-phase attribution.
-    Phased,
-}
-
 /// Plan construction knobs. `Default` reproduces the paper's main
 /// configuration: α = 2, W = 4, priority queue, variable-width partitions,
 /// selective privatization on, and the §III-D sample sort on `Auto`
-/// (tile-major layout when the trajectory is disordered).
+/// (tile-major layout when the trajectory is disordered). No knob picks a
+/// schedule: every apply runs as one fused task graph (DESIGN.md §12).
 #[derive(Clone, Copy, Debug)]
 pub struct NufftConfig {
     /// Grid oversampling factor α = M/N.
@@ -113,10 +96,6 @@ pub struct NufftConfig {
     /// chosen automatically under a memory budget. See
     /// [`crate::windows::WindowMode`] and `benches/windows.rs`.
     pub window_mode: WindowMode,
-    /// Whole-operator scheduling: one fused task graph (default) or the
-    /// historical barrier-per-phase pipeline. Bitwise-identical output
-    /// either way.
-    pub exec_mode: ExecMode,
     /// Admission priority of this plan's dispatches when several tenants
     /// share one persistent pool: the fair-share scheduler grants runnable
     /// jobs worker steps proportional to their priority tickets, so a
@@ -148,7 +127,6 @@ impl Default for NufftConfig {
             kernel: KernelChoice::KaiserBessel,
             lut_density: DEFAULT_LUT_DENSITY,
             window_mode: WindowMode::OnTheFly,
-            exec_mode: ExecMode::Fused,
             admission: JobPriority::Normal,
             fft_strategy: FftStrategy::Auto,
             fft_llc_budget: nufft_fft::DEFAULT_LLC_BUDGET,
@@ -173,7 +151,7 @@ impl NufftConfig {
     }
 
     /// Re-derives this config's kernel parameters from a tolerance,
-    /// keeping all non-kernel knobs (threads, sort, exec mode, …). Uses
+    /// keeping all non-kernel knobs (threads, sort, FFT strategy, …). Uses
     /// the default ES family; see [`NufftConfig::with_tolerance_family`]
     /// for the per-family mapping rules.
     ///
@@ -233,7 +211,9 @@ impl NufftConfig {
 }
 
 /// Wall-clock breakdown of one operator application, in seconds — the
-/// quantities behind Figures 3 and 8.
+/// quantities behind Figures 3 and 8. Each phase is the span its node
+/// kinds were in flight in the fused graph (first start to last end).
+/// The graph overlaps phases, so the spans can sum to more than `total`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OpTimers {
     /// Scale phase: roll-off multiply + embed/extract.
@@ -271,24 +251,21 @@ pub struct NufftPlan<const D: usize> {
     fft_op: FftOp,
     /// Roll-off correction stage (geometry + scale array).
     deconv: DeconvOp<D>,
-    grid: Vec<Complex32>,
-    /// Extra grids for the batched (multi-coil) operators, grown on demand.
-    batch_grids: Vec<Vec<Complex32>>,
-    /// Reusable pointer staging for the batched operators.
-    ptr_scratch: Vec<SendPtr<Complex32>>,
-    /// Second staging vector for operators that need two pointer sets at
-    /// once (fused batch: grids + outputs).
-    ptr_scratch2: Vec<SendPtr<Complex32>>,
+    /// Oversampled grids, one per channel of the widest apply so far.
+    /// `grids[0]` is allocated at build; it is also the workspace of the
+    /// convolution-only entry points.
+    grids: Vec<Vec<Complex32>>,
+    /// Reusable per-channel pointer staging of one apply: its grids and
+    /// its outputs.
+    grid_ptrs: Vec<SendPtr<Complex32>>,
+    out_ptrs: Vec<SendPtr<Complex32>>,
     /// Fused whole-operator graphs, cached per channel count: `(C, graph)`.
     fused_fwd: Vec<(usize, FusedApply)>,
     fused_adj: Vec<(usize, FusedApply)>,
-    /// Fused spread-only graph (zero slabs + scatter task graph, no FFT or
-    /// extract fragments), built on first [`NufftPlan::spread_only`].
-    fused_spread: Option<FusedApply>,
     /// Reusable fused-graph run state (shards, pending counters, node logs).
     dag_scratch: DagScratch,
     /// Conv-phase stats synthesized from the last fused adjoint's node log,
-    /// shaped like the phased scheduler's (for `last_run_stats`).
+    /// shaped like the spread stage driver's (for `last_run_stats`).
     fused_stats: RunStats,
     preprocess_seconds: f64,
     last_forward: OpTimers,
@@ -297,11 +274,14 @@ pub struct NufftPlan<const D: usize> {
     stats_source: StatsSource,
 }
 
-/// Where `last_run_stats` should read from (nowhere until an adjoint ran).
+/// Where `last_run_stats` should read from (nowhere until a scatter ran).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum StatsSource {
     None,
-    Phased,
+    /// The spread stage driver's own log (`spread_only`,
+    /// `adjoint_convolution_only`).
+    Stage,
+    /// Synthesized from the fused adjoint graph's node log.
     Fused,
 }
 
@@ -451,7 +431,7 @@ impl<const D: usize> NufftPlan<D> {
         let spread = SpreadOp::from_parts(geo.m, pre, kernel, cfg.w as f32, cfg.policy, windows);
         let interp = InterpOp::from_spread(&spread);
 
-        let grid = vec![Complex32::ZERO; geo.grid_len()];
+        let grids = vec![vec![Complex32::ZERO; geo.grid_len()]];
         NufftPlan {
             cfg,
             geo,
@@ -460,13 +440,11 @@ impl<const D: usize> NufftPlan<D> {
             interp,
             fft_op,
             deconv,
-            grid,
-            batch_grids: Vec::new(),
-            ptr_scratch: Vec::new(),
-            ptr_scratch2: Vec::new(),
+            grids,
+            grid_ptrs: Vec::new(),
+            out_ptrs: Vec::new(),
             fused_fwd: Vec::new(),
             fused_adj: Vec::new(),
-            fused_spread: None,
             dag_scratch: DagScratch::new(),
             fused_stats: RunStats::default(),
             preprocess_seconds,
@@ -536,43 +514,39 @@ impl<const D: usize> NufftPlan<D> {
         self.spread.pre.canonical_revisits
     }
 
-    /// Phase breakdown of the most recent [`NufftPlan::forward`].
+    /// Phase breakdown of the most recent forward apply
+    /// ([`NufftPlan::forward`] or [`NufftPlan::forward_batch`]). The first
+    /// apply at a channel count also builds its graph inside `total`; warm
+    /// the plan before timing it.
     pub fn forward_timers(&self) -> OpTimers {
         self.last_forward
     }
 
-    /// Phase breakdown of the most recent [`NufftPlan::adjoint`].
+    /// Phase breakdown of the most recent adjoint apply
+    /// ([`NufftPlan::adjoint`] or [`NufftPlan::adjoint_batch`]); see
+    /// [`NufftPlan::forward_timers`] on cold applies.
     pub fn adjoint_timers(&self) -> OpTimers {
         self.last_adjoint
     }
 
     /// Per-worker/per-task execution log of the most recent adjoint
-    /// convolution. Under [`ExecMode::Fused`] this is synthesized from the
-    /// fused run's node log (conv/priv/reduce nodes only), so consumers see
-    /// the same shape either way.
+    /// scatter. After [`NufftPlan::adjoint`] or [`NufftPlan::adjoint_batch`]
+    /// it is synthesized from the fused graph's conv/priv/reduce node
+    /// records; after [`NufftPlan::spread_only`] or
+    /// [`NufftPlan::adjoint_convolution_only`] it is the [`SpreadOp`] task
+    /// driver's own log. Consumers see the same shape either way.
     pub fn last_run_stats(&self) -> Option<&RunStats> {
         match self.stats_source {
             StatsSource::None => None,
-            StatsSource::Phased => Some(self.spread.scratch.stats()),
+            StatsSource::Stage => Some(self.spread.scratch.stats()),
             StatsSource::Fused => Some(&self.fused_stats),
         }
     }
 
-    /// The active scheduling mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.cfg.exec_mode
-    }
-
-    /// Switches between the fused whole-operator graph and the historical
-    /// phased pipeline. Output is bitwise-identical in both modes; only
-    /// scheduling (and hence timing attribution) changes.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.cfg.exec_mode = mode;
-    }
-
     /// The fused whole-operator graph for one direction and channel count,
     /// building (and caching) it if this plan hasn't used it yet — consumed
-    /// by the `nufft-sim` fused-vs-phased replay experiments.
+    /// by `nufft-sim`, which replays it barrier-free and join-per-phase to
+    /// model what fusion buys at core counts the host lacks.
     pub fn fused_dag(&mut self, adjoint: bool, channels: usize) -> &Dag {
         let i = self.ensure_fused(adjoint, channels);
         let cache = if adjoint { &self.fused_adj } else { &self.fused_fwd };
@@ -694,248 +668,47 @@ impl<const D: usize> NufftPlan<D> {
     }
 
     /// Forward NUFFT: image → samples. `out[p]` receives the DTFT
-    /// approximation at trajectory point `p` (original sample order).
+    /// approximation at trajectory point `p` (original sample order). The
+    /// `C = 1` case of [`NufftPlan::forward_batch`].
     ///
     /// # Panics
     /// Panics if buffer lengths don't match the plan.
     pub fn forward(&mut self, image: &[Complex32], out: &mut [Complex32]) {
-        assert_eq!(image.len(), self.geo.image_len(), "image length mismatch");
-        assert_eq!(out.len(), self.num_samples(), "sample buffer length mismatch");
-        let t_start = Instant::now();
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            let idx = self.ensure_fused(false, 1);
-            let grid_ptrs = [SendPtr(self.grid.as_mut_ptr())];
-            let out_ptrs = [SendPtr(out.as_mut_ptr())];
-            let images = [image];
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self { cfg, geo, exec, spread, fft_op, deconv, dag_scratch, fused_fwd, .. } =
-                    self;
-                let fa = &fused_fwd[idx].1;
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_forward_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    &images,
-                    &grid_ptrs,
-                    &out_ptrs,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            self.last_forward = Self::fused_forward_timers(
-                self.dag_scratch.stats(),
-                t_start,
-                twiddle_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            );
-            self.trace_fused(false);
-            return;
-        }
-
-        // Phase 1: scale + embed.
-        let t0 = Instant::now();
-        self.deconv.embed(image, &mut self.grid);
-        let scale_t = t0.elapsed().as_secs_f64();
-
-        // Phase 2: oversampled FFT (lines parallelized per axis).
-        let t0 = Instant::now();
-        let split = self.fft_op.apply_split(
-            &self.exec,
-            &mut self.grid,
-            Direction::Forward,
-            TileSet::Forward,
-        );
-        let fft_t = t0.elapsed().as_secs_f64();
-
-        // Phase 3: gather convolution, dynamic loop partitioning.
-        let t0 = Instant::now();
-        let out_ptrs = [SendPtr(out.as_mut_ptr())];
-        self.interp.gather_ptrs(&self.exec, core::slice::from_ref(&self.grid), &out_ptrs);
-        let conv_t = t0.elapsed().as_secs_f64();
-
-        self.last_forward = OpTimers {
-            scale: scale_t,
-            fft: fft_t,
-            conv: conv_t,
-            total: t_start.elapsed().as_secs_f64(),
-            fft_sub: split.sub,
-            fft_transpose: split.transpose,
-            fft_twiddle: split.twiddle,
-        };
+        self.forward_batch(&[image], &mut [out]);
     }
 
     /// Adjoint NUFFT: samples → image. Exact conjugate-transpose of
     /// [`NufftPlan::forward`] (no normalization is applied; divide by
-    /// `Π M_d` for the inverse-FFT convention).
+    /// `Π M_d` for the inverse-FFT convention). The `C = 1` case of
+    /// [`NufftPlan::adjoint_batch`].
     ///
     /// # Panics
     /// Panics if buffer lengths don't match the plan.
     pub fn adjoint(&mut self, samples: &[Complex32], out: &mut [Complex32]) {
-        assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
-        assert_eq!(out.len(), self.geo.image_len(), "image length mismatch");
-        let t_start = Instant::now();
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            let idx = self.ensure_fused(true, 1);
-            self.spread.refresh_priv_ptrs();
-            let grid_ptrs = [SendPtr(self.grid.as_mut_ptr())];
-            let out_ptrs = [SendPtr(out.as_mut_ptr())];
-            let samples_by_channel = [samples];
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self { cfg, geo, exec, spread, fft_op, deconv, dag_scratch, fused_adj, .. } =
-                    self;
-                let fa = &fused_adj[idx].1;
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_adjoint_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    &grid_ptrs,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
-                    &samples_by_channel,
-                    &out_ptrs,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            Self::synth_conv_stats(
-                self.dag_scratch.stats(),
-                &mut self.fused_stats,
-                self.spread.pre.canonical_revisits,
-            );
-            self.stats_source = StatsSource::Fused;
-            self.last_adjoint = Self::fused_adjoint_timers(
-                self.dag_scratch.stats(),
-                t_start,
-                twiddle_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            );
-            self.trace_fused(true);
-            return;
-        }
-
-        // Phase 1: scatter convolution under the task graph.
-        let t0 = Instant::now();
-        self.grid.fill(Complex32::ZERO);
-        self.run_adjoint_convolution(samples);
-        let conv_t = t0.elapsed().as_secs_f64();
-
-        // Phase 2: unnormalized backward FFT (the exact FFT adjoint).
-        let t0 = Instant::now();
-        let split = self.fft_op.apply_split(
-            &self.exec,
-            &mut self.grid,
-            Direction::Backward,
-            TileSet::Adjoint,
-        );
-        let fft_t = t0.elapsed().as_secs_f64();
-
-        // Phase 3: extract + scale.
-        let t0 = Instant::now();
-        self.deconv.extract(&self.grid, out);
-        let scale_t = t0.elapsed().as_secs_f64();
-
-        self.last_adjoint = OpTimers {
-            scale: scale_t,
-            fft: fft_t,
-            conv: conv_t,
-            total: t_start.elapsed().as_secs_f64(),
-            fft_sub: split.sub,
-            fft_transpose: split.transpose,
-            fft_twiddle: split.twiddle,
-        };
+        self.adjoint_batch(&[samples], &mut [out]);
     }
 
     /// Standalone adjoint **spread**: scatters `samples` onto the
-    /// oversampled grid `grid` (length [`NufftPlan::grid_len`]) — the
-    /// convolution stage alone, no FFT or deconvolution. `grid` is zeroed
-    /// first; the accumulation order is the canonical tile-major one, so
-    /// output is bitwise-deterministic across thread counts, sort modes
-    /// and exec modes (the fused spread graph carries the same Gray-code
-    /// exclusion edges as the full adjoint).
+    /// oversampled grid `grid` (length [`NufftPlan::grid_len`]) through the
+    /// plan's [`SpreadOp`] — the convolution stage alone, no FFT or
+    /// deconvolution. `grid` is zeroed first; the accumulation order is the
+    /// canonical tile-major one, so output is bitwise-deterministic across
+    /// thread counts and sort modes, and bitwise-equal to the scatter inside
+    /// [`NufftPlan::adjoint`] (whose graph carries the same Gray-code
+    /// exclusion edges and task bodies).
     ///
     /// # Panics
     /// Panics if buffer lengths don't match the plan.
     pub fn spread_only(&mut self, samples: &[Complex32], grid: &mut [Complex32]) {
-        assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
-        assert_eq!(grid.len(), self.geo.grid_len(), "grid buffer length mismatch");
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            self.ensure_fused_spread();
-            self.spread.refresh_priv_ptrs();
-            let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
-            let out_ptrs: [SendPtr<Complex32>; 0] = [];
-            let samples_by_channel = [samples];
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self {
-                    cfg, geo, exec, spread, fft_op, deconv, dag_scratch, fused_spread, ..
-                } = self;
-                let fa = fused_spread.as_ref().expect("spread graph just built");
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_adjoint_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    &grid_ptrs,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
-                    &samples_by_channel,
-                    &out_ptrs,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            Self::synth_conv_stats(
-                self.dag_scratch.stats(),
-                &mut self.fused_stats,
-                self.spread.pre.canonical_revisits,
-            );
-            self.stats_source = StatsSource::Fused;
-            return;
-        }
-
         self.spread.apply(&self.exec, self.cfg.admission, samples, grid);
-        self.stats_source = StatsSource::Phased;
+        self.stats_source = StatsSource::Stage;
     }
 
     /// Standalone forward **interpolation**: gathers every sample's value
     /// from an oversampled grid (length [`NufftPlan::grid_len`]) into
-    /// `out` (original caller order). Pure reads of `grid`; the same
-    /// single dynamic-loop dispatch under either exec mode.
+    /// `out` (original caller order) through the plan's [`InterpOp`]: pure
+    /// reads of `grid` in one dynamic-loop dispatch, with the gather body
+    /// the fused forward graph runs.
     ///
     /// # Panics
     /// Panics if buffer lengths don't match the plan.
@@ -960,76 +733,60 @@ impl<const D: usize> NufftPlan<D> {
         if channels == 0 {
             return;
         }
-        self.ensure_batch_grids(channels);
         for c in 0..channels {
             assert_eq!(images[c].len(), self.geo.image_len(), "image {c} length mismatch");
             assert_eq!(outs[c].len(), self.num_samples(), "output {c} length mismatch");
         }
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            // One graph fuses all channels' embed + FFT with the shared
-            // gather — channel c's axis-1 chunks overlap channel c+1's
-            // axis-0 chunks instead of running as C sequential pipelines.
-            let idx = self.ensure_fused(false, channels);
-            self.ptr_scratch.clear();
-            self.ptr_scratch.extend(outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())));
-            self.ptr_scratch2.clear();
-            self.ptr_scratch2
-                .extend(self.batch_grids[..channels].iter_mut().map(|g| SendPtr(g.as_mut_ptr())));
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self {
-                    cfg,
-                    geo,
-                    exec,
-                    spread,
-                    fft_op,
-                    deconv,
-                    dag_scratch,
-                    fused_fwd,
-                    ptr_scratch,
-                    ptr_scratch2,
-                    ..
-                } = self;
-                let fa = &fused_fwd[idx].1;
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_forward_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    images,
-                    ptr_scratch2,
-                    ptr_scratch,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            self.trace_fused(false);
-            return;
-        }
-
-        for c in 0..channels {
-            self.deconv.embed(images[c], &mut self.batch_grids[c]);
-            self.fft_op.apply_split(
-                &self.exec,
-                &mut self.batch_grids[c],
-                Direction::Forward,
-                TileSet::Forward,
+        let t_start = Instant::now();
+        // One graph fuses all channels' embed + FFT with the shared
+        // gather — channel c's axis-1 chunks overlap channel c+1's
+        // axis-0 chunks instead of running as C sequential pipelines.
+        let idx = self.ensure_fused(false, channels);
+        self.stage_ptrs(outs);
+        let twiddle_ns = AtomicU64::new(0);
+        {
+            let Self {
+                cfg,
+                geo,
+                exec,
+                spread,
+                fft_op,
+                deconv,
+                dag_scratch,
+                fused_fwd,
+                grid_ptrs,
+                out_ptrs,
+                ..
+            } = self;
+            let fa = &fused_fwd[idx].1;
+            let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
+            let source = spread.window_source();
+            Self::fused_forward_run(
+                exec,
+                cfg.policy,
+                cfg.admission,
+                dag_scratch,
+                fa,
+                &fft_op.tile_plan,
+                &fft_op.fft,
+                geo,
+                &deconv.scale,
+                &spread.pre,
+                &source,
+                &fft_op.scratch,
+                images,
+                grid_ptrs,
+                out_ptrs,
+                fs_ptr,
+                &twiddle_ns,
             );
         }
-        self.ptr_scratch.clear();
-        self.ptr_scratch.extend(outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())));
-        self.interp.gather_ptrs(&self.exec, &self.batch_grids[..channels], &self.ptr_scratch);
+        self.last_forward = Self::fused_forward_timers(
+            self.dag_scratch.stats(),
+            t_start,
+            twiddle_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+        );
+        self.trace_fused(false);
     }
 
     /// Batched adjoint NUFFT over `C` sample vectors sharing this
@@ -1049,119 +806,100 @@ impl<const D: usize> NufftPlan<D> {
             assert_eq!(samples[c].len(), self.num_samples(), "samples {c} length mismatch");
             assert_eq!(outs[c].len(), self.geo.image_len(), "output {c} length mismatch");
         }
-        self.ensure_batch_grids(channels);
+        let t_start = Instant::now();
+        // One graph covers zeroing, the privatized scatter protocol,
+        // every channel's inverse FFT and the extracts — per-channel
+        // FFTs overlap each other and the scatter's tail.
+        let idx = self.ensure_fused(true, channels);
         self.spread.ensure_priv_channels(channels);
         self.spread.refresh_priv_ptrs();
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            // One graph covers zeroing, the privatized scatter protocol,
-            // every channel's inverse FFT and the extracts — per-channel
-            // FFTs overlap each other and the scatter's tail.
-            let idx = self.ensure_fused(true, channels);
-            self.ptr_scratch.clear();
-            self.ptr_scratch
-                .extend(self.batch_grids[..channels].iter_mut().map(|g| SendPtr(g.as_mut_ptr())));
-            self.ptr_scratch2.clear();
-            self.ptr_scratch2.extend(outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())));
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self {
-                    cfg,
-                    geo,
-                    exec,
-                    spread,
-                    fft_op,
-                    deconv,
-                    dag_scratch,
-                    fused_adj,
-                    ptr_scratch,
-                    ptr_scratch2,
-                    ..
-                } = self;
-                let fa = &fused_adj[idx].1;
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_adjoint_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    ptr_scratch,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
-                    samples,
-                    ptr_scratch2,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            Self::synth_conv_stats(
-                self.dag_scratch.stats(),
-                &mut self.fused_stats,
-                self.spread.pre.canonical_revisits,
-            );
-            self.stats_source = StatsSource::Fused;
-            self.trace_fused(true);
-            return;
-        }
-
-        for g in &mut self.batch_grids[..channels] {
-            g.fill(Complex32::ZERO);
-        }
-        self.ptr_scratch.clear();
-        self.ptr_scratch
-            .extend(self.batch_grids[..channels].iter_mut().map(|g| SendPtr(g.as_mut_ptr())));
+        self.stage_ptrs(outs);
+        let twiddle_ns = AtomicU64::new(0);
         {
-            let Self { cfg, exec, spread, ptr_scratch, .. } = self;
-            spread.accumulate_ptrs(exec, cfg.admission, ptr_scratch, samples);
-        }
-        self.stats_source = StatsSource::Phased;
-        for c in 0..channels {
-            self.fft_op.apply_split(
-                &self.exec,
-                &mut self.batch_grids[c],
-                Direction::Backward,
-                TileSet::Adjoint,
+            let Self {
+                cfg,
+                geo,
+                exec,
+                spread,
+                fft_op,
+                deconv,
+                dag_scratch,
+                fused_adj,
+                grid_ptrs,
+                out_ptrs,
+                ..
+            } = self;
+            let fa = &fused_adj[idx].1;
+            let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
+            let source = spread.window_source();
+            Self::fused_adjoint_run(
+                exec,
+                cfg.policy,
+                cfg.admission,
+                dag_scratch,
+                fa,
+                &fft_op.tile_plan,
+                &fft_op.fft,
+                geo,
+                &deconv.scale,
+                &spread.pre,
+                &source,
+                &fft_op.scratch,
+                grid_ptrs,
+                &spread.priv_ptrs,
+                &spread.buf_of_task,
+                samples,
+                out_ptrs,
+                fs_ptr,
+                &twiddle_ns,
             );
-            self.deconv.extract(&self.batch_grids[c], outs[c]);
         }
+        Self::synth_conv_stats(
+            self.dag_scratch.stats(),
+            &mut self.fused_stats,
+            self.spread.pre.canonical_revisits,
+        );
+        self.stats_source = StatsSource::Fused;
+        self.last_adjoint = Self::fused_adjoint_timers(
+            self.dag_scratch.stats(),
+            t_start,
+            twiddle_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+        );
+        self.trace_fused(true);
     }
 
-    fn ensure_batch_grids(&mut self, channels: usize) {
+    /// Stages the grid and output pointers of an apply over `outs.len()`
+    /// channels, growing the grid set if needed. Reuses the vectors'
+    /// capacity — allocation-free once warm.
+    fn stage_ptrs(&mut self, outs: &mut [&mut [Complex32]]) {
+        let channels = outs.len();
         let glen = self.geo.grid_len();
-        while self.batch_grids.len() < channels {
-            self.batch_grids.push(vec![Complex32::ZERO; glen]);
+        while self.grids.len() < channels {
+            self.grids.push(vec![Complex32::ZERO; glen]);
         }
+        self.grid_ptrs.clear();
+        self.grid_ptrs.extend(self.grids[..channels].iter_mut().map(|g| SendPtr(g.as_mut_ptr())));
+        self.out_ptrs.clear();
+        self.out_ptrs.extend(outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr())));
     }
 
     /// Runs only the adjoint *convolution* (grid zeroing + scatter under
-    /// the task graph) and returns its wall time in seconds. The grid
-    /// workspace afterwards holds the scattered data. Used by throughput
-    /// experiments (Table III) that must not pay for the FFT per
-    /// measurement.
+    /// the task graph, through the plan's [`SpreadOp`]) and returns its
+    /// wall time in seconds. The grid workspace afterwards holds the
+    /// scattered data. Used by throughput experiments (Table III) that
+    /// must not pay for the FFT per measurement.
     pub fn adjoint_convolution_only(&mut self, samples: &[Complex32]) -> f64 {
-        assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
         let t0 = Instant::now();
-        self.grid.fill(Complex32::ZERO);
-        self.run_adjoint_convolution(samples);
+        self.spread.apply(&self.exec, self.cfg.admission, samples, &mut self.grids[0]);
+        self.stats_source = StatsSource::Stage;
         t0.elapsed().as_secs_f64()
     }
 
     /// Runs only the forward *convolution* (gather from the current grid
     /// workspace contents) and returns its wall time in seconds.
     pub fn forward_convolution_only(&mut self, out: &mut [Complex32]) -> f64 {
-        assert_eq!(out.len(), self.num_samples(), "sample buffer length mismatch");
         let t0 = Instant::now();
-        let out_ptrs = [SendPtr(out.as_mut_ptr())];
-        self.interp.gather_ptrs(&self.exec, core::slice::from_ref(&self.grid), &out_ptrs);
+        self.interp.apply(&self.exec, &self.grids[0], out);
         t0.elapsed().as_secs_f64()
     }
 
@@ -1181,15 +919,6 @@ impl<const D: usize> NufftPlan<D> {
         }
         std::hint::black_box(sink);
         t0.elapsed().as_secs_f64()
-    }
-
-    /// Scatter convolution of all samples into the (pre-zeroed) grid under
-    /// the task graph, including the privatization protocol. Single-channel
-    /// entry point over the spread stage.
-    fn run_adjoint_convolution(&mut self, samples: &[Complex32]) {
-        let grid_ptrs = [SendPtr(self.grid.as_mut_ptr())];
-        self.spread.accumulate_ptrs(&self.exec, self.cfg.admission, &grid_ptrs, &[samples]);
-        self.stats_source = StatsSource::Phased;
     }
 
     /// Builds (or finds the cached) fused graph for one direction and
@@ -1229,16 +958,6 @@ impl<const D: usize> NufftPlan<D> {
         let cache = if adjoint { &mut self.fused_adj } else { &mut self.fused_fwd };
         cache.push((channels, fa));
         cache.len() - 1
-    }
-
-    /// Builds (once) the fused spread-only graph: the adjoint graph's zero
-    /// and scatter fragments with no FFT or extract stages downstream.
-    fn ensure_fused_spread(&mut self) {
-        if self.fused_spread.is_none() {
-            let wc = self.cfg.w.ceil() as usize;
-            self.fused_spread =
-                Some(fused::build_spread(&self.geo, &self.spread.pre, wc, self.exec.threads()));
-        }
     }
 
     /// Executes one fused four-step shard ([`fused::KIND_FFT_SUB`] or
@@ -1316,9 +1035,10 @@ impl<const D: usize> NufftPlan<D> {
     }
 
     /// Executes a fused forward graph: scale slabs, FFT tile chunks and
-    /// gather chunks dispatched as one DAG. Every node body is the same
-    /// code the stage drivers run over the same decomposition, so the
-    /// output is bitwise-identical to the phased pipeline.
+    /// gather chunks dispatched as one DAG. The gather nodes run the
+    /// [`InterpOp`]'s own body ([`Gather::run`]) and every other node writes
+    /// disjoint elements, so the output is bitwise-identical to the stage
+    /// composition.
     #[allow(clippy::too_many_arguments)]
     fn fused_forward_run(
         exec: &Executor,
@@ -1339,11 +1059,9 @@ impl<const D: usize> NufftPlan<D> {
         fs: SendPtr<Complex32>,
         twiddle_ns: &AtomicU64,
     ) {
-        let channels = grid_ptrs.len();
         let grid_len = geo.grid_len();
-        let m = &geo.m;
-        let order = &pre.order;
         let b = tp.b;
+        let gather = Gather { pre, source, m: &geo.m, grid_ptrs, grid_len, out_ptrs };
         exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
                 fused::KIND_SCALE => {
@@ -1395,50 +1113,12 @@ impl<const D: usize> NufftPlan<D> {
                 }
                 fused::KIND_GATHER => {
                     let (lo, hi) = fa.chunks[fused::index_of(tag)];
-                    let mut stage = [Window::EMPTY; D];
-                    for i in lo as usize..hi as usize {
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        let mut c = 0;
-                        while c + 2 <= channels {
-                            // SAFETY: the chunk's task-box elements are
-                            // fully transformed (last-axis → gather edges)
-                            // and nothing writes the grids once their
-                            // readers start; concurrent gathers only read.
-                            let (ga, gb) = unsafe {
-                                (
-                                    core::slice::from_raw_parts(
-                                        grid_ptrs[c].get() as *const Complex32,
-                                        grid_len,
-                                    ),
-                                    core::slice::from_raw_parts(
-                                        grid_ptrs[c + 1].get() as *const Complex32,
-                                        grid_len,
-                                    ),
-                                )
-                            };
-                            let (va, vb) = forward_gather2(ga, gb, m, &win);
-                            // SAFETY: `order` is a permutation; each (c, i)
-                            // writes a distinct slot of channel c's output.
-                            unsafe {
-                                *out_ptrs[c].get().add(slot) = va;
-                                *out_ptrs[c + 1].get().add(slot) = vb;
-                            }
-                            c += 2;
-                        }
-                        if c < channels {
-                            // SAFETY: as above.
-                            let g = unsafe {
-                                core::slice::from_raw_parts(
-                                    grid_ptrs[c].get() as *const Complex32,
-                                    grid_len,
-                                )
-                            };
-                            let v = forward_gather(g, m, &win);
-                            // SAFETY: as above.
-                            unsafe { *out_ptrs[c].get().add(slot) = v };
-                        }
-                    }
+                    // SAFETY: the chunk's task-box elements are fully
+                    // transformed (last-axis → gather edges) and nothing
+                    // writes the grids once their readers start; gather
+                    // chunks partition the samples, so their output slots
+                    // are disjoint.
+                    unsafe { gather.run(lo as usize..hi as usize) };
                 }
                 k => unreachable!("node kind {k} in a forward graph"),
             }
@@ -1447,10 +1127,10 @@ impl<const D: usize> NufftPlan<D> {
 
     /// Executes a fused adjoint graph: zero slabs, the scatter task graph
     /// (with the privatization protocol), per-channel inverse-FFT chunks
-    /// and extract chunks as one DAG. Bitwise-identical to the phased
-    /// pipeline — the Gray-code exclusion edges fix the accumulation order.
-    /// A spread-only graph (no FFT/extract fragments) runs through the
-    /// same dispatcher with an empty `out_ptrs`.
+    /// and extract chunks as one DAG. The conv/priv/reduce nodes run the
+    /// [`SpreadOp`]'s own task bodies ([`Scatter::run_task`]) under the
+    /// same Gray-code exclusion edges, which fix the accumulation order, so
+    /// the output is bitwise-identical to the stage composition.
     #[allow(clippy::too_many_arguments)]
     fn fused_adjoint_run(
         exec: &Executor,
@@ -1473,12 +1153,19 @@ impl<const D: usize> NufftPlan<D> {
         fs: SendPtr<Complex32>,
         twiddle_ns: &AtomicU64,
     ) {
-        let channels = grid_ptrs.len();
         let grid_len = geo.grid_len();
         let image_len = geo.image_len();
-        let m = &geo.m;
-        let order = &pre.order;
         let b = tp.b;
+        let scatter = Scatter {
+            pre,
+            source,
+            m: &geo.m,
+            grid_ptrs,
+            grid_len,
+            priv_ptrs,
+            buf_of_task,
+            samples,
+        };
         exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
                 fused::KIND_ZERO => {
@@ -1492,62 +1179,14 @@ impl<const D: usize> NufftPlan<D> {
                             .fill(Complex32::ZERO);
                     }
                 }
-                fused::KIND_CONV => {
-                    let t = fused::index_of(tag);
-                    let mut stage = [Window::EMPTY; D];
-                    for vi in pre.ranges[t].clone() {
-                        let i = pre.visit(vi);
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        for (c, gp) in grid_ptrs.iter().enumerate() {
-                            // SAFETY: the Gray-code edges serialize adjacent
-                            // tasks exactly as the phased scheduler does;
-                            // this task only touches its own halo box.
-                            let grid =
-                                unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
-                            adjoint_scatter(grid, m, &win, samples[c][slot]);
-                        }
-                    }
-                }
-                fused::KIND_PRIV => {
-                    let t = fused::index_of(tag);
-                    let region = pre.regions[t].expect("privatized task has region");
-                    let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                    // SAFETY: each privatized task owns its buffer
-                    // exclusively; its reduce node is ordered after this
-                    // one by an edge.
-                    let buf_all =
-                        unsafe { core::slice::from_raw_parts_mut(base.get(), channels * clen) };
-                    buf_all.fill(Complex32::ZERO);
-                    let mut stage = [Window::EMPTY; D];
-                    for vi in pre.ranges[t].clone() {
-                        let i = pre.visit(vi);
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        for c in 0..channels {
-                            adjoint_scatter_local(
-                                &mut buf_all[c * clen..(c + 1) * clen],
-                                &region.origin,
-                                &region.size,
-                                &win,
-                                samples[c][slot],
-                            );
-                        }
-                    }
-                }
-                fused::KIND_REDUCE => {
-                    let t = fused::index_of(tag);
-                    let region = pre.regions[t].expect("privatized task has region");
-                    let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                    for (c, gp) in grid_ptrs.iter().enumerate() {
-                        // SAFETY: reductions carry the task's exclusion
-                        // edges; the private buffer was filled by the
-                        // convolve node this one depends on.
-                        let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
-                        let buf =
-                            unsafe { core::slice::from_raw_parts(base.get().add(c * clen), clen) };
-                        reduce_local(grid, m, buf, &region.origin, &region.size);
-                    }
+                kind @ (fused::KIND_CONV | fused::KIND_PRIV | fused::KIND_REDUCE) => {
+                    let phase = fused::task_phase(kind).expect("a scatter-task kind");
+                    // SAFETY: the Gray-code edges serialize adjacent tasks'
+                    // shared-grid writes exactly as the stage driver's task
+                    // graph does, each reduce node follows its convolve
+                    // node, and the zero slabs covering a task's box
+                    // precede it.
+                    unsafe { scatter.run_task(fused::index_of(tag), phase) };
                 }
                 fused::KIND_FFT => {
                     let axis = fused::axis_of(tag);
@@ -1628,8 +1267,8 @@ impl<const D: usize> NufftPlan<D> {
         }
     }
 
-    /// Adjoint phase timers from a fused node log (conv includes zeroing,
-    /// as in the phased pipeline).
+    /// Adjoint phase timers from a fused node log (conv includes the grid
+    /// zeroing).
     fn fused_adjoint_timers(
         stats: &nufft_parallel::exec::DagRunStats,
         t_start: Instant,
@@ -1653,9 +1292,9 @@ impl<const D: usize> NufftPlan<D> {
         }
     }
 
-    /// Rebuilds `fused_stats` (shaped like the phased scheduler's
+    /// Rebuilds `fused_stats` (shaped like the spread stage driver's
     /// [`RunStats`]) from the conv/priv/reduce records of a fused run, so
-    /// `last_run_stats` serves the load-balance experiments in either mode.
+    /// `last_run_stats` has one shape whichever path scattered last.
     /// Reuses the destination's capacity — allocation-free once warm.
     fn synth_conv_stats(
         src: &nufft_parallel::exec::DagRunStats,
@@ -1669,11 +1308,8 @@ impl<const D: usize> NufftPlan<D> {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for r in &src.log {
-            let phase = match fused::kind_of(r.tag) {
-                fused::KIND_CONV => TaskPhase::Normal,
-                fused::KIND_PRIV => TaskPhase::PrivateConvolve,
-                fused::KIND_REDUCE => TaskPhase::Reduce,
-                _ => continue,
+            let Some(phase) = fused::task_phase(fused::kind_of(r.tag)) else {
+                continue;
             };
             dst.log.push(TaskRecord {
                 task: fused::index_of(r.tag),

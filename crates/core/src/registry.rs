@@ -567,7 +567,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ExecMode;
     use crate::windows::WindowMode;
 
     fn traj2(count: usize) -> Vec<[f64; 2]> {
@@ -784,33 +783,5 @@ mod tests {
         let reg = PlanRegistry::<2>::new(NufftConfig { sort: SortMode::TileMajor, ..cfg() });
         let n = [16usize, 16];
         assert_ne!(reg.key_of(n, &traj), reg.key_of(n, &permuted));
-    }
-
-    #[test]
-    fn fused_and_phased_instances_share_one_registry() {
-        // exec_mode is a per-lease knob, not part of the key: flip it on a
-        // leased instance and the result must stay bitwise-identical.
-        let reg = PlanRegistry::<2>::new(cfg());
-        let traj = traj2(160);
-        let n = [16usize, 16];
-        let samples: Vec<Complex32> = (0..traj.len())
-            .map(|i| Complex32::new((i as f32 * 0.21).cos(), (i as f32 * 0.07).sin()))
-            .collect();
-        let mut a = vec![Complex32::ZERO; 16 * 16];
-        let mut b = vec![Complex32::ZERO; 16 * 16];
-        {
-            let mut lease = reg.checkout(n, &traj);
-            lease.set_exec_mode(ExecMode::Fused);
-            lease.adjoint(&samples, &mut a);
-        }
-        {
-            let mut lease = reg.checkout(n, &traj);
-            lease.set_exec_mode(ExecMode::Phased);
-            lease.adjoint(&samples, &mut b);
-        }
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.re.to_bits(), y.re.to_bits(), "re bits at {i}");
-            assert_eq!(x.im.to_bits(), y.im.to_bits(), "im bits at {i}");
-        }
     }
 }

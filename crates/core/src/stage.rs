@@ -18,13 +18,14 @@
 //! * [`DeconvOp`] — the roll-off correction: scaled embed of an image into
 //!   the oversampled grid, and the adjoint scaled extract.
 //!
-//! The plan's phased apply paths are literal compositions of these stage
-//! methods, and the fused DAG builders consume the same stage state
-//! (`crate::fused` builds per-stage DAG *fragments* from it), so the
-//! refactor is bitwise-neutral: every executed expression is unchanged,
-//! only its home moved. Type-3 transforms ([`crate::type3::Type3Plan`])
-//! and the standalone `spread_only`/`interp_only` entry points are built
-//! from the same four operators.
+//! The plan's fused DAG builders consume the same stage state
+//! (`crate::fused` builds per-stage DAG *fragments* from it), and the
+//! graph's convolution nodes call the same per-chunk and per-task bodies
+//! the [`InterpOp`] and [`SpreadOp`] drivers run, so every plan operator is
+//! bitwise-equal to the composition of its stages. Type-3 transforms
+//! ([`crate::type3::Type3Plan`]) and the standalone
+//! `spread_only`/`interp_only` entry points are built from the same four
+//! operators.
 //!
 //! ## Buffer contracts
 //!
@@ -53,21 +54,20 @@ use crate::plan::NufftConfig;
 use crate::scale::build_scale;
 use crate::tasks::{preprocess, Preprocess, PreprocessConfig};
 use crate::windows::{WindowMode, WindowSource, WindowTable};
+use core::ops::Range;
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
 use nufft_parallel::exec::{Executor, GraphScratch, JobPriority, TaskPhase};
 use nufft_parallel::graph::QueuePolicy;
 use nufft_parallel::scratch::WorkerLocal;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Complex elements per 64-byte cache line: chunk boundaries of contiguous
 /// output loops are rounded to this so two workers never split a line.
 pub(crate) const LANE_ALIGN: usize = 64 / core::mem::size_of::<Complex32>();
 
-/// Samples per chunk of the per-sample loops: the forward gather (phased
-/// and fused) and the window-table build.
+/// Samples per chunk of the per-sample loops: the forward gather (stage
+/// driver and fused graph) and the window-table build.
 pub(crate) const SAMPLE_GRAIN: usize = 256;
 
 /// Raw-pointer wrapper for disjoint-region writes from worker threads.
@@ -90,18 +90,6 @@ impl<T> SendPtr<T> {
     pub(crate) fn get(self) -> *mut T {
         self.0
     }
-}
-
-/// Per-kind FFT timing split of one phased [`FftOp::apply_split`] call,
-/// summed over axes (seconds; all zero on a recursive-only plan).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FftSplit {
-    /// Wall time of the sub-FFT dispatches.
-    pub(crate) sub: f64,
-    /// Wall time of the transpose-and-combine dispatches.
-    pub(crate) transpose: f64,
-    /// Worker CPU-seconds inside the combine gather/twiddle sweeps.
-    pub(crate) twiddle: f64,
 }
 
 /// Sizes the §III-B1 partition grid from the thread count: ~8 tasks per
@@ -291,22 +279,6 @@ impl<const D: usize> SpreadOp<D> {
         assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
         assert_eq!(grid.len(), self.grid_len, "grid buffer length mismatch");
         grid.fill(Complex32::ZERO);
-        let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
-        self.accumulate_ptrs(exec, priority, &grid_ptrs, &[samples]);
-    }
-
-    /// The multi-channel scatter core: accumulates every channel's samples
-    /// into its (caller-zeroed) grid under a single task-graph traversal,
-    /// with the selective-privatization protocol applied per channel.
-    /// Stages the privatized-buffer pointers itself — allocation-free once
-    /// warm.
-    pub(crate) fn accumulate_ptrs(
-        &mut self,
-        exec: &Executor,
-        priority: JobPriority,
-        grid_ptrs: &[SendPtr<Complex32>],
-        samples: &[&[Complex32]],
-    ) {
         self.refresh_priv_ptrs();
         let Self {
             m,
@@ -325,20 +297,28 @@ impl<const D: usize> SpreadOp<D> {
             Some(table) => WindowSource::Table(table),
             None => WindowSource::Fly { coords: &pre.coords, wrad: *wrad, kernel },
         };
-        scatter_driver(
-            exec,
-            *policy,
-            priority,
-            scratch,
+        let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
+        let scatter = Scatter {
             pre,
-            &source,
+            source: &source,
             m,
-            grid_ptrs,
-            *grid_len,
+            grid_ptrs: &grid_ptrs,
+            grid_len: *grid_len,
             priv_ptrs,
             buf_of_task,
-            samples,
-        );
+            samples: &[samples],
+        };
+        exec.run_graph_reuse_prio(&pre.graph, *policy, priority, scratch, |t, phase, _w| {
+            // SAFETY: the task graph never runs adjacent tasks (whose halo
+            // boxes overlap) concurrently and runs a privatized task's
+            // reduce after its convolve — see the exclusion tests in
+            // `nufft-parallel`. `grid` is borrowed for the whole dispatch.
+            unsafe { scatter.run_task(t, phase) }
+        });
+        // The scatter traversal is fixed at plan time, so its tile-revisit
+        // count is a plan constant — stamp it into the freshly harvested
+        // stats so locality is observable next to the timing log.
+        scratch.stats_mut().tile_revisits = pre.canonical_revisits;
     }
 
     /// The operator's current window source (table if held, else on the
@@ -448,22 +428,29 @@ impl<const D: usize> InterpOp<D> {
     pub fn apply(&self, exec: &Executor, grid: &[Complex32], out: &mut [Complex32]) {
         assert_eq!(grid.len(), self.grid_len, "grid buffer length mismatch");
         assert_eq!(out.len(), self.num_samples(), "sample buffer length mismatch");
-        let out_ptrs = [SendPtr(out.as_mut_ptr())];
-        self.gather_ptrs(exec, core::slice::from_ref(&grid), &out_ptrs);
-    }
-
-    /// The multi-channel gather core: one Part 1 window fetch per sample,
-    /// then a Part 2 gather per channel. Generic over the grid container so
-    /// plan-owned `Vec` batches and borrowed slices both drive it without
-    /// staging copies.
-    pub(crate) fn gather_ptrs<G: AsRef<[Complex32]> + Sync>(
-        &self,
-        exec: &Executor,
-        grids: &[G],
-        out_ptrs: &[SendPtr<Complex32>],
-    ) {
         let source = self.window_source();
-        gather_driver(exec, &self.pre, &source, &self.m, grids, out_ptrs);
+        // The gather only reads through this pointer.
+        let grid_ptrs = [SendPtr(grid.as_ptr().cast_mut())];
+        let out_ptrs = [SendPtr(out.as_mut_ptr())];
+        let gather = Gather {
+            pre: &self.pre,
+            source: &source,
+            m: &self.m,
+            grid_ptrs: &grid_ptrs,
+            grid_len: self.grid_len,
+            out_ptrs: &out_ptrs,
+        };
+        // Storage order IS the traversal here: under `SortMode::TileMajor`
+        // each chunk streams grid tiles; forward gathers are pure reads, so
+        // the result is permutation-invariant (each write lands at the
+        // original position `order[i]`) and no de-permutation pass is
+        // needed — outputs are bitwise-identical across sort modes.
+        exec.parallel_for_aligned(self.num_samples(), SAMPLE_GRAIN, LANE_ALIGN, |range, _w| {
+            // SAFETY: `grid` is borrowed shared and `out` exclusively for
+            // the whole dispatch; the executor's ranges partition the
+            // samples, so their output slots are disjoint.
+            unsafe { gather.run(range) }
+        });
     }
 
     pub(crate) fn window_source(&self) -> WindowSource<'_, D> {
@@ -550,43 +537,29 @@ impl FftOp {
     /// In-place n-dimensional FFT of `data`, unnormalized in both
     /// directions (so `Forward` then `Backward` scales by `len()`).
     ///
+    /// Every axis runs as SIMD-width tiles of adjacent lines sharded over
+    /// the executor, one dispatch per axis. The tile lists and chunk grain
+    /// come from the plan-owned tile plan and tile scratch from the op's
+    /// per-worker arena — no computation or allocation at apply time. A
+    /// four-step axis runs as two dispatches over finer shards — tile ×
+    /// column-group sub-FFTs into `fs`, then tile × k-block combines back —
+    /// with the join between them standing in for the fused graph's
+    /// sub → combine edges.
+    ///
     /// # Panics
     /// Panics if `data.len() != self.len()`.
     pub fn apply(&mut self, exec: &Executor, data: &mut [Complex32], dir: Direction) {
         assert_eq!(data.len(), self.grid_len, "fft buffer length mismatch");
-        self.apply_split(exec, data, dir, TileSet::All);
-    }
-
-    /// Parallel n-dimensional FFT over the tiles `set` lists: SIMD-width
-    /// tiles of adjacent lines per axis, sharded over the executor. The
-    /// tile lists and chunk grain come from the plan-owned [`TilePlan`] and
-    /// tile scratch from the op's per-worker arena — no computation or
-    /// allocation at apply time. Tiles a list leaves out are not touched.
-    ///
-    /// A four-step axis runs as two dispatches over finer shards — tile ×
-    /// column-group sub-FFTs into `fs`, then tile × k-block combines back —
-    /// with the join between them standing in for the fused graph's
-    /// sub → combine edges. Returns the per-kind timing split (zeros on a
-    /// recursive-only plan).
-    pub(crate) fn apply_split(
-        &mut self,
-        exec: &Executor,
-        data: &mut [Complex32],
-        dir: Direction,
-        set: TileSet,
-    ) -> FftSplit {
         let Self { fft, tile_plan: tp, scratch, fs, .. } = self;
         let base = SendPtr(data.as_mut_ptr());
         let b = tp.b;
-        let mut split = FftSplit::default();
         for axis in 0..fft.shape().len() {
-            let list = tp.list(set, axis);
+            let list = tp.list(TileSet::All, axis);
             let tiles = &list.tiles[..];
             let align = tp.axes[axis].align;
             if let Some((colg, kbg)) = tp.axes[axis].shards {
                 debug_assert!(fs.len() >= fft.len(), "fs scratch not sized for four-step");
                 let fsp = SendPtr(fs.as_mut_ptr());
-                let t0 = Instant::now();
                 exec.parallel_for_aligned(tiles.len() * colg, list.grain, align, |range, w| {
                     // SAFETY: the executor guarantees worker `w` is the only
                     // thread using slot `w` during this dispatch.
@@ -608,18 +581,14 @@ impl FftOp {
                         };
                     }
                 });
-                split.sub += t0.elapsed().as_secs_f64();
-                let twiddle_ns = AtomicU64::new(0);
-                let t0 = Instant::now();
                 exec.parallel_for_aligned(tiles.len() * kbg, list.grain, align, |range, w| {
                     // SAFETY: as above.
                     let scratch = unsafe { scratch.get(w) };
-                    let mut tw = 0.0;
                     for i in range {
                         // SAFETY: distinct (tile, k-block) shards touch
                         // disjoint regions; every sub pass completed at the
                         // join of the previous dispatch.
-                        tw += unsafe {
+                        unsafe {
                             fft.fs_combine_pass_raw(
                                 fsp.get(),
                                 base.get(),
@@ -632,10 +601,7 @@ impl FftOp {
                             )
                         };
                     }
-                    twiddle_ns.fetch_add((tw * 1e9) as u64, Ordering::Relaxed);
                 });
-                split.transpose += t0.elapsed().as_secs_f64();
-                split.twiddle += twiddle_ns.load(Ordering::Relaxed) as f64 * 1e-9;
                 continue;
             }
             // Tile-chunk boundaries rounded to a full cache line of complex
@@ -653,7 +619,6 @@ impl FftOp {
                 };
             });
         }
-        split
     }
 
     /// Grows the four-step `fs` intermediate buffer to `channels`
@@ -720,42 +685,51 @@ impl<const D: usize> DeconvOp<D> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared drivers
+// Convolution bodies (shared by the stage drivers and the fused graphs)
 // ---------------------------------------------------------------------------
 
-/// The unified gather (forward-convolution) driver: one Part 1 window
-/// fetch per sample, then a Part 2 gather per channel — channel pairs
-/// go through [`forward_gather2`], which shares one weight expansion
-/// across both grids while staying bitwise-equal to two single gathers.
-///
-/// `grids[c]` is channel `c`'s oversampled spectrum; `out_ptrs[c]` its
-/// output base pointer (written at permuted positions `order[i]`).
-fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
-    exec: &Executor,
-    pre: &Preprocess<D>,
-    source: &WindowSource<'_, D>,
-    m: &[usize; D],
-    grids: &[G],
-    out_ptrs: &[SendPtr<Complex32>],
-) {
-    assert_eq!(grids.len(), out_ptrs.len(), "channel count mismatch");
-    let channels = grids.len();
-    let order = &pre.order;
-    // Storage order IS the traversal here: under `SortMode::TileMajor`
-    // each chunk streams grid tiles; forward gathers are pure reads, so
-    // the result is permutation-invariant (each write lands at the
-    // original position `order[i]`) and no de-permutation pass is
-    // needed — outputs are bitwise-identical across sort modes.
-    exec.parallel_for_aligned(pre.coords.len(), SAMPLE_GRAIN, LANE_ALIGN, |range, _w| {
+/// One forward gather over `grid_ptrs.len()` channels: the state a gather
+/// chunk reads. [`InterpOp::apply`] runs it over executor ranges and the
+/// fused forward graph over its gather nodes, so both run this one body.
+pub(crate) struct Gather<'a, const D: usize> {
+    pub(crate) pre: &'a Preprocess<D>,
+    pub(crate) source: &'a WindowSource<'a, D>,
+    pub(crate) m: &'a [usize; D],
+    /// Channel `c`'s oversampled spectrum (`grid_len` elements, only read).
+    pub(crate) grid_ptrs: &'a [SendPtr<Complex32>],
+    pub(crate) grid_len: usize,
+    /// Channel `c`'s output base, written at permuted positions `order[i]`.
+    pub(crate) out_ptrs: &'a [SendPtr<Complex32>],
+}
+
+impl<const D: usize> Gather<'_, D> {
+    /// Gathers the samples at storage positions `range`: one Part 1 window
+    /// fetch per sample, then a Part 2 gather per channel — channel pairs
+    /// go through [`forward_gather2`], which shares one weight expansion
+    /// across both grids while staying bitwise-equal to two single gathers.
+    ///
+    /// # Safety
+    /// Every grid must hold `grid_len` elements that nothing writes during
+    /// the call, every output must hold one slot per sample, and no other
+    /// thread may write the slots `order[range]` of any output meanwhile.
+    #[inline]
+    pub(crate) unsafe fn run(&self, range: Range<usize>) {
+        let Gather { pre, source, m, grid_ptrs, grid_len, out_ptrs } = *self;
+        let order = &pre.order[..];
+        let channels = grid_ptrs.len();
+        // SAFETY: the caller keeps the grids readable and unwritten.
+        let grid = |c: usize| unsafe {
+            core::slice::from_raw_parts(grid_ptrs[c].get() as *const Complex32, grid_len)
+        };
         let mut stage = [Window::EMPTY; D];
         for i in range {
             let win = source.at(i, &mut stage);
             let slot = order[i] as usize;
             let mut c = 0;
             while c + 2 <= channels {
-                let (va, vb) = forward_gather2(grids[c].as_ref(), grids[c + 1].as_ref(), m, &win);
-                // SAFETY: `order` is a permutation; each (c, i) writes a
-                // distinct slot of channel c's output.
+                let (va, vb) = forward_gather2(grid(c), grid(c + 1), m, &win);
+                // SAFETY: `order` is a permutation and the caller owns the
+                // slots of `range`; each (c, i) writes a distinct slot.
                 unsafe {
                     *out_ptrs[c].get().add(slot) = va;
                     *out_ptrs[c + 1].get().add(slot) = vb;
@@ -763,48 +737,56 @@ fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
                 c += 2;
             }
             if c < channels {
-                let v = forward_gather(grids[c].as_ref(), m, &win);
+                let v = forward_gather(grid(c), m, &win);
                 // SAFETY: as above.
                 unsafe { *out_ptrs[c].get().add(slot) = v };
             }
         }
-    });
+    }
 }
 
-/// The unified scatter (adjoint-convolution) driver: a single
-/// task-graph traversal scatters every channel, with the selective
-/// privatization protocol applied per channel — a privatized task
-/// convolves into `channels` back-to-back copies of its halo region and
-/// its decoupled reduction folds each copy into the matching grid.
-///
-/// At `channels == 1` this is exactly the historical single-operator
-/// path; the batched operators are the same code with a longer channel
-/// loop, so batch output is bitwise-identical to repeated single
-/// applies.
-///
-/// Samples are visited in the **canonical tile-major order** via
-/// [`Preprocess::visit`] regardless of sort mode, pinning the
-/// floating-point accumulation order — sorted and unsorted plans
-/// produce bitwise-identical grids (DESIGN.md §14).
-#[allow(clippy::too_many_arguments)]
-fn scatter_driver<const D: usize>(
-    exec: &Executor,
-    policy: QueuePolicy,
-    priority: JobPriority,
-    scratch: &mut GraphScratch,
-    pre: &Preprocess<D>,
-    source: &WindowSource<'_, D>,
-    m: &[usize; D],
-    grid_ptrs: &[SendPtr<Complex32>],
-    grid_len: usize,
-    priv_ptrs: &[(SendPtr<Complex32>, usize)],
-    buf_of_task: &[u32],
-    samples: &[&[Complex32]],
-) {
-    assert_eq!(grid_ptrs.len(), samples.len(), "channel count mismatch");
-    let channels = grid_ptrs.len();
-    let order = &pre.order;
-    exec.run_graph_reuse_prio(&pre.graph, policy, priority, scratch, |t, phase, _w| {
+/// One adjoint scatter over `grid_ptrs.len()` channels: the state every
+/// task body reads. [`SpreadOp::apply`] runs it under the task-graph
+/// scheduler and the fused adjoint graph over its conv/priv/reduce nodes,
+/// so both run these bodies. A privatized task convolves into `channels`
+/// back-to-back copies of its halo region and its decoupled reduction
+/// folds each copy into the matching grid; at one channel this is the
+/// paper's single-operator protocol, so batched output is
+/// bitwise-identical to repeated single applies.
+pub(crate) struct Scatter<'a, const D: usize> {
+    pub(crate) pre: &'a Preprocess<D>,
+    pub(crate) source: &'a WindowSource<'a, D>,
+    pub(crate) m: &'a [usize; D],
+    /// Channel `c`'s grid (`grid_len` elements).
+    pub(crate) grid_ptrs: &'a [SendPtr<Complex32>],
+    pub(crate) grid_len: usize,
+    /// `(base, per-channel length)` of each privatized task's buffer.
+    pub(crate) priv_ptrs: &'a [(SendPtr<Complex32>, usize)],
+    pub(crate) buf_of_task: &'a [u32],
+    /// Channel `c`'s sample values, in caller order.
+    pub(crate) samples: &'a [&'a [Complex32]],
+}
+
+impl<const D: usize> Scatter<'_, D> {
+    /// Runs `phase` of task `t` for every channel. Samples are visited in
+    /// the **canonical tile-major order** via [`Preprocess::visit`]
+    /// regardless of sort mode, pinning the floating-point accumulation
+    /// order — sorted and unsorted plans produce bitwise-identical grids
+    /// (DESIGN.md §14).
+    ///
+    /// # Safety
+    /// The caller orders the calls as the task graph does: `Normal` and
+    /// `Reduce` bodies of adjacent tasks (whose halo boxes overlap) never
+    /// run concurrently, a task's `Reduce` follows its `PrivateConvolve`,
+    /// and nothing else touches a task's halo box while it runs. Each
+    /// privatized buffer holds at least `channels` region copies
+    /// ([`SpreadOp::ensure_priv_channels`]).
+    #[inline]
+    pub(crate) unsafe fn run_task(&self, t: usize, phase: TaskPhase) {
+        let Scatter { pre, source, m, grid_ptrs, grid_len, priv_ptrs, buf_of_task, samples } =
+            *self;
+        let order = &pre.order[..];
+        let channels = grid_ptrs.len();
         match phase {
             TaskPhase::Normal => {
                 let mut stage = [Window::EMPTY; D];
@@ -813,9 +795,9 @@ fn scatter_driver<const D: usize>(
                     let win = source.at(i, &mut stage);
                     let slot = order[i] as usize;
                     for (c, gp) in grid_ptrs.iter().enumerate() {
-                        // SAFETY: the task graph serializes adjacent
-                        // tasks; this task only touches its own halo box
-                        // of each channel's grid.
+                        // SAFETY: this task only touches its own halo box
+                        // of each channel's grid, which the caller keeps
+                        // exclusive.
                         let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
                         adjoint_scatter(grid, m, &win, samples[c][slot]);
                     }
@@ -824,10 +806,9 @@ fn scatter_driver<const D: usize>(
             TaskPhase::PrivateConvolve => {
                 let region = pre.regions[t].expect("privatized task has region");
                 let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                // SAFETY: each privatized task owns its buffer
-                // exclusively; phases of one task never overlap. The
-                // buffer holds ≥ `channels` region copies
-                // (`ensure_priv_channels`).
+                // SAFETY: each privatized task owns its buffer exclusively
+                // and its phases never overlap; the buffer holds ≥
+                // `channels` region copies.
                 let buf_all =
                     unsafe { core::slice::from_raw_parts_mut(base.get(), channels * clen) };
                 buf_all.fill(Complex32::ZERO);
@@ -851,9 +832,9 @@ fn scatter_driver<const D: usize>(
                 let region = pre.regions[t].expect("privatized task has region");
                 let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
                 for (c, gp) in grid_ptrs.iter().enumerate() {
-                    // SAFETY: reductions run under the same exclusion
-                    // edges as normal tasks; the buffer was filled by
-                    // this task's convolve phase which has completed.
+                    // SAFETY: reductions run under the same exclusion as
+                    // normal tasks; the buffer was filled by this task's
+                    // convolve phase, which has completed.
                     let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
                     let buf =
                         unsafe { core::slice::from_raw_parts(base.get().add(c * clen), clen) };
@@ -861,9 +842,5 @@ fn scatter_driver<const D: usize>(
                 }
             }
         }
-    });
-    // The scatter traversal is fixed at plan time, so its tile-revisit
-    // count is a plan constant — stamp it into the freshly harvested
-    // stats so locality is observable next to the timing log.
-    scratch.stats_mut().tile_revisits = pre.canonical_revisits;
+    }
 }

@@ -56,7 +56,7 @@
 //! plan.forward(&strengths, &mut spectrum);
 //! ```
 
-use crate::plan::{ExecMode, NufftConfig, NufftPlan};
+use crate::plan::{NufftConfig, NufftPlan};
 use crate::stage::{InterpOp, SpreadOp};
 use nufft_math::Complex32;
 use nufft_parallel::exec::{Executor, JobPriority};
@@ -217,14 +217,6 @@ impl<const D: usize> Type3Plan<D> {
     /// Fine-grid spacing per dimension, in source units per grid cell.
     pub fn fine_spacing(&self) -> [f64; D] {
         self.h
-    }
-
-    /// Switches the inner transform between the fused whole-operator DAG
-    /// and the phased path (the outer spread/interp stages are
-    /// mode-independent). Output stays bitwise-identical either way.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.cfg.exec_mode = mode;
-        self.inner.set_exec_mode(mode);
     }
 
     /// Sets the fair-share admission priority for every stage's dispatches

@@ -1,13 +1,13 @@
 //! Kernel-family determinism matrix, run for each family (ES with its
 //! Horner fast-eval path, Kaiser–Bessel with its LUT) over the full
-//! StrictScalar/Scalar/SSE2/AVX2 × 1/2/4-thread × four-operator ×
-//! Fused/Phased grid:
+//! StrictScalar/Scalar/SSE2/AVX2 × 1/2/4-thread grid:
 //!
-//! * **operator outputs** are bitwise-identical across exec modes and
-//!   thread schedules *at a fixed ISA level* — the repo's determinism
-//!   contract (DESIGN.md §9/§14; Part 2 row convolution legitimately
-//!   reassociates between ISA levels, so cross-ISA identity is not
-//!   asserted at the operator level);
+//! * **operator outputs** — `forward` and `adjoint`, each one fused task
+//!   graph — are bitwise-identical to the composition of the plan's stage
+//!   operators *at a fixed ISA level* — the repo's determinism contract
+//!   (DESIGN.md §9/§14; Part 2 row convolution legitimately reassociates
+//!   between ISA levels, so cross-ISA identity is not asserted at the
+//!   operator level);
 //! * **Part 1 windows** — where the new ES Horner evaluator actually
 //!   dispatches per ISA (8-wide FMA on AVX2, fused scalar elsewhere) —
 //!   are bitwise-identical *across* ISA levels for every kernel family,
@@ -15,8 +15,10 @@
 //! * the `determinism.rs` cross-worker-count guarantee extends to the ES
 //!   family in its 3D configuration.
 
-use nufft_core::{ExecMode, KernelChoice, NufftConfig, NufftPlan};
+use nufft_core::{FftOp, KernelChoice, NufftConfig, NufftPlan};
+use nufft_fft::Direction;
 use nufft_math::Complex32;
+use nufft_parallel::exec::Executor;
 use nufft_simd::{detect_isa, set_isa_override, IsaLevel};
 use std::sync::Mutex;
 
@@ -43,32 +45,26 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn cfg(family: KernelChoice, threads: usize, exec_mode: ExecMode) -> NufftConfig {
+fn cfg(family: KernelChoice, threads: usize) -> NufftConfig {
     NufftConfig {
         threads,
         // W = 3 (ns = 6): the ES kernel fits its Horner table here, so the
         // matrix genuinely exercises the dispatched fast path.
         w: 3.0,
         kernel: family,
-        // Pin the task decomposition so only ISA / threads / exec vary.
+        // Pin the task decomposition so only ISA / threads vary.
         partitions_per_dim: Some(4),
-        exec_mode,
         ..NufftConfig::default()
     }
 }
 
 /// One full application of all four operators; the plan is built *under*
 /// the active ISA override so plan-time window work is covered too.
-fn run_all_ops(
-    traj: &[[f64; 2]],
-    family: KernelChoice,
-    threads: usize,
-    exec_mode: ExecMode,
-) -> [Vec<Complex32>; 4] {
+fn run_all_ops(traj: &[[f64; 2]], family: KernelChoice, threads: usize) -> [Vec<Complex32>; 4] {
     let n = [16usize, 16];
     let img_len = 256;
     let k = traj.len();
-    let mut plan = NufftPlan::new(n, traj, cfg(family, threads, exec_mode));
+    let mut plan = NufftPlan::new(n, traj, cfg(family, threads));
     let grid_len = plan.grid_len();
 
     let image = signal(img_len, 0.0);
@@ -88,8 +84,44 @@ fn run_all_ops(
 
 const OPS: [&str; 4] = ["forward", "adjoint", "spread_only", "interp_only"];
 
+/// `forward` and `adjoint` of a plan built under the active ISA override,
+/// against the stage composition through a full `FftOp::apply` planned
+/// like the plan's own (the reference `tests/fft_pruning.rs` uses):
+/// `DeconvOp::embed → FftOp → interp_only` and
+/// `spread_only → FftOp → DeconvOp::extract`.
+fn check_matches_stage_composition(
+    traj: &[[f64; 2]],
+    family: KernelChoice,
+    threads: usize,
+    label: &str,
+) {
+    let mut plan = NufftPlan::new([16, 16], traj, cfg(family, threads));
+    let c = *plan.config();
+    let exec = Executor::new(threads);
+    let mut fft = FftOp::plan(&plan.geometry().m, c.fft_strategy, c.fft_llc_budget, threads);
+    let image = signal(plan.image_len(), 0.0);
+    let samples = signal(plan.num_samples(), 1.3);
+    let mut grid = vec![Complex32::ZERO; plan.grid_len()];
+
+    plan.deconv_op().embed(&image, &mut grid);
+    fft.apply(&exec, &mut grid, Direction::Forward);
+    let mut want = vec![Complex32::ZERO; plan.num_samples()];
+    plan.interp_only(&grid, &mut want);
+    let mut got = vec![Complex32::ZERO; plan.num_samples()];
+    plan.forward(&image, &mut got);
+    assert_bits_eq(&got, &want, &format!("{label}: forward"));
+
+    plan.spread_only(&samples, &mut grid);
+    fft.apply(&exec, &mut grid, Direction::Backward);
+    let mut want = vec![Complex32::ZERO; plan.image_len()];
+    plan.deconv_op().extract(&grid, &mut want);
+    let mut got = vec![Complex32::ZERO; plan.image_len()];
+    plan.adjoint(&samples, &mut got);
+    assert_bits_eq(&got, &want, &format!("{label}: adjoint"));
+}
+
 #[test]
-fn each_family_is_bitwise_stable_across_exec_modes_at_every_isa_and_thread_count() {
+fn each_family_matches_its_stage_composition_at_every_isa_and_thread_count() {
     let _guard = isa_guard();
     let traj = nufft_traj::shuffled_2d(25, 14, 0.15, 29).points;
     let detected = detect_isa();
@@ -101,19 +133,12 @@ fn each_family_is_bitwise_stable_across_exec_modes_at_every_isa_and_thread_count
             }
             set_isa_override(isa).unwrap();
             for threads in [1usize, 2, 4] {
-                // Reference per (ISA, worker count): the fused graph.
+                // Reference per (ISA, worker count): the stage composition.
                 // (2D adjoint accumulation order is worker-count-dependent
                 // by design — `tests/determinism.rs` pins the 3D
                 // cross-worker guarantee, extended to ES below.)
-                let want = run_all_ops(&traj, family, threads, ExecMode::Fused);
-                let got = run_all_ops(&traj, family, threads, ExecMode::Phased);
-                for (op, (g, w)) in OPS.iter().zip(got.iter().zip(want.iter())) {
-                    assert_bits_eq(
-                        g,
-                        w,
-                        &format!("{family:?} {op} isa={isa:?} threads={threads} Phased-vs-Fused"),
-                    );
-                }
+                let label = format!("{family:?} isa={isa:?} threads={threads}");
+                check_matches_stage_composition(&traj, family, threads, &label);
             }
         }
     }
@@ -199,8 +224,8 @@ fn es_adjoint_is_bitwise_stable_across_worker_counts() {
 fn families_produce_different_outputs() {
     let _guard = isa_guard();
     let traj = nufft_traj::shuffled_2d(25, 14, 0.15, 31).points;
-    let es = run_all_ops(&traj, KernelChoice::EsKernel, 2, ExecMode::Fused);
-    let kb = run_all_ops(&traj, KernelChoice::KaiserBessel, 2, ExecMode::Fused);
+    let es = run_all_ops(&traj, KernelChoice::EsKernel, 2);
+    let kb = run_all_ops(&traj, KernelChoice::KaiserBessel, 2);
     for (op, (a, b)) in OPS.iter().zip(es.iter().zip(kb.iter())) {
         assert!(
             a.iter().zip(b.iter()).any(|(p, q)| p.re.to_bits() != q.re.to_bits()),

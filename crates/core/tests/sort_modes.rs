@@ -1,7 +1,6 @@
 //! Sort-mode equality: a plan built with the tile-major bin sort must
 //! produce **bitwise-identical** operator output to an unsorted plan — at
-//! every ISA level, at every thread count, for all four operators, in both
-//! exec modes.
+//! every ISA level, at every thread count, for all four operators.
 //!
 //! This is the tripwire for the determinism rule (DESIGN.md §14): the
 //! adjoint scatter visits samples in the canonical tile-major order under
@@ -12,7 +11,7 @@
 //! is the adversarial input: maximal disorder, so any visit-order slip
 //! shows up as a different floating-point accumulation immediately.
 
-use nufft_core::{ExecMode, NufftConfig, NufftPlan, SortMode};
+use nufft_core::{NufftConfig, NufftPlan, SortMode};
 use nufft_math::Complex32;
 use nufft_simd::{detect_isa, set_isa_override, IsaLevel};
 use std::sync::Mutex;
@@ -42,7 +41,7 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn cfg(threads: usize, sort: SortMode, exec_mode: ExecMode) -> NufftConfig {
+fn cfg(threads: usize, sort: SortMode) -> NufftConfig {
     NufftConfig {
         threads,
         w: 3.0,
@@ -50,7 +49,6 @@ fn cfg(threads: usize, sort: SortMode, exec_mode: ExecMode) -> NufftConfig {
         // sample layout (and ISA / thread count), never the partitioning.
         partitions_per_dim: Some(4),
         sort,
-        exec_mode,
         ..NufftConfig::default()
     }
 }
@@ -58,14 +56,14 @@ fn cfg(threads: usize, sort: SortMode, exec_mode: ExecMode) -> NufftConfig {
 /// Applies all four operators with both sort modes and asserts every
 /// output pair is bit-identical. `channels = 3` exercises both the paired
 /// and the remainder lane of the channel loop.
-fn check_all_ops_match(traj: &[[f64; 2]], threads: usize, exec_mode: ExecMode, label: &str) {
+fn check_all_ops_match(traj: &[[f64; 2]], threads: usize, label: &str) {
     let n = [16usize, 16];
     let img_len = 256;
     let k = traj.len();
     let channels = 3usize;
 
-    let mut unsorted = NufftPlan::new(n, traj, cfg(threads, SortMode::None, exec_mode));
-    let mut sorted = NufftPlan::new(n, traj, cfg(threads, SortMode::TileMajor, exec_mode));
+    let mut unsorted = NufftPlan::new(n, traj, cfg(threads, SortMode::None));
+    let mut sorted = NufftPlan::new(n, traj, cfg(threads, SortMode::TileMajor));
     assert_eq!(unsorted.sort_mode(), SortMode::None, "{label}");
     assert_eq!(sorted.sort_mode(), SortMode::TileMajor, "{label}");
 
@@ -122,7 +120,7 @@ fn check_all_ops_match(traj: &[[f64; 2]], threads: usize, exec_mode: ExecMode, l
 }
 
 #[test]
-fn sorted_matches_unsorted_bitwise_across_isa_threads_and_exec_modes() {
+fn sorted_matches_unsorted_bitwise_across_isa_and_threads() {
     let _guard = isa_guard();
     // The worst case the sort exists for: a shuffled random trajectory.
     let traj = nufft_traj::shuffled_2d(25, 14, 0.15, 11).points;
@@ -133,14 +131,7 @@ fn sorted_matches_unsorted_bitwise_across_isa_threads_and_exec_modes() {
         }
         set_isa_override(isa).unwrap();
         for threads in [1usize, 2, 4] {
-            for exec_mode in [ExecMode::Fused, ExecMode::Phased] {
-                check_all_ops_match(
-                    &traj,
-                    threads,
-                    exec_mode,
-                    &format!("isa={isa:?} threads={threads} {exec_mode:?}"),
-                );
-            }
+            check_all_ops_match(&traj, threads, &format!("isa={isa:?} threads={threads}"));
         }
     }
     set_isa_override(detected).unwrap();
@@ -154,15 +145,15 @@ fn auto_resolves_per_trajectory_and_stays_bitwise() {
     // Shuffled (disordered) → TileMajor; radial spokes (ordered) → None.
     let shuffled = nufft_traj::shuffled_2d(25, 12, 0.15, 3).points;
     let radial = nufft_traj::radial_2d(25, 12, 3).points;
-    let auto_sh = NufftPlan::new(n, &shuffled, cfg(2, SortMode::Auto, ExecMode::Fused));
+    let auto_sh = NufftPlan::new(n, &shuffled, cfg(2, SortMode::Auto));
     assert_eq!(auto_sh.sort_mode(), SortMode::TileMajor, "shuffled should sort");
-    let auto_ra = NufftPlan::new(n, &radial, cfg(2, SortMode::Auto, ExecMode::Fused));
+    let auto_ra = NufftPlan::new(n, &radial, cfg(2, SortMode::Auto));
     assert_eq!(auto_ra.sort_mode(), SortMode::None, "radial spokes should not");
 
     // And Auto output is bitwise-equal to both explicit modes.
     let image = signal(256, 0.4);
     let mut auto_sh = auto_sh;
-    let mut none = NufftPlan::new(n, &shuffled, cfg(2, SortMode::None, ExecMode::Fused));
+    let mut none = NufftPlan::new(n, &shuffled, cfg(2, SortMode::None));
     let mut out_a = vec![Complex32::ZERO; shuffled.len()];
     let mut out_n = vec![Complex32::ZERO; shuffled.len()];
     auto_sh.forward(&image, &mut out_a);
@@ -175,8 +166,8 @@ fn tile_revisits_expose_the_locality_win() {
     let _guard = isa_guard();
     let n = [32usize, 32];
     let traj = nufft_traj::shuffled_2d(40, 25, 0.15, 17).points;
-    let sorted = NufftPlan::new(n, &traj, cfg(2, SortMode::TileMajor, ExecMode::Phased));
-    let unsorted = NufftPlan::new(n, &traj, cfg(2, SortMode::None, ExecMode::Phased));
+    let sorted = NufftPlan::new(n, &traj, cfg(2, SortMode::TileMajor));
+    let unsorted = NufftPlan::new(n, &traj, cfg(2, SortMode::None));
     // The observable: the shuffled walk re-enters tiles constantly, the
     // sorted walk streams them. The canonical (scatter) walk is shared.
     assert!(
@@ -187,13 +178,16 @@ fn tile_revisits_expose_the_locality_win() {
     );
     assert_eq!(sorted.scatter_tile_revisits(), unsorted.scatter_tile_revisits());
 
-    // And it lands in the per-run stats of both exec modes.
+    // And it lands in the per-run stats of both scatter paths: the fused
+    // adjoint graph and the spread stage driver behind `spread_only`.
     let samples = signal(traj.len(), 0.7);
     let mut img = vec![Complex32::ZERO; 32 * 32];
-    for exec_mode in [ExecMode::Fused, ExecMode::Phased] {
-        let mut plan = NufftPlan::new(n, &traj, cfg(2, SortMode::TileMajor, exec_mode));
-        plan.adjoint(&samples, &mut img);
-        let stats = plan.last_run_stats().expect("adjoint records stats");
-        assert_eq!(stats.tile_revisits, plan.scatter_tile_revisits(), "{exec_mode:?}");
-    }
+    let mut plan = NufftPlan::new(n, &traj, cfg(2, SortMode::TileMajor));
+    plan.adjoint(&samples, &mut img);
+    let stats = plan.last_run_stats().expect("adjoint records stats");
+    assert_eq!(stats.tile_revisits, plan.scatter_tile_revisits(), "adjoint");
+    let mut grid = vec![Complex32::ZERO; plan.grid_len()];
+    plan.spread_only(&samples, &mut grid);
+    let stats = plan.last_run_stats().expect("spread_only records stats");
+    assert_eq!(stats.tile_revisits, plan.scatter_tile_revisits(), "spread_only");
 }

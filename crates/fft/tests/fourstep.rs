@@ -1,7 +1,7 @@
 //! Four-step vs recursive parity at the `nufft-fft` layer.
 //!
-//! The scheduler-level matrix (threads × exec modes) lives in the workspace
-//! `tests/fourstep_modes.rs`; this file pins the underlying contract the
+//! The operator-level matrix (ISA × threads × operators) lives in the
+//! workspace `tests/fourstep_modes.rs`; this file pins the underlying contract the
 //! scheduler relies on — a forced-four-step plan is *bit-identical* to the
 //! recursive plan for every shape/axis regime, direction, and ISA level —
 //! plus the `Auto` heuristic's plan-time selection behaviour.

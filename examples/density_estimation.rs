@@ -13,8 +13,8 @@
 //! cargo run --release --example density_estimation
 //! ```
 
-use nufft::core::plan::ExecMode;
-use nufft::core::{NufftConfig, NufftPlan, PlanRegistry};
+use nufft::core::{FftOp, NufftConfig, NufftPlan, PlanRegistry};
+use nufft::fft::Direction;
 use nufft::math::{Complex32, Complex64};
 use nufft::traj::generators::clustered_cloud;
 
@@ -67,19 +67,25 @@ fn main() {
         local.iter().fold((f32::INFINITY, 0.0f32), |(lo, hi), c| (lo.min(c.re), hi.max(c.re)));
     println!("local   : per-particle density in [{lo:.1}, {hi:.1}]");
 
-    // Cross-check 1: `plan` deposited through the fused spread DAG (the
-    // default); the phased path, the `SpreadOp` task-graph driver, must
-    // deposit the identical field.
-    let phased_cfg = NufftConfig { exec_mode: ExecMode::Phased, ..cfg };
-    let mut phased = NufftPlan::new(n, &particles, phased_cfg);
-    let mut density_phased = vec![Complex32::ZERO; phased.grid_len()];
-    phased.spread_only(&mass, &mut density_phased);
-    let bitwise = density
+    // Cross-check 1: `spread_only` deposited through the `SpreadOp`
+    // task-graph driver; the plan's adjoint runs the same scatter inside
+    // its fused graph. The deposit, passed through a full backward FFT and
+    // the roll-off extract, must reproduce `adjoint(mass)` bit for bit.
+    let c = *plan.config();
+    let exec = plan.executor().clone();
+    let mut fft = FftOp::plan(&plan.geometry().m, c.fft_strategy, c.fft_llc_budget, c.threads);
+    let mut spectrum = density.clone();
+    fft.apply(&exec, &mut spectrum, Direction::Backward);
+    let mut via_stages = vec![Complex32::ZERO; plan.image_len()];
+    plan.deconv_op().extract(&spectrum, &mut via_stages);
+    let mut via_adjoint = vec![Complex32::ZERO; plan.image_len()];
+    plan.adjoint(&mass, &mut via_adjoint);
+    let bitwise = via_stages
         .iter()
-        .zip(&density_phased)
+        .zip(&via_adjoint)
         .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-    println!("check   : phased and fused-DAG depositions bitwise-identical: {bitwise}");
-    assert!(bitwise, "fused and phased deposition diverged");
+    println!("check   : deposit -> FFT -> extract equals the fused adjoint bitwise: {bitwise}");
+    assert!(bitwise, "stage-driver deposit and fused adjoint scatter diverged");
 
     // Cross-check 2: scatter and gather are exact transposes,
     // ⟨spread(m), g⟩ == ⟨m, interp(g)⟩.

@@ -8,8 +8,6 @@
 #                        (crates/bench/benches/fourstep.rs)
 #   BENCH_windows.json — precomputed window table vs on-the-fly Part 1
 #                        (crates/bench/benches/windows.rs)
-#   BENCH_fused.json   — fused single-DAG vs phased join-per-phase applies
-#                        (crates/bench/benches/fused.rs)
 #   BENCH_service.json — multi-tenant registry/service throughput and
 #                        request-latency quantiles at 1–16 tenants
 #                        (crates/bench/benches/service.rs)
@@ -52,9 +50,6 @@ cargo bench --offline --bench operators
 echo "== bench: windows (precomputed table vs on-the-fly Part 1) =="
 cargo bench --offline --bench windows
 
-echo "== bench: fused (single-DAG dispatch vs join-per-phase pipeline) =="
-cargo bench --offline --bench fused
-
 echo "== bench: service (multi-tenant req/s + p50/p99 at 1-16 tenants) =="
 cargo bench --offline --bench service
 
@@ -78,9 +73,6 @@ cat BENCH_fourstep.json
 
 echo "== BENCH_windows.json =="
 cat BENCH_windows.json
-
-echo "== BENCH_fused.json =="
-cat BENCH_fused.json
 
 echo "== BENCH_service.json =="
 cat BENCH_service.json

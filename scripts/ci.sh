@@ -36,30 +36,30 @@ echo "== multi-tenant job isolation stress (oversubscribed, 16 workers) =="
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel --test job_isolation_stress
 
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
-# scheduler_consistency includes the fused-vs-phased bitwise equality
-# matrix (ISA x threads) and the fused-DAG sim dominance check;
-# 16 workers oversubscribe the runner so the single-dispatch DAG path runs
-# under real preemption.
+# scheduler_consistency holds the executor-vs-simulator scheduling tests and
+# the fused-DAG simulated-dominance check on real plans' graphs; 16 workers
+# oversubscribe the runner so the graph and DAG executors run under real
+# preemption.
 NUFFT_THREADS=16 cargo test -q --offline --test scheduler_consistency
 
 echo "== four-step FFT strategy stress (oversubscribed, 16 workers) =="
 # fourstep_modes pins forced-four-step == recursive bitwise across ISA
-# levels, thread counts, exec modes and mixed-radix/Bluestein axis lengths;
-# 16 workers oversubscribe the runner so the sub-FFT/transpose shard nodes
-# of the fused DAG race for real.
+# levels, thread counts and mixed-radix/Bluestein axis lengths; 16 workers
+# oversubscribe the runner so the sub-FFT/transpose shard nodes of the
+# fused DAG race for real.
 NUFFT_THREADS=16 cargo test -q --offline --test fourstep_modes
 
 echo "== sort-mode equality stress (oversubscribed, 16 workers) =="
-# sorted-vs-unsorted bitwise equality across ISA levels, thread counts,
-# all four operators and both exec modes; 16 workers oversubscribe the
-# runner so the canonical-visit-order rule holds under real preemption.
+# sorted-vs-unsorted bitwise equality across ISA levels, thread counts and
+# all four operators; 16 workers oversubscribe the runner so the
+# canonical-visit-order rule holds under real preemption.
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-core --test sort_modes
 
 echo "== type-3 consistency stress (oversubscribed, 16 workers) =="
-# type3_modes pins fused-vs-phased bitwise equality, pinned-layout
-# cross-thread determinism and repeated-run stability for the type-3
-# pipeline (outer spread -> inner type-2 -> postscale); 16 workers
-# oversubscribe the runner so both stage drivers race for real.
+# type3_modes pins pinned-layout cross-thread determinism and repeated-run
+# stability for the type-3 pipeline (outer spread -> inner type-2 ->
+# postscale); 16 workers oversubscribe the runner so the outer stage
+# drivers and the inner fused graphs race for real.
 NUFFT_THREADS=16 cargo test -q --offline --test type3_modes
 
 echo "== zero-aware FFT passes stress (oversubscribed, 16 workers) =="
@@ -70,27 +70,29 @@ NUFFT_THREADS=16 cargo test -q --offline --test fft_pruning
 
 echo "== stage-graph composition contracts =="
 # stage_ops pins that the public SpreadOp/InterpOp/FftOp/DeconvOp stages
-# compose bitwise into the monolithic forward/adjoint operators, and that
-# the standalone spread_only/interp_only entry points match the fused DAG.
+# compose bitwise into the fused forward/adjoint operators, and that the
+# standalone spread_only/interp_only entry points are those stages.
 cargo test -q --offline --test stage_ops
 
 echo "== zero-aware FFT passes =="
 # fft_pruning pins forward/adjoint/forward_batch/adjoint_batch, whose FFT
 # skips the tiles the embed leaves zero and the extract never reads, to the
 # stage composition through a full FftOp::apply, bitwise, across D, even
-# and odd extents, alpha, FFT strategy, ISA level, threads, exec mode and
-# channels; it also pins the exact tile counts at AVX2.
+# and odd extents, alpha, FFT strategy, ISA level, threads and channels; it
+# also pins the exact tile counts at AVX2.
 cargo test -q --offline --test fft_pruning
 
 echo "== examples smoke (spread-only deposition pipeline) =="
 # density_estimation drives spread_only/interp_only directly and asserts
-# the fused-vs-phased deposition bitwise check plus the transpose dot-test.
+# that its deposit, through a full backward FFT and the extract, equals the
+# fused adjoint bitwise, plus the transpose dot-test.
 cargo run --release --offline --example density_estimation >/dev/null
 
 echo "== kernel-family determinism matrix (ES Horner vs KB LUT) =="
-# kernel_families pins per-ISA fused-vs-phased bitwise equality for both
-# families, cross-ISA bitwise identity of Part 1 windows (the ES Horner
-# evaluator's own contract), and the ES 3D cross-worker-count guarantee.
+# kernel_families pins per-ISA bitwise equality of forward/adjoint with the
+# stage composition for both families, cross-ISA bitwise identity of Part 1
+# windows (the ES Horner evaluator's own contract), and the ES 3D
+# cross-worker-count guarantee.
 cargo test -q --offline -p nufft-core --test kernel_families
 
 echo "== tolerance-driven planning accuracy =="

@@ -12,7 +12,7 @@
 //! One test function only: the global allocator counts process-wide, so
 //! concurrent tests would bleed counts into each other.
 
-use nufft::core::{ExecMode, NufftConfig, NufftPlan, SortMode, WindowMode};
+use nufft::core::{NufftConfig, NufftPlan, SortMode, WindowMode};
 use nufft::fft::FftStrategy;
 use nufft::math::Complex32;
 use nufft_testkit::alloc::CountingAlloc;
@@ -87,10 +87,9 @@ fn steady_state_applies_are_allocation_free() {
     let mut bout_samples = vec![vec![Complex32::ZERO; k]; channels];
     let mut bout_images = vec![vec![Complex32::ZERO; img_len]; channels];
 
-    // Both execution modes must hold the contract: the fused path's DAG
-    // scratch (ready-queue shards, pred counters, span records) is
-    // plan-owned and sized for the worst case in `prepare`, exactly like
-    // the phased path's `GraphScratch`.
+    // The fused graphs' DAG scratch (ready-queue shards, pred counters,
+    // span records) is plan-owned and sized for the worst case in
+    // `prepare`, exactly like the spread stage driver's `GraphScratch`.
     // The sort dimension rides along: the bin-sort permutation (and the
     // unsorted mode's canonical-scan indirection) are built entirely at
     // plan time, so both layouts must be invisible to the allocator at
@@ -100,73 +99,66 @@ fn steady_state_applies_are_allocation_free() {
     // grown once per channel count in `ensure_fused`'s warmup), so the
     // two-pass sub-FFT/combine applies must be exactly as allocation-free
     // as the recursive path.
-    for exec_mode in [ExecMode::Fused, ExecMode::Phased] {
-        for mode in [WindowMode::OnTheFly, WindowMode::Precomputed] {
-            for sort in [SortMode::TileMajor, SortMode::None] {
-                // Strategy paired with the sort axis (not a fourth nested
-                // loop) keeps the combination count at 8 while still
-                // exercising four-step under both exec modes and window
-                // modes.
-                let strategy = if sort == SortMode::TileMajor {
-                    FftStrategy::FourStep
-                } else {
-                    FftStrategy::Recursive
-                };
-                let cfg = NufftConfig {
-                    threads: 2,
-                    w: 3.0,
-                    partitions_per_dim: Some(4),
-                    window_mode: mode,
-                    exec_mode,
-                    sort,
-                    fft_strategy: strategy,
-                    ..NufftConfig::default()
-                };
-                let mut plan = NufftPlan::new(n, &traj, cfg);
+    for mode in [WindowMode::OnTheFly, WindowMode::Precomputed] {
+        for sort in [SortMode::TileMajor, SortMode::None] {
+            // Strategy paired with the sort axis (not a third nested
+            // loop) keeps the combination count at 4 while still
+            // exercising four-step under both window modes.
+            let strategy = if sort == SortMode::TileMajor {
+                FftStrategy::FourStep
+            } else {
+                FftStrategy::Recursive
+            };
+            let cfg = NufftConfig {
+                threads: 2,
+                w: 3.0,
+                partitions_per_dim: Some(4),
+                window_mode: mode,
+                sort,
+                fft_strategy: strategy,
+                ..NufftConfig::default()
+            };
+            let mut plan = NufftPlan::new(n, &traj, cfg);
 
-                // Warmup: note-taking allocations (FFT tables via OnceLock,
-                // scratch capacity growth, pool worker spawn, batch grids)
-                // happen here. The batch calls run twice so every reusable
-                // vector reaches its steady-state capacity before measurement.
-                for _ in 0..2 {
-                    apply_all(
-                        &mut plan,
-                        &image,
-                        &samples,
-                        &images,
-                        &datas,
-                        &mut out_samples,
-                        &mut out_image,
-                        &mut bout_samples,
-                        &mut bout_images,
-                    );
-                }
-
-                let before = ALLOC.snapshot();
-                for _ in 0..3 {
-                    apply_all(
-                        &mut plan,
-                        &image,
-                        &samples,
-                        &images,
-                        &datas,
-                        &mut out_samples,
-                        &mut out_image,
-                        &mut bout_samples,
-                        &mut bout_images,
-                    );
-                }
-                let delta = ALLOC.snapshot().since(&before);
-                assert_eq!(
-                delta.allocs, 0,
-                "{exec_mode:?}/{mode:?}/{sort:?}: steady-state applies allocated {} times ({} bytes, {} frees)",
-                delta.allocs, delta.bytes, delta.deallocs
-            );
-                assert_eq!(
-                    delta.deallocs, 0,
-                    "{exec_mode:?}/{mode:?}/{sort:?}: steady-state applies freed memory"
+            // Warmup: note-taking allocations (FFT tables via OnceLock,
+            // scratch capacity growth, pool worker spawn, batch grids)
+            // happen here. The batch calls run twice so every reusable
+            // vector reaches its steady-state capacity before measurement.
+            for _ in 0..2 {
+                apply_all(
+                    &mut plan,
+                    &image,
+                    &samples,
+                    &images,
+                    &datas,
+                    &mut out_samples,
+                    &mut out_image,
+                    &mut bout_samples,
+                    &mut bout_images,
                 );
             }
+
+            let before = ALLOC.snapshot();
+            for _ in 0..3 {
+                apply_all(
+                    &mut plan,
+                    &image,
+                    &samples,
+                    &images,
+                    &datas,
+                    &mut out_samples,
+                    &mut out_image,
+                    &mut bout_samples,
+                    &mut bout_images,
+                );
+            }
+            let delta = ALLOC.snapshot().since(&before);
+            assert_eq!(
+                delta.allocs, 0,
+                "{mode:?}/{sort:?}: steady-state applies allocated {} times ({} bytes, {} frees)",
+                delta.allocs, delta.bytes, delta.deallocs
+            );
+            assert_eq!(delta.deallocs, 0, "{mode:?}/{sort:?}: steady-state applies freed memory");
         }
     }
 
@@ -208,38 +200,29 @@ fn steady_state_applies_are_allocation_free() {
     assert_eq!(stats.misses, 1, "one cold build only");
     assert_eq!(stats.hits, 4, "warm checkouts all hit the cache");
 
-    // The standalone stage entry points hold the same contract: after the
-    // fused spread DAG is built lazily on the first `spread_only` (Fused)
-    // and the phased scatter's pointer staging reaches capacity, both
-    // spread-only and interp-only applies are allocation-free.
-    let mut grid = vec![Complex32::ZERO; 0];
-    for exec_mode in [ExecMode::Fused, ExecMode::Phased] {
-        let cfg = NufftConfig {
-            threads: 2,
-            w: 3.0,
-            partitions_per_dim: Some(4),
-            exec_mode,
-            ..NufftConfig::default()
-        };
-        let mut plan = NufftPlan::new(n, &traj, cfg);
-        grid.resize(plan.grid_len(), Complex32::ZERO);
-        for _ in 0..2 {
-            plan.spread_only(&samples, &mut grid);
-            plan.interp_only(&grid, &mut out_samples);
-        }
-        let before = ALLOC.snapshot();
-        for _ in 0..3 {
-            plan.spread_only(&samples, &mut grid);
-            plan.interp_only(&grid, &mut out_samples);
-        }
-        let delta = ALLOC.snapshot().since(&before);
-        assert_eq!(
-            delta.allocs, 0,
-            "{exec_mode:?}: steady-state spread/interp-only applies allocated {} times",
-            delta.allocs
-        );
-        assert_eq!(delta.deallocs, 0, "{exec_mode:?}: spread/interp-only applies freed memory");
+    // The standalone stage entry points hold the same contract: once the
+    // spread stage's pointer staging reaches capacity, both spread-only
+    // and interp-only applies are allocation-free.
+    let cfg =
+        NufftConfig { threads: 2, w: 3.0, partitions_per_dim: Some(4), ..NufftConfig::default() };
+    let mut plan = NufftPlan::new(n, &traj, cfg);
+    let mut grid = vec![Complex32::ZERO; plan.grid_len()];
+    for _ in 0..2 {
+        plan.spread_only(&samples, &mut grid);
+        plan.interp_only(&grid, &mut out_samples);
     }
+    let before = ALLOC.snapshot();
+    for _ in 0..3 {
+        plan.spread_only(&samples, &mut grid);
+        plan.interp_only(&grid, &mut out_samples);
+    }
+    let delta = ALLOC.snapshot().since(&before);
+    assert_eq!(
+        delta.allocs, 0,
+        "steady-state spread/interp-only applies allocated {} times",
+        delta.allocs
+    );
+    assert_eq!(delta.deallocs, 0, "spread/interp-only applies freed memory");
 
     // A tolerance-built ES plan holds the same contract: the Horner
     // coefficient table and the Fourier-transform quadrature tabulation

@@ -9,13 +9,13 @@
 //! `spread_only → FftOp → DeconvOp::extract` adjoint — across dimension,
 //! even and odd extents (band edges off the tile width, so some tiles lie
 //! only partly in the band), oversampling, FFT strategy, ISA level, thread
-//! count, exec mode and channel count. It also pins the tile counts the
-//! passes run, which repeat exactly.
+//! count and channel count. It also pins the tile counts the passes run,
+//! which repeat exactly.
 //!
 //! The CI stress step re-runs this binary with `NUFFT_THREADS=16` to
 //! oversubscribe the pruned fused graphs.
 
-use nufft::core::{ExecMode, FftOp, NufftConfig, NufftPlan};
+use nufft::core::{FftOp, NufftConfig, NufftPlan};
 use nufft::fft::{Direction, FftStrategy};
 use nufft::math::Complex32;
 use nufft::parallel::exec::Executor;
@@ -49,15 +49,8 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn plan_cfg(threads: usize, mode: ExecMode, strategy: FftStrategy, alpha: f64) -> NufftConfig {
-    NufftConfig {
-        threads,
-        w: 3.0,
-        alpha,
-        exec_mode: mode,
-        fft_strategy: strategy,
-        ..NufftConfig::default()
-    }
+fn plan_cfg(threads: usize, strategy: FftStrategy, alpha: f64) -> NufftConfig {
+    NufftConfig { threads, w: 3.0, alpha, fft_strategy: strategy, ..NufftConfig::default() }
 }
 
 /// The reference: every operator as a stage composition through a full
@@ -180,16 +173,12 @@ fn sweep<const D: usize>(geometries: &[[usize; D]], samples: usize) {
             for alpha in ALPHAS {
                 for strategy in [FftStrategy::Recursive, FftStrategy::FourStep] {
                     for threads in [1usize, 2, 4] {
-                        for mode in [ExecMode::Fused, ExecMode::Phased] {
-                            let label = format!(
-                                "n={n:?} alpha={alpha} {strategy:?} isa={isa:?} \
-                                 threads={threads} {mode:?}"
-                            );
-                            let cfg = plan_cfg(threads, mode, strategy, alpha);
-                            let mut plan = NufftPlan::new(n, &traj, cfg);
-                            assert!(skips_tiles(&plan), "{label}: no tile skipped");
-                            check_plan(&mut plan, &label);
-                        }
+                        let label = format!(
+                            "n={n:?} alpha={alpha} {strategy:?} isa={isa:?} threads={threads}"
+                        );
+                        let mut plan = NufftPlan::new(n, &traj, plan_cfg(threads, strategy, alpha));
+                        assert!(skips_tiles(&plan), "{label}: no tile skipped");
+                        check_plan(&mut plan, &label);
                     }
                 }
             }
@@ -224,7 +213,7 @@ fn pruned_fused_stress_oversubscribed() {
     let threads = env_threads();
     let traj = traj::<3>(600);
     for strategy in [FftStrategy::Recursive, FftStrategy::FourStep] {
-        let cfg = plan_cfg(threads, ExecMode::Fused, strategy, 2.0);
+        let cfg = plan_cfg(threads, strategy, 2.0);
         let mut plan = NufftPlan::new([10, 7, 9], &traj, cfg);
         let mut reference = Reference::new(&plan);
         let image = signal(plan.image_len(), 0.4);

@@ -4,16 +4,16 @@
 //! pins the end-to-end contract the scheduler relies on: a plan forced to
 //! `FftStrategy::FourStep` produces **bitwise-identical** output to the
 //! recursive plan for all four operators, at every ISA level the host
-//! supports, at 1/2/4 threads, in both execution modes (the fused DAG's
-//! sub-FFT/transpose shard nodes and the phased two-pass driver are both
-//! exercised). Geometries cover a mixed-radix power-of-two-times-three
+//! supports, at 1/2/4 threads (the fused DAG's sub-FFT/transpose shard
+//! nodes; `FftOp::apply`'s two-pass driver is pinned by
+//! `tests/fft_pruning.rs`). Geometries cover a mixed-radix power-of-two-times-three
 //! axis (96), a three-prime axis (120), and a Bluestein axis (31 — the
 //! four-step plan must fall back to recursive there and still agree).
 //!
 //! The CI stress step re-runs this binary with `NUFFT_THREADS=16` to
 //! oversubscribe the shard scheduling.
 
-use nufft::core::{ExecMode, NufftConfig, NufftPlan, PlanRegistry};
+use nufft::core::{NufftConfig, NufftPlan, PlanRegistry};
 use nufft::fft::{FftStrategy, DEFAULT_LLC_BUDGET};
 use nufft::math::Complex32;
 use nufft::simd::{detect_isa, set_isa_override, IsaLevel};
@@ -44,33 +44,26 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn plan_cfg(threads: usize, mode: ExecMode, strategy: FftStrategy, alpha: f64) -> NufftConfig {
+fn plan_cfg(threads: usize, strategy: FftStrategy, alpha: f64) -> NufftConfig {
     NufftConfig {
         threads,
         w: 3.0,
         alpha,
         partitions_per_dim: Some(4),
-        exec_mode: mode,
         fft_strategy: strategy,
         ..NufftConfig::default()
     }
 }
 
 /// All four operators, forced four-step vs recursive, bitwise.
-fn check_fourstep_matches_recursive(
-    n: [usize; 2],
-    alpha: f64,
-    threads: usize,
-    mode: ExecMode,
-    label: &str,
-) {
+fn check_fourstep_matches_recursive(n: [usize; 2], alpha: f64, threads: usize, label: &str) {
     let traj = traj2(350);
     let img_len = n[0] * n[1];
     let k = traj.len();
     let channels = 2usize;
 
-    let mut four = NufftPlan::new(n, &traj, plan_cfg(threads, mode, FftStrategy::FourStep, alpha));
-    let mut rec = NufftPlan::new(n, &traj, plan_cfg(threads, mode, FftStrategy::Recursive, alpha));
+    let mut four = NufftPlan::new(n, &traj, plan_cfg(threads, FftStrategy::FourStep, alpha));
+    let mut rec = NufftPlan::new(n, &traj, plan_cfg(threads, FftStrategy::Recursive, alpha));
 
     let image = signal(img_len, 0.0);
     let samples = signal(k, 1.3);
@@ -142,15 +135,8 @@ fn fourstep_matches_recursive_bitwise_across_isa_threads_and_modes() {
         set_isa_override(isa).unwrap();
         for (n, alpha) in GEOMETRIES {
             for threads in [1usize, 2, 4] {
-                for mode in [ExecMode::Fused, ExecMode::Phased] {
-                    check_fourstep_matches_recursive(
-                        n,
-                        alpha,
-                        threads,
-                        mode,
-                        &format!("n={n:?} alpha={alpha} isa={isa:?} threads={threads} {mode:?}"),
-                    );
-                }
+                let label = format!("n={n:?} alpha={alpha} isa={isa:?} threads={threads}");
+                check_fourstep_matches_recursive(n, alpha, threads, &label);
             }
         }
     }
@@ -176,10 +162,8 @@ fn fourstep_fused_stress_oversubscribed() {
     let image = signal(img_len, 0.4);
     let samples = signal(traj.len(), 2.2);
 
-    let mut four =
-        NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Fused, FftStrategy::FourStep, 2.0));
-    let mut rec =
-        NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Phased, FftStrategy::Recursive, 2.0));
+    let mut four = NufftPlan::new(n, &traj, plan_cfg(threads, FftStrategy::FourStep, 2.0));
+    let mut rec = NufftPlan::new(n, &traj, plan_cfg(threads, FftStrategy::Recursive, 2.0));
 
     let mut out_r = vec![Complex32::ZERO; traj.len()];
     let mut img_r = vec![Complex32::ZERO; img_len];

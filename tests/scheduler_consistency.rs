@@ -127,162 +127,16 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
 }
 
 // ---------------------------------------------------------------------------
-// Fused (single-DAG) vs phased (join-per-phase) execution.
+// The fused whole-operator graph, replayed barrier-free and join-per-phase.
 //
-// The fused path must be a pure *scheduling* change: every operator output
-// is required to be bitwise-identical to the phased pipeline at every ISA
-// level and thread count. The per-element arithmetic is
-// schedule-independent by construction (the Gray-code exclusion edges fix
-// the adjoint summation order, and every other node writes disjoint
-// elements); these tests are the tripwire that keeps it that way.
+// Its bitwise contract (fused operators equal the stage composition at
+// every ISA level, thread count and channel count) is pinned by
+// `tests/fft_pruning.rs`; this section checks what fusion buys in virtual
+// time on real plans' graphs.
 // ---------------------------------------------------------------------------
 
-use nufft::core::{fused, ExecMode, NufftConfig, NufftPlan};
-use nufft::math::Complex32;
+use nufft::core::{fused, NufftConfig, NufftPlan};
 use nufft::sim::{simulate_dag, simulate_dag_phased, DagLinearCost};
-use nufft::simd::{detect_isa, set_isa_override, IsaLevel};
-use std::sync::Mutex;
-
-/// Serializes the ISA-override tests: the override is process-global.
-static ISA_LOCK: Mutex<()> = Mutex::new(());
-
-fn traj2(count: usize) -> Vec<[f64; 2]> {
-    (0..count)
-        .map(|i| [((i as f64 * 0.618) % 1.0) - 0.5, ((i as f64 * 0.414) % 1.0) - 0.5])
-        .collect()
-}
-
-fn signal(n: usize, phase: f32) -> Vec<Complex32> {
-    (0..n)
-        .map(|i| Complex32::new((i as f32 * 0.13 + phase).sin(), (i as f32 * 0.07).cos()))
-        .collect()
-}
-
-fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: length");
-    for (i, (p, q)) in a.iter().zip(b).enumerate() {
-        assert!(
-            p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits(),
-            "{what}: element {i} differs: {p:?} vs {q:?}"
-        );
-    }
-}
-
-fn plan_cfg(threads: usize, mode: ExecMode) -> NufftConfig {
-    NufftConfig {
-        threads,
-        w: 3.0,
-        // Pin the decomposition so only the schedule varies.
-        partitions_per_dim: Some(4),
-        exec_mode: mode,
-        ..NufftConfig::default()
-    }
-}
-
-/// Runs all four operators under both exec modes on identical inputs and
-/// asserts exact bit equality of every output buffer.
-fn check_fused_matches_phased(threads: usize, label: &str) {
-    let n = [16usize, 16];
-    let traj = traj2(350);
-    let img_len = 256;
-    let k = traj.len();
-    let channels = 2usize;
-
-    let mut fus = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Fused));
-    let mut pha = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Phased));
-    assert_eq!(fus.exec_mode(), ExecMode::Fused, "{label}");
-    assert_eq!(pha.exec_mode(), ExecMode::Phased, "{label}");
-
-    let image = signal(img_len, 0.0);
-    let samples = signal(k, 1.3);
-
-    // forward
-    let mut out_f = vec![Complex32::ZERO; k];
-    let mut out_p = vec![Complex32::ZERO; k];
-    fus.forward(&image, &mut out_f);
-    pha.forward(&image, &mut out_p);
-    assert_bits_eq(&out_f, &out_p, &format!("{label}: forward"));
-
-    // adjoint
-    let mut img_f = vec![Complex32::ZERO; img_len];
-    let mut img_p = vec![Complex32::ZERO; img_len];
-    fus.adjoint(&samples, &mut img_f);
-    pha.adjoint(&samples, &mut img_p);
-    assert_bits_eq(&img_f, &img_p, &format!("{label}: adjoint"));
-
-    // forward_batch
-    let images: Vec<Vec<Complex32>> = (0..channels).map(|c| signal(img_len, c as f32)).collect();
-    let image_refs: Vec<&[Complex32]> = images.iter().map(|v| v.as_slice()).collect();
-    let mut bout_f = vec![vec![Complex32::ZERO; k]; channels];
-    let mut bout_p = vec![vec![Complex32::ZERO; k]; channels];
-    {
-        let mut refs: Vec<&mut [Complex32]> = bout_f.iter_mut().map(|v| v.as_mut_slice()).collect();
-        fus.forward_batch(&image_refs, &mut refs);
-    }
-    {
-        let mut refs: Vec<&mut [Complex32]> = bout_p.iter_mut().map(|v| v.as_mut_slice()).collect();
-        pha.forward_batch(&image_refs, &mut refs);
-    }
-    for c in 0..channels {
-        assert_bits_eq(&bout_f[c], &bout_p[c], &format!("{label}: forward_batch ch{c}"));
-    }
-
-    // adjoint_batch
-    let datas: Vec<Vec<Complex32>> = (0..channels).map(|c| signal(k, 2.0 + c as f32)).collect();
-    let data_refs: Vec<&[Complex32]> = datas.iter().map(|v| v.as_slice()).collect();
-    let mut bimg_f = vec![vec![Complex32::ZERO; img_len]; channels];
-    let mut bimg_p = vec![vec![Complex32::ZERO; img_len]; channels];
-    {
-        let mut refs: Vec<&mut [Complex32]> = bimg_f.iter_mut().map(|v| v.as_mut_slice()).collect();
-        fus.adjoint_batch(&data_refs, &mut refs);
-    }
-    {
-        let mut refs: Vec<&mut [Complex32]> = bimg_p.iter_mut().map(|v| v.as_mut_slice()).collect();
-        pha.adjoint_batch(&data_refs, &mut refs);
-    }
-    for c in 0..channels {
-        assert_bits_eq(&bimg_f[c], &bimg_p[c], &format!("{label}: adjoint_batch ch{c}"));
-    }
-}
-
-#[test]
-fn fused_matches_phased_bitwise_across_isa_and_threads() {
-    let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let detected = detect_isa();
-    for isa in [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma] {
-        if isa > detected {
-            continue;
-        }
-        set_isa_override(isa).unwrap();
-        for threads in [1usize, 2, 4] {
-            check_fused_matches_phased(threads, &format!("isa={isa:?} threads={threads}"));
-        }
-    }
-    set_isa_override(detected).unwrap();
-}
-
-#[test]
-fn exec_mode_switch_on_one_plan_stays_bitwise() {
-    let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let n = [16usize, 16];
-    let traj = traj2(300);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
-    let samples = signal(traj.len(), 0.7);
-
-    let mut img_fused = vec![Complex32::ZERO; 256];
-    plan.adjoint(&samples, &mut img_fused);
-
-    plan.set_exec_mode(ExecMode::Phased);
-    assert_eq!(plan.exec_mode(), ExecMode::Phased);
-    let mut img_phased = vec![Complex32::ZERO; 256];
-    plan.adjoint(&samples, &mut img_phased);
-    assert_bits_eq(&img_fused, &img_phased, "adjoint after switching to phased");
-
-    plan.set_exec_mode(ExecMode::Fused);
-    let mut img_back = vec![Complex32::ZERO; 256];
-    plan.adjoint(&samples, &mut img_back);
-    assert_bits_eq(&img_fused, &img_back, "adjoint after switching back to fused");
-}
 
 /// Center-heavy radial trajectory: most samples land near the origin, so
 /// the central partition cells carry far more convolution work than the
@@ -314,12 +168,18 @@ fn fused_dag_simulated_speedup_dominates_phased_on_real_plans() {
     // balance perfectly or both schedules sit on the same critical path —
     // there fused must simply stay within a few percent (greedy cross-
     // phase scheduling admits small ordering anomalies; the executor-side
-    // guarantee of bitwise identity is exercised above, this test is about
-    // virtual time).
-    let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // guarantee of bitwise identity is pinned by `tests/fft_pruning.rs`,
+    // this test is about virtual time).
     let n = [16usize, 16];
     let traj = clustered_traj2(2000);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
+    let cfg = NufftConfig {
+        threads: 2,
+        w: 3.0,
+        // Pin the decomposition the thresholds below were set on.
+        partitions_per_dim: Some(4),
+        ..NufftConfig::default()
+    };
+    let mut plan = NufftPlan::new(n, &traj, cfg);
     let model = DagLinearCost::per_unit(0.001);
     for adjoint in [false, true] {
         let dag = plan.fused_dag(adjoint, 1);

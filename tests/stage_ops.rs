@@ -1,14 +1,12 @@
 //! The stage-graph contract: the public `SpreadOp` / `InterpOp` / `FftOp`
 //! / `DeconvOp` operators compose — through their documented buffer
 //! contracts alone — into the exact monolithic operators, and the
-//! standalone `spread_only` / `interp_only` entry points agree across
-//! execution modes.
+//! standalone `spread_only` / `interp_only` entry points are those stages.
 //!
 //! These tests are what lets downstream users build custom pipelines
 //! (density estimation, gridding-only recon steps) out of stages without
 //! losing the plan paths' determinism guarantees.
 
-use nufft::core::plan::ExecMode;
 use nufft::core::{FftOp, InterpOp, NufftConfig, NufftPlan, SpreadOp};
 use nufft::fft::Direction;
 use nufft::math::{Complex32, Complex64};
@@ -31,36 +29,8 @@ fn traj2(count: usize) -> Vec<[f64; 2]> {
         .collect()
 }
 
-fn cfg(threads: usize, mode: ExecMode) -> NufftConfig {
-    NufftConfig {
-        threads,
-        w: 3.0,
-        partitions_per_dim: Some(4),
-        exec_mode: mode,
-        ..NufftConfig::default()
-    }
-}
-
-/// `spread_only` under the fused spread DAG and the phased scatter driver
-/// produce bitwise-identical grids — the spread fragment emitted by
-/// `build_spread` is the same graph slice the full adjoint uses.
-#[test]
-fn spread_only_fused_matches_phased_bitwise() {
-    let traj = traj2(400);
-    let samples = Rng::seed_from_u64(31).gen_c32_vec(traj.len(), 1.0);
-    for threads in [1usize, 2, 4] {
-        let mut phased = NufftPlan::new([24, 24], &traj, cfg(threads, ExecMode::Phased));
-        let mut fused = NufftPlan::new([24, 24], &traj, cfg(threads, ExecMode::Fused));
-        let mut gp = vec![Complex32::ZERO; phased.grid_len()];
-        let mut gf = vec![Complex32::ZERO; fused.grid_len()];
-        // Two rounds: the first builds the fused spread DAG lazily, the
-        // second runs it warm.
-        for round in 0..2 {
-            phased.spread_only(&samples, &mut gp);
-            fused.spread_only(&samples, &mut gf);
-            assert_bitwise(&gp, &gf, &format!("spread_only at {threads} threads round {round}"));
-        }
-    }
+fn cfg(threads: usize) -> NufftConfig {
+    NufftConfig { threads, w: 3.0, partitions_per_dim: Some(4), ..NufftConfig::default() }
 }
 
 /// Manually composing the plan's public stages — `spread_only`, then a
@@ -70,7 +40,7 @@ fn spread_only_fused_matches_phased_bitwise() {
 fn stages_compose_to_adjoint_bitwise() {
     let traj = traj2(500);
     let samples = Rng::seed_from_u64(47).gen_c32_vec(traj.len(), 1.0);
-    let c = cfg(2, ExecMode::Phased);
+    let c = cfg(2);
     let mut plan = NufftPlan::new([20, 20], &traj, c);
 
     let mut want = vec![Complex32::ZERO; 20 * 20];
@@ -94,7 +64,7 @@ fn stages_compose_to_adjoint_bitwise() {
 fn stages_compose_to_forward_bitwise() {
     let traj = traj2(500);
     let image = Rng::seed_from_u64(53).gen_c32_vec(20 * 20, 1.0);
-    let c = cfg(2, ExecMode::Phased);
+    let c = cfg(2);
     let mut plan = NufftPlan::new([20, 20], &traj, c);
 
     let mut want = vec![Complex32::ZERO; traj.len()];
@@ -151,7 +121,7 @@ fn standalone_spread_interp_are_transposes() {
 #[test]
 fn interp_only_matches_stage_apply() {
     let traj = traj2(300);
-    let c = cfg(2, ExecMode::Phased);
+    let c = cfg(2);
     let plan = NufftPlan::new([16, 16], &traj, c);
     let exec = Executor::new(c.threads);
     let grid = Rng::seed_from_u64(71).gen_c32_vec(plan.grid_len(), 1.0);

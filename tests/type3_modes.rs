@@ -1,14 +1,14 @@
-//! Type-3 execution-matrix consistency: Fused vs Phased inner execution
-//! and 1/2/4/16-thread runs must all produce bitwise-identical output —
-//! the type-3 analogue of `tests/scheduler_consistency.rs`, and the
-//! backing for the `NUFFT_THREADS=16` stress step in `scripts/ci.sh`.
+//! Type-3 execution-matrix consistency: 1/2/4/16-thread runs and repeated
+//! runs must all produce bitwise-identical output — the backing for the
+//! `NUFFT_THREADS=16` stress step in `scripts/ci.sh`.
 //!
 //! Every constituent stage is individually deterministic (canonical
 //! tile-major scatter ordering, pure gathers, exclusion-edge-ordered
-//! fused DAGs), so their composition must be too; this pins it.
+//! fused DAGs), so their composition must be too; this pins it. The inner
+//! type-2 operator is a `NufftPlan`, pinned bitwise to its stage
+//! composition by `tests/fft_pruning.rs`.
 
-use nufft::core::plan::ExecMode;
-use nufft::core::{NufftConfig, NufftPlan, Type3Plan};
+use nufft::core::{NufftConfig, Type3Plan};
 use nufft::math::Complex32;
 use nufft::traj::generators::{cloud, clustered_cloud};
 use nufft_testkit::Rng;
@@ -44,7 +44,6 @@ fn run_both(
     strengths: &[Complex32],
     samples: &[Complex32],
     threads: usize,
-    mode: ExecMode,
     privatization: bool,
 ) -> (Vec<Complex32>, Vec<Complex32>) {
     // Pin the task decomposition (as `tests/determinism.rs` does) so only
@@ -52,7 +51,6 @@ fn run_both(
     let cfg = NufftConfig {
         threads,
         w: 3.0,
-        exec_mode: mode,
         partitions_per_dim: Some(4),
         privatization,
         ..NufftConfig::default()
@@ -68,23 +66,8 @@ fn run_both(
     (fwd, adj)
 }
 
-/// Fused and Phased inner execution agree bitwise, at several thread
-/// counts (including the CI stress count via `NUFFT_THREADS`).
-#[test]
-fn type3_fused_matches_phased_bitwise() {
-    let (sources, targets, strengths, samples) = problem(300, 200, 42);
-    for threads in [1usize, 2, threads_env_or(4)] {
-        let (ff, fa) =
-            run_both(&sources, &targets, &strengths, &samples, threads, ExecMode::Fused, true);
-        let (pf, pa) =
-            run_both(&sources, &targets, &strengths, &samples, threads, ExecMode::Phased, true);
-        assert_bitwise(&ff, &pf, &format!("forward fused-vs-phased at {threads} threads"));
-        assert_bitwise(&fa, &pa, &format!("adjoint fused-vs-phased at {threads} threads"));
-    }
-}
-
 /// Output is invariant across thread counts (1 vs 2 vs 4 vs the
-/// `NUFFT_THREADS` stress count), in both exec modes.
+/// `NUFFT_THREADS` stress count).
 ///
 /// Like `tests/determinism.rs`, the *layout* must be pinned for bitwise
 /// cross-thread identity: partitions via `partitions_per_dim`, and
@@ -96,13 +79,11 @@ fn type3_fused_matches_phased_bitwise() {
 #[test]
 fn type3_is_deterministic_across_thread_counts() {
     let (sources, targets, strengths, samples) = problem(280, 190, 77);
-    for mode in [ExecMode::Fused, ExecMode::Phased] {
-        let (f1, a1) = run_both(&sources, &targets, &strengths, &samples, 1, mode, false);
-        for threads in [2usize, 4, threads_env_or(4)] {
-            let (ft, at) = run_both(&sources, &targets, &strengths, &samples, threads, mode, false);
-            assert_bitwise(&f1, &ft, &format!("forward {mode:?} {threads} threads vs 1"));
-            assert_bitwise(&a1, &at, &format!("adjoint {mode:?} {threads} threads vs 1"));
-        }
+    let (f1, a1) = run_both(&sources, &targets, &strengths, &samples, 1, false);
+    for threads in [2usize, 4, threads_env_or(4)] {
+        let (ft, at) = run_both(&sources, &targets, &strengths, &samples, threads, false);
+        assert_bitwise(&f1, &ft, &format!("forward {threads} threads vs 1"));
+        assert_bitwise(&a1, &at, &format!("adjoint {threads} threads vs 1"));
     }
 }
 
@@ -114,28 +95,10 @@ fn type3_is_deterministic_across_thread_counts() {
 fn type3_is_stable_across_repeated_runs() {
     let (sources, targets, strengths, samples) = problem(260, 180, 55);
     let threads = threads_env_or(4);
-    for mode in [ExecMode::Fused, ExecMode::Phased] {
-        let (f0, a0) = run_both(&sources, &targets, &strengths, &samples, threads, mode, true);
-        for rep in 0..3 {
-            let (f, a) = run_both(&sources, &targets, &strengths, &samples, threads, mode, true);
-            assert_bitwise(&f0, &f, &format!("forward {mode:?} repeat {rep}"));
-            assert_bitwise(&a0, &a, &format!("adjoint {mode:?} repeat {rep}"));
-        }
+    let (f0, a0) = run_both(&sources, &targets, &strengths, &samples, threads, true);
+    for rep in 0..3 {
+        let (f, a) = run_both(&sources, &targets, &strengths, &samples, threads, true);
+        assert_bitwise(&f0, &f, &format!("forward repeat {rep}"));
+        assert_bitwise(&a0, &a, &format!("adjoint repeat {rep}"));
     }
-}
-
-/// Flipping exec mode on a *live* plan (the registry lease pattern)
-/// keeps output identical to a plan born in that mode.
-#[test]
-fn type3_exec_mode_flips_on_live_plan() {
-    let (sources, targets, strengths, _) = problem(220, 150, 99);
-    let cfg = NufftConfig { threads: 2, w: 3.0, ..NufftConfig::default() };
-    let mut plan = NufftPlan::type3(&sources, &targets, cfg);
-    let mut a = vec![Complex32::ZERO; targets.len()];
-    let mut b = vec![Complex32::ZERO; targets.len()];
-    plan.set_exec_mode(ExecMode::Fused);
-    plan.forward(&strengths, &mut a);
-    plan.set_exec_mode(ExecMode::Phased);
-    plan.forward(&strengths, &mut b);
-    assert_bitwise(&a, &b, "live exec-mode flip");
 }

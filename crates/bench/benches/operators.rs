@@ -53,7 +53,7 @@ fn main() {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     let weights = vec![1.0f32; traj.len()];
-    let mut toep = nufft_mri::ToeplitzNormal::new([n; 3], &traj.points, &weights, cfg);
+    let mut toep = nufft_mri::ToeplitzNormal::new(&plan, &weights);
     let mut tmp_k = vec![Complex32::ZERO; traj.len()];
     let mut out_img = vec![Complex32::ZERO; n * n * n];
     g.bench_function("explicit_fwd_adj", |b| {
@@ -62,6 +62,6 @@ fn main() {
             plan.adjoint(&tmp_k, &mut out_img);
         })
     });
-    g.bench_function("toeplitz_embedded", |b| b.iter(|| toep.apply(&image, &mut out_img)));
+    g.bench_function("toeplitz_embedded", |b| b.iter(|| toep.apply(&[], &image, &mut out_img)));
     g.finish();
 }

@@ -109,8 +109,8 @@ pub fn fig8(scale: &RunScale) {
     // task graph partitioned *for* 40 cores, forward conv + FFT via the
     // independent-lines model, scale phase serial.
     let cfg40 = NufftConfig { threads: 40, partitions_per_dim: Some(8), ..cfg };
-    let mut prob40 = build_problem(DatasetKind::Radial, &p, cfg40);
-    let model = calibrate_cost(&mut prob40.plan, &prob40.samples);
+    let prob40 = build_problem(DatasetKind::Radial, &p, cfg40);
+    let model = calibrate_cost(&prob40.plan, &prob40.samples);
     let conv40 = simulate(prob40.plan.graph(), QueuePolicy::Priority, 40, &model).makespan;
     let m = prob.plan.geometry().m[0];
     let lines = 3 * m * m;
@@ -166,8 +166,8 @@ pub fn tab2(scale: &RunScale) {
 
     // 40-core projection (graph partitioned for the simulated machine).
     let cfg40 = NufftConfig { threads: 40, partitions_per_dim: Some(8), ..cfg };
-    let mut prob40 = build_problem(DatasetKind::Radial, &p, cfg40);
-    let model = calibrate_cost(&mut prob40.plan, &prob40.samples);
+    let prob40 = build_problem(DatasetKind::Radial, &p, cfg40);
+    let model = calibrate_cost(&prob40.plan, &prob40.samples);
     let adj40 = simulate(prob40.plan.graph(), QueuePolicy::Priority, 40, &model).makespan;
     let m = prob.plan.geometry().m[0];
     let lines = 3 * m * m;

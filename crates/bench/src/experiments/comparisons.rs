@@ -53,7 +53,7 @@ pub fn tab4(scale: &RunScale) {
     // 12-core projection of the adjoint (the paper's WSM12C) via the
     // simulator for ours; for the Shu baseline the reduction is serial-ish
     // per element and the scatter is embarrassingly parallel:
-    let model = calibrate_cost(&mut plan, &ksamples);
+    let model = calibrate_cost(&plan, &ksamples);
     let ours12 = simulate(plan.graph(), QueuePolicy::Priority, 12, &model).makespan;
 
     let mut t = Table::new(
@@ -117,7 +117,7 @@ pub fn tab5(scale: &RunScale) {
     })
     .total;
 
-    let model = calibrate_cost(&mut plan, &ksamples);
+    let model = calibrate_cost(&plan, &ksamples);
     let adj16 = simulate(plan.graph(), QueuePolicy::Priority, 16, &model).makespan;
 
     let mut t = Table::new(

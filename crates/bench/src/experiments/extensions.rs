@@ -63,7 +63,7 @@ pub fn exttoeplitz(scale: &RunScale) {
     let mut plan = NufftPlan::new([n; 3], &traj.points, cfg);
     let weights = vec![1.0f32; traj.len()];
     let t0 = std::time::Instant::now();
-    let mut toep = ToeplitzNormal::new([n; 3], &traj.points, &weights, cfg);
+    let mut toep = ToeplitzNormal::new(&plan, &weights);
     let setup = t0.elapsed().as_secs_f64();
 
     let x: Vec<Complex32> =
@@ -78,7 +78,7 @@ pub fn exttoeplitz(scale: &RunScale) {
     });
     let embedded = time_median(scale.reps, || {
         let t0 = std::time::Instant::now();
-        toep.apply(&x, &mut out);
+        toep.apply(&[], &x, &mut out);
         t0.elapsed().as_secs_f64()
     });
 

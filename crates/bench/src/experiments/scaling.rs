@@ -21,8 +21,7 @@ fn n_variants(scale: &RunScale) -> Vec<DatasetParams> {
 
 /// Plan configuration for a simulated `cores`-wide machine: partition
 /// count and the Eq. 6 privatization threshold are sized for `cores` (the
-/// one calibration measurement runs oversubscribed on the host, which is
-/// fine — only its total time is used).
+/// cost calibration times a 1-worker plan with the same partitions).
 fn sim_cfg(w: f64, cores: usize) -> NufftConfig {
     let p = (((8 * cores) as f64).powf(1.0 / 3.0).ceil() as usize).max(2);
     NufftConfig { threads: cores, w, partitions_per_dim: Some(p), ..NufftConfig::default() }
@@ -30,7 +29,7 @@ fn sim_cfg(w: f64, cores: usize) -> NufftConfig {
 
 /// Simulated adjoint-convolution speedup curve for a built problem.
 fn sim_speedups(prob: &mut crate::Problem, policy: QueuePolicy, cores: &[usize]) -> Vec<f64> {
-    let model = calibrate_cost(&mut prob.plan, &prob.samples);
+    let model = calibrate_cost(&prob.plan, &prob.samples);
     let base = simulate(prob.plan.graph(), policy, 1, &model).makespan;
     cores.iter().map(|&c| base / simulate(prob.plan.graph(), policy, c, &model).makespan).collect()
 }
@@ -43,7 +42,7 @@ fn sim_speedups_shared(
     policy: QueuePolicy,
     cores: &[usize],
 ) -> Vec<f64> {
-    let model = calibrate_cost(&mut prob.plan, &prob.samples);
+    let model = calibrate_cost(&prob.plan, &prob.samples);
     let base = nufft_sim::simulate_shared_queue(prob.plan.graph(), policy, 1, &model).makespan;
     cores
         .iter()
@@ -211,8 +210,8 @@ pub fn fig12(scale: &RunScale) {
         // design improves upon.
         {
             let cfg = NufftConfig { privatization: false, ..sim_cfg(4.0, 40) };
-            let mut prob = build_problem(DatasetKind::Radial, &params, cfg);
-            let model = crate::calibrate_cost(&mut prob.plan, &prob.samples);
+            let prob = build_problem(DatasetKind::Radial, &params, cfg);
+            let model = crate::calibrate_cost(&prob.plan, &prob.samples);
             let base = nufft_sim::simulate_colored(prob.plan.graph(), 1, &model);
             let s: Vec<f64> = [10usize, 20, 40]
                 .iter()
@@ -250,9 +249,9 @@ pub fn fig14(scale: &RunScale) {
         let params = scale.apply(row);
         // The simulated 40-core machine: its task graph, preprocessing and
         // calibration.
-        let mut prob = build_problem(DatasetKind::Radial, &params, sim_cfg(4.0, 40));
+        let prob = build_problem(DatasetKind::Radial, &params, sim_cfg(4.0, 40));
         let pre = prob.plan.preprocess_seconds();
-        let model = calibrate_cost(&mut prob.plan, &prob.samples);
+        let model = calibrate_cost(&prob.plan, &prob.samples);
         let adj40 = simulate(prob.plan.graph(), QueuePolicy::Priority, 40, &model).makespan;
         // One iteration measured on one worker, same pinned partitions.
         let one_cfg = NufftConfig { threads: 1, ..sim_cfg(4.0, 40) };

@@ -174,12 +174,21 @@ pub fn plan_timers(prob: &mut Problem, reps: usize) -> (OpTimers, OpTimers) {
     (ft, at)
 }
 
-/// Calibrates a [`LinearCost`] for the simulator from one measured adjoint
-/// convolution: per-sample cost from the measured time, per-task setup and
-/// queue costs as absolute microarchitectural constants (they do not scale
-/// with the kernel width).
-pub fn calibrate_cost(plan: &mut NufftPlan<3>, samples: &[Complex32]) -> LinearCost {
-    let conv_s = plan.adjoint_convolution_only(samples);
+/// Calibrates a [`LinearCost`] for the simulator from one measured
+/// single-core adjoint convolution: the per-sample cost is timed on a
+/// warmed 1-worker plan over `plan`'s samples, config and partition count
+/// (`plan` itself may run on many workers, and the simulator wants the
+/// cost of one); per-task setup and queue costs are absolute
+/// microarchitectural constants (they do not scale with the kernel width).
+pub fn calibrate_cost(plan: &NufftPlan<3>, samples: &[Complex32]) -> LinearCost {
+    let cfg = plan.config();
+    let partitions = cfg
+        .partitions_per_dim
+        .unwrap_or_else(|| plan.graph().dims().iter().copied().max().unwrap_or(1));
+    let one = NufftConfig { threads: 1, partitions_per_dim: Some(partitions), ..*cfg };
+    let mut serial = NufftPlan::from_grid_coords(plan.geometry().n, plan.grid_coords(), one);
+    serial.adjoint_convolution_only(samples);
+    let conv_s = serial.adjoint_convolution_only(samples);
     let n = plan.num_samples().max(1);
     let per_sample = conv_s / n as f64;
     LinearCost {

@@ -177,6 +177,19 @@ pub fn embed_scaled_slab<const D: usize>(
     slab: &mut [Complex32],
     lo: usize,
 ) {
+    embed_slab_with(geo, slab, lo, |f| image[f] * scale[f]);
+}
+
+/// [`embed_scaled_slab`] with each embedded value computed by `value(f)`
+/// for image position `f` (a coil-weighted image, say), in the same
+/// single pass over the slab.
+#[inline]
+pub fn embed_slab_with<const D: usize>(
+    geo: &Geometry<D>,
+    slab: &mut [Complex32],
+    lo: usize,
+    value: impl Fn(usize) -> Complex32,
+) {
     debug_assert!(lo + slab.len() <= geo.grid_len());
     slab.fill(Complex32::ZERO);
     if slab.is_empty() {
@@ -216,8 +229,46 @@ pub fn embed_scaled_slab<const D: usize>(
             }
             let img_base = base + img0 + (a - row_lo - g0);
             for (k, out) in slab[a - lo..b - lo].iter_mut().enumerate() {
-                let f = img_base + k;
-                *out = image[f] * scale[f];
+                *out = value(img_base + k);
+            }
+        }
+    }
+}
+
+/// Walks image positions `[lo, hi)` as runs that are contiguous in both
+/// the image and the grid of the embed map: `f(image_flat, grid_flat,
+/// len)` per run. Along the last axis the map splits every image row in
+/// two runs (columns `[0, N/2)` land at `[M − N/2, M)`, columns `[N/2, N)`
+/// at `[0, N − N/2)`), so a pass over the runs costs one index decode per
+/// row, not per element.
+pub fn for_each_embed_run<const D: usize>(
+    geo: &Geometry<D>,
+    lo: usize,
+    hi: usize,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    debug_assert!(hi <= geo.image_len());
+    if lo >= hi {
+        return;
+    }
+    let gs = geo.grid_strides();
+    let (n_last, m_last) = (geo.n[D - 1], geo.m[D - 1]);
+    // (image column start, run length, grid column start)
+    let segs = [(0usize, n_last / 2, m_last - n_last / 2), (n_last / 2, n_last - n_last / 2, 0)];
+    for row in lo / n_last..=(hi - 1) / n_last {
+        let mut rem = row;
+        let mut base = 0usize;
+        for d in (0..D - 1).rev() {
+            let idx = rem % geo.n[d];
+            rem /= geo.n[d];
+            base += (idx + geo.m[d] - geo.n[d] / 2) % geo.m[d] * gs[d];
+        }
+        let row_lo = row * n_last;
+        for (i0, len, g0) in segs {
+            let a = (row_lo + i0).max(lo);
+            let b = (row_lo + i0 + len).min(hi);
+            if a < b {
+                f(a, base + g0 + (a - row_lo - i0), b - a);
             }
         }
     }
@@ -366,6 +417,37 @@ mod tests {
             lo = hi;
         }
         assert_eq!(full, chunked);
+    }
+
+    /// The runs of `for_each_embed_run` over uneven ranges, unrolled, are
+    /// exactly the per-element embed map in image order.
+    fn embed_runs_match<const D: usize>(n: [usize; D], alpha: f64) {
+        let geo = Geometry::new(n, alpha);
+        let gs = geo.grid_strides();
+        let mut want = Vec::new();
+        for_each_index(&geo.n, |flat, idx| {
+            let g: usize =
+                (0..D).map(|d| (idx[d] + geo.m[d] - geo.n[d] / 2) % geo.m[d] * gs[d]).sum();
+            want.push((flat, g));
+        });
+        let mut got = Vec::new();
+        let mut lo = 0usize;
+        for step in [1usize, 4, 7, 2, usize::MAX] {
+            let hi = lo.saturating_add(step).min(geo.image_len());
+            for_each_embed_run(&geo, lo, hi, |i, g, len| {
+                got.extend((0..len).map(|k| (i + k, g + k)));
+            });
+            lo = hi;
+        }
+        assert_eq!(got, want, "n = {n:?}, alpha = {alpha}");
+    }
+
+    #[test]
+    fn embed_runs_cover_the_embed_map_once() {
+        embed_runs_match([9], 1.25);
+        embed_runs_match([5, 6], 1.6);
+        embed_runs_match([1, 5], 2.0);
+        embed_runs_match([4, 3, 7], 2.0);
     }
 
     #[test]

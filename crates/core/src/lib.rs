@@ -64,7 +64,7 @@ pub mod type3;
 pub mod windows;
 
 pub use kernel::{InterpKernel, KernelChoice};
-pub use nufft_parallel::exec::JobPriority;
+pub use nufft_parallel::exec::{Executor, JobPriority};
 pub use plan::{NufftConfig, NufftPlan, OpTimers};
 pub use registry::{
     ApplyHandle, ApplyOp, ApplyRequest, NufftService, PlanKey, PlanLease, PlanRegistry,

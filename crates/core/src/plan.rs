@@ -469,6 +469,19 @@ impl<const D: usize> NufftPlan<D> {
         self.spread.num_samples()
     }
 
+    /// The trajectory in oversampled-grid units `[0, M)`, in the caller's
+    /// sample order (the plan stores it in its internal layout). A plan
+    /// built [`NufftPlan::from_grid_coords`] from these coordinates sees
+    /// exactly this plan's samples. Allocates the returned vector.
+    pub fn grid_coords(&self) -> Vec<[f32; D]> {
+        let pre = &self.spread.pre;
+        let mut out = vec![[0.0f32; D]; pre.coords.len()];
+        for (c, &slot) in pre.coords.iter().zip(&pre.order) {
+            out[slot as usize] = *c;
+        }
+        out
+    }
+
     /// Image element count (`Π n_d`).
     pub fn image_len(&self) -> usize {
         self.geo.image_len()
@@ -1393,5 +1406,18 @@ mod tests {
     #[should_panic(expected = "tolerance must be")]
     fn tolerance_rejects_out_of_range() {
         let _ = NufftConfig::tolerance(0.0);
+    }
+
+    #[test]
+    fn grid_coords_come_back_in_caller_order() {
+        // A shuffled trajectory that the tile sort permutes internally.
+        let coords: Vec<[f32; 2]> = (0..500)
+            .map(|i| [((i * 37) % 64) as f32 + 0.25, ((i * 11) % 64) as f32 + 0.5])
+            .collect();
+        for sort in [SortMode::None, SortMode::TileMajor] {
+            let cfg = NufftConfig { threads: 1, w: 2.0, sort, ..NufftConfig::default() };
+            let plan = NufftPlan::from_grid_coords([32, 32], coords.clone(), cfg);
+            assert_eq!(plan.grid_coords(), coords, "{sort:?}");
+        }
     }
 }

@@ -34,7 +34,10 @@
 //! * `InterpOp::apply(grid, out)` — pure reads of `grid`, one write per
 //!   sample at its original (caller-order) position.
 //! * `FftOp::apply(data, dir)` — in-place, unnormalized in both
-//!   directions (the exact adjoint pair).
+//!   directions (the exact adjoint pair). `FftOp::apply_banded` is its
+//!   zero-aware form for a grid holding an embedded image: the forward
+//!   input must be zero outside the image band, and the backward output
+//!   is valid only inside it.
 //! * `DeconvOp::embed(image, grid)` / `extract(grid, image)` — image is
 //!   the centered `n`-extent block of the `m`-extent grid, multiplied by
 //!   the kernel's inverse Fourier roll-off.
@@ -495,10 +498,14 @@ impl FftOp {
         Self::plan_banded(shape, shape, strategy, llc_budget, threads)
     }
 
-    /// [`FftOp::plan`] for the grid an `image`-extent embed fills: besides
-    /// the full transform, the plan lists the tiles the zero-aware passes
-    /// run (see [`TileSet`]).
-    pub(crate) fn plan_banded(
+    /// [`FftOp::plan`] for a grid that holds an `image`-extent block at the
+    /// centered embed's positions (per axis `d`, `image[d] ≤ shape[d]`):
+    /// besides the full transform, the plan lists the tiles the zero-aware
+    /// passes of [`FftOp::apply_banded`] run. The *band* of axis `d` is
+    /// the grid indices `g` with `(g + ⌊image[d]/2⌋) mod shape[d] <
+    /// image[d]` — the positions [`crate::grid::embed_scaled`] fills and
+    /// [`crate::grid::extract_scaled`] reads.
+    pub fn plan_banded(
         shape: &[usize],
         image: &[usize],
         strategy: FftStrategy,
@@ -549,12 +556,41 @@ impl FftOp {
     /// # Panics
     /// Panics if `data.len() != self.len()`.
     pub fn apply(&mut self, exec: &Executor, data: &mut [Complex32], dir: Direction) {
+        self.run(exec, data, dir, TileSet::All);
+    }
+
+    /// The zero-aware form of [`FftOp::apply`] on a [`FftOp::plan_banded`]
+    /// plan: same arithmetic per line, fewer lines.
+    ///
+    /// * `Forward` requires `data` to be zero outside the band on every
+    ///   axis (an embedded image); the output is the full transform. Axis
+    ///   `k` skips the lines whose indices on the axes after `k` leave the
+    ///   band: they are still all zero, which is what their transform
+    ///   would write back.
+    /// * `Backward` transforms any `data`, but its output is valid only
+    ///   inside the band on every axis (where an extract reads); elsewhere
+    ///   it holds partial results. Axis `k` skips the lines whose indices
+    ///   on the axes before `k` leave the band: nothing reads them again.
+    ///
+    /// With `image == shape` both are exactly [`FftOp::apply`].
+    ///
+    /// # Panics
+    /// Panics if `data.len() != self.len()`.
+    pub fn apply_banded(&mut self, exec: &Executor, data: &mut [Complex32], dir: Direction) {
+        let set = match dir {
+            Direction::Forward => TileSet::Forward,
+            Direction::Backward => TileSet::Adjoint,
+        };
+        self.run(exec, data, dir, set);
+    }
+
+    fn run(&mut self, exec: &Executor, data: &mut [Complex32], dir: Direction, set: TileSet) {
         assert_eq!(data.len(), self.grid_len, "fft buffer length mismatch");
         let Self { fft, tile_plan: tp, scratch, fs, .. } = self;
         let base = SendPtr(data.as_mut_ptr());
         let b = tp.b;
         for axis in 0..fft.shape().len() {
-            let list = tp.list(TileSet::All, axis);
+            let list = tp.list(set, axis);
             let tiles = &list.tiles[..];
             let align = tp.axes[axis].align;
             if let Some((colg, kbg)) = tp.axes[axis].shards {

@@ -22,8 +22,10 @@ pub struct CgReport {
 
 /// Runs CG for `(op + λI)x = b`, starting from `x` (commonly zeros).
 ///
-/// `op(input, output)` must apply the Hermitian PSD operator. Terminates at
-/// `max_iters` or when the relative residual falls below `tol`.
+/// `op(input, output)` must apply the Hermitian PSD operator. It runs once
+/// per iteration, plus once for the initial residual when `x` is not all
+/// zero. Terminates at `max_iters` or when the relative residual falls
+/// below `tol`.
 ///
 /// # Panics
 /// Panics if buffer lengths disagree.
@@ -43,10 +45,15 @@ where
     let mut r = vec![Complex32::ZERO; n];
     let mut ap = vec![Complex32::ZERO; n];
 
-    // r = b − (op + λI)x.
-    op(x, &mut ap);
-    for i in 0..n {
-        r[i] = b[i] - ap[i] - x[i].scale(lambda);
+    // r = b − (op + λI)x, which is b itself from a zero start (the usual
+    // one) — so that start costs no operator call.
+    if x.iter().all(|&z| z == Complex32::ZERO) {
+        r.copy_from_slice(b);
+    } else {
+        op(x, &mut ap);
+        for i in 0..n {
+            r[i] = b[i] - ap[i] - x[i].scale(lambda);
+        }
     }
     let mut p = r.clone();
     let b_norm = sum_norm_sqr(b).sqrt().max(1e-30);
@@ -170,6 +177,32 @@ mod tests {
         assert!(report.iterations <= 2, "took {} iterations", report.iterations);
         let err = nufft_math::error::rel_l2_c32(&x, &b);
         assert!(err < 1e-5);
+    }
+
+    #[test]
+    fn operator_calls_per_solve() {
+        // A zero start needs no call for the initial residual; any other
+        // start pays one.
+        let n = 10;
+        let b: Vec<Complex32> = (0..n).map(|i| Complex32::new(1.0, i as f32 * 0.1)).collect();
+        for (start, extra) in [(0.0f32, 0usize), (0.5, 1)] {
+            let mut op = psd_op(n);
+            let mut calls = 0usize;
+            let mut x = vec![Complex32::new(start, 0.0); n];
+            let report = conjugate_gradient(
+                |inp: &[Complex32], out: &mut [Complex32]| {
+                    calls += 1;
+                    op(inp, out)
+                },
+                &b,
+                &mut x,
+                0.1,
+                5,
+                0.0,
+            );
+            assert_eq!(report.iterations, 5);
+            assert_eq!(calls, report.iterations + extra, "start {start}");
+        }
     }
 
     #[test]

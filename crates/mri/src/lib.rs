@@ -11,6 +11,8 @@
 //! * [`dcf`] — sample density compensation: analytic radial weights and the
 //!   iterative Pipe–Menon refinement;
 //! * [`cg`] — conjugate gradients on the (regularized) normal equations;
+//! * [`toeplitz`] — the multi-coil normal operator as a `2N`-grid FFT
+//!   convolution with the point-spread function, on the plan's pool;
 //! * [`recon`] — gridding (adjoint + DCF) and iterative CG-SENSE
 //!   reconstructions, single- and multi-coil.
 

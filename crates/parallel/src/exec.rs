@@ -1779,6 +1779,41 @@ impl Executor {
             resume_unwind(payload);
         }
     }
+
+    /// [`Executor::parallel_for_aligned`] over `data` itself: `body(lo,
+    /// chunk)` receives the disjoint mutable chunk `data[lo..lo +
+    /// chunk.len()]`, so elementwise passes need no unsafe code of their
+    /// own. Chunk boundaries follow the loop's (multiples of `align`).
+    ///
+    /// # Panics
+    /// Panics if `grain == 0` or `align == 0`.
+    pub fn parallel_chunks_mut<T, F>(&self, data: &mut [T], grain: usize, align: usize, body: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        struct Base<T>(*mut T);
+        // SAFETY: only used to rebuild the pairwise-disjoint chunks below,
+        // each handed to one worker; `T: Send` lets a chunk cross threads.
+        unsafe impl<T: Send> Sync for Base<T> {}
+        impl<T> Base<T> {
+            // A method (not field access) so the closure captures the
+            // whole `Sync` wrapper.
+            fn get(&self) -> *mut T {
+                self.0
+            }
+        }
+        let base = Base(data.as_mut_ptr());
+        self.parallel_for_aligned(data.len(), grain, align, |range, _w| {
+            // SAFETY: the loop hands out pairwise-disjoint ranges of
+            // `0..data.len()`, and `data` stays exclusively borrowed until
+            // it joins.
+            let chunk = unsafe {
+                core::slice::from_raw_parts_mut(base.get().add(range.start), range.len())
+            };
+            body(range.start, chunk);
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1799,6 +1834,19 @@ mod tests {
             assert_eq!(c.load(Ordering::SeqCst), 1, "task {t}");
         }
         assert_eq!(stats.log.len(), graph.len());
+    }
+
+    #[test]
+    fn parallel_chunks_mut_hands_out_every_element_once() {
+        let exec = Executor::new(3);
+        let mut data = vec![0usize; 10_007];
+        exec.parallel_chunks_mut(&mut data, 64, 8, |lo, chunk| {
+            assert_eq!(lo % 8, 0, "chunks start on an alignment multiple");
+            for (k, v) in chunk.iter_mut().enumerate() {
+                *v += lo + k + 1;
+            }
+        });
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
     }
 
     /// A loop whose last range a thief has taken from its victim but not

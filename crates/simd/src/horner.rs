@@ -41,13 +41,13 @@ use crate::dispatch::{active_isa, IsaLevel};
 /// hold `rows · stride` values with `stride ≥ out.len()`.
 ///
 /// # Panics
-/// Panics (in debug) if the layout invariants are violated; release builds
-/// panic on the out-of-bounds access itself.
+/// Panics if the layout invariants are violated (the AVX2 arm's unchecked
+/// vector loads read whole rows up to `stride`).
 #[inline]
 pub fn horner_row(coeffs: &[f32], stride: usize, rows: usize, z: f32, out: &mut [f32]) {
-    debug_assert!(rows >= 1, "a polynomial needs at least one coefficient");
-    debug_assert!(stride >= out.len(), "stride {} < pieces {}", stride, out.len());
-    debug_assert!(coeffs.len() >= rows * stride, "coefficient table too short");
+    assert!(rows >= 1, "a polynomial needs at least one coefficient");
+    assert!(stride >= out.len(), "stride {} < pieces {}", stride, out.len());
+    assert!(coeffs.len() >= rows * stride, "coefficient table too short");
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch guarantees AVX2+FMA are available at this level.
@@ -89,9 +89,13 @@ fn horner_row_strict(coeffs: &[f32], stride: usize, rows: usize, z: f32, out: &m
     }
 }
 
-/// AVX2+FMA arm: eight pieces per `vfmadd231ps`, scalar `mul_add` tail for
-/// the ragged end (same correctly rounded operation, so the split point is
-/// invisible in the bits).
+/// AVX2+FMA arm: eight pieces per `vfmadd231ps`. The ragged end runs as one
+/// more full vector when the rows still hold eight lanes from it (`stride −
+/// i ≥ 8`, always true for tables padded to a multiple of eight — a window
+/// shorter than eight taps is then one vector, not a scalar chain per tap),
+/// storing only the live lanes; otherwise as a scalar `mul_add` tail. Every
+/// form is the same correctly rounded operation, so the split is invisible
+/// in the bits.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 and FMA.
@@ -103,17 +107,27 @@ unsafe fn horner_row_avx2(coeffs: &[f32], stride: usize, rows: usize, z: f32, ou
     let n = out.len();
     let zv = _mm256_set1_ps(z);
     let mut i = 0usize;
-    while i + 8 <= n {
+    while i < n {
+        let live = (n - i).min(8);
+        if live < 8 && stride - i < 8 {
+            horner_row_scalar(&coeffs[i..], stride, rows, z, &mut out[i..]);
+            return;
+        }
+        // Reads `coeffs[r·stride + i ..][..8]` per row: in bounds, since
+        // `i + 8 ≤ stride` and the table holds `rows·stride` values.
         let mut acc = _mm256_loadu_ps(coeffs.as_ptr().add(i));
         for r in 1..rows {
             let c = _mm256_loadu_ps(coeffs.as_ptr().add(r * stride + i));
             acc = _mm256_fmadd_ps(acc, zv, c);
         }
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), acc);
+        if live == 8 {
+            _mm256_storeu_ps(out.as_mut_ptr().add(i), acc);
+        } else {
+            let mut tail = [0.0f32; 8];
+            _mm256_storeu_ps(tail.as_mut_ptr(), acc);
+            out[i..].copy_from_slice(&tail[..live]);
+        }
         i += 8;
-    }
-    if i < n {
-        horner_row_scalar(&coeffs[i..], stride, rows, z, &mut out[i..]);
     }
 }
 
@@ -155,7 +169,21 @@ mod tests {
     fn all_isa_levels_match_strict_bitwise() {
         // Sweep ragged lengths across the 8-lane boundary, several degrees
         // and arguments — every level must reproduce StrictScalar exactly.
-        for (rows, stride, n) in [(2, 8, 3), (8, 8, 8), (11, 8, 7), (12, 16, 13), (14, 24, 17)] {
+        // The AVX2 tail runs as a full vector when the rows hold 8 lanes
+        // from it (stride a multiple of 8: (2, 8, 3), (5, 8, 1), (11, 8, 7),
+        // (12, 16, 13), (14, 24, 17)) and as scalar `mul_add`s otherwise
+        // ((4, 5, 5), (6, 12, 10), (9, 15, 14)).
+        for (rows, stride, n) in [
+            (2, 8, 3),
+            (5, 8, 1),
+            (8, 8, 8),
+            (11, 8, 7),
+            (12, 16, 13),
+            (14, 24, 17),
+            (4, 5, 5),
+            (6, 12, 10),
+            (9, 15, 14),
+        ] {
             let coeffs = table(rows, stride, rows as f32);
             for step in 0..9 {
                 let z = -1.0 + step as f32 * 0.25;
@@ -176,6 +204,16 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient table too short")]
+    fn short_table_panics_instead_of_reading_past_it() {
+        // Two rows claimed, one stored: every arm must refuse, including
+        // the AVX2 one whose vector loads are unchecked.
+        let coeffs = vec![0.5f32; 8];
+        let mut out = [0.0f32; 3];
+        horner_row(&coeffs, 8, 2, 0.3, &mut out);
     }
 
     #[test]

@@ -82,6 +82,19 @@ echo "== zero-aware FFT passes =="
 # also pins the exact tile counts at AVX2.
 cargo test -q --offline --test fft_pruning
 
+echo "== Toeplitz CG-SENSE =="
+# IterativeRecon's normal operator is the multi-coil Toeplitz embedding
+# (a 2N-grid FFT round trip per coil on the plan's pool): nufft-mri pins it
+# against the explicit sum of S_c* A* D A S_c (2D/3D, 1 and 4 coils,
+# alpha 2 and 1.25), CG on it against explicit-operator CG, and solves
+# bitwise across repeats and worker counts; recon_pipeline runs phantom ->
+# acquisition -> CG-SENSE end to end. The second pair oversubscribes the
+# runner with 16 workers.
+cargo test -q --offline -p nufft-mri
+cargo test -q --offline --test recon_pipeline
+NUFFT_THREADS=16 cargo test -q --offline -p nufft-mri
+NUFFT_THREADS=16 cargo test -q --offline --test recon_pipeline
+
 echo "== examples smoke (spread-only deposition pipeline) =="
 # density_estimation drives spread_only/interp_only directly and asserts
 # that its deposit, through a full backward FFT and the extract, equals the

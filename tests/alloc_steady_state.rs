@@ -7,7 +7,8 @@
 //! vectors, lazily-built FFT twiddle tables). This test pins that contract
 //! with a counting global allocator: after a warmup apply of each
 //! operator, further applies must not touch the allocator at all — in both
-//! window modes, with the parallel persistent-pool executor running.
+//! window modes, with the parallel persistent-pool executor running — and
+//! so must the Toeplitz normal operator every CG-SENSE iteration runs.
 //!
 //! One test function only: the global allocator counts process-wide, so
 //! concurrent tests would bleed counts into each other.
@@ -307,4 +308,38 @@ fn steady_state_applies_are_allocation_free() {
     let stats = registry.stats();
     assert_eq!(stats.misses, 2, "one type-1/2 build plus one type-3 build");
     assert_eq!(stats.hits, 8, "all warm checkouts of both kinds hit");
+
+    // The Toeplitz normal operator CG-SENSE runs: its pad, eigenvalues and
+    // banded-FFT scratch are operator-owned and its elementwise passes run
+    // on the plan's pool, so multi-coil and single-coil applies go quiet
+    // after one warmup round — every CG iteration is allocation-free.
+    {
+        let cfg = NufftConfig {
+            threads: 2,
+            w: 3.0,
+            partitions_per_dim: Some(4),
+            ..NufftConfig::default()
+        };
+        let plan = NufftPlan::new(n, &traj, cfg);
+        let coils: Vec<Vec<Complex32>> = (0..3).map(|c| signal(img_len, 6.0 + c as f32)).collect();
+        let mut toep = nufft::mri::ToeplitzNormal::new(&plan, &vec![0.5f32; k]);
+        let mut round = |out: &mut [Complex32]| {
+            toep.apply(&coils, &image, out);
+            toep.apply(&[], &image, out);
+        };
+        for _ in 0..2 {
+            round(&mut out_image);
+        }
+        let before = ALLOC.snapshot();
+        for _ in 0..3 {
+            round(&mut out_image);
+        }
+        let delta = ALLOC.snapshot().since(&before);
+        assert_eq!(
+            delta.allocs, 0,
+            "steady-state Toeplitz applies allocated {} times ({} bytes)",
+            delta.allocs, delta.bytes
+        );
+        assert_eq!(delta.deallocs, 0, "steady-state Toeplitz applies freed memory");
+    }
 }

@@ -110,6 +110,51 @@ fn multicoil_3d_recon_and_sos() {
     assert!(e_raw < floor * 1.2, "raw error {e_raw} vs floor {floor}");
 }
 
+/// The CG-SENSE solve runs on the Toeplitz normal operator, whose passes
+/// are elementwise or per FFT line, so it is bitwise the same at every
+/// worker count (`NUFFT_THREADS` adds one; the CI stress step runs 16).
+/// Partitions are pinned and privatization is off so the plan's own
+/// adjoint, which builds the right-hand side and the PSF, is too.
+#[test]
+fn multicoil_3d_solve_is_bitwise_stable_across_worker_counts() {
+    let n = 10usize;
+    let truth = phantom_3d(n);
+    let traj = radial(2 * n, n * n, 7);
+    let coils = synthetic_coils::<3>(n, 3);
+    let base = NufftConfig {
+        w: 2.0,
+        partitions_per_dim: Some(3),
+        privatization: false,
+        ..NufftConfig::default()
+    };
+    let mut plan = NufftPlan::new([n; 3], &traj.points, NufftConfig { threads: 1, ..base });
+    let data: Vec<Vec<Complex32>> = coils
+        .iter()
+        .map(|s| {
+            let img: Vec<Complex32> = truth.iter().zip(s).map(|(&x, &s)| x * s).collect();
+            let mut y = vec![Complex32::ZERO; traj.len()];
+            plan.forward(&img, &mut y);
+            y
+        })
+        .collect();
+    let dcf = radial_dcf(&traj.points);
+    let stress = std::env::var("NUFFT_THREADS").ok().and_then(|s| s.parse().ok());
+    let mut want: Option<Vec<Complex32>> = None;
+    for threads in [1usize, 3].into_iter().chain(stress) {
+        let mut plan = NufftPlan::new([n; 3], &traj.points, NufftConfig { threads, ..base });
+        let rep = IterativeRecon::new(&mut plan, coils.clone(), dcf.clone(), 1e-4)
+            .reconstruct(&data, 6, 0.0);
+        assert_eq!(rep.nufft_calls, 3 + 1, "3 adjoints for b, one for the PSF");
+        let want = want.get_or_insert_with(|| rep.image.clone());
+        for (i, (p, q)) in rep.image.iter().zip(want.iter()).enumerate() {
+            assert!(
+                p.re.to_bits() == q.re.to_bits() && p.im.to_bits() == q.im.to_bits(),
+                "threads {threads}, voxel {i}: {p:?} vs {q:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn pipe_menon_weights_improve_gridding() {
     let n = 16usize;

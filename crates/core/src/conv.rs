@@ -51,11 +51,14 @@ impl Window {
     /// `wrad` is the kernel radius `W`; `u` must lie in `[0, M)`. The
     /// bounds are computed in `f64`, where `u ± W` is exact — an `f32`
     /// `u + W` can round *up* across an integer and admit a tap just
-    /// outside the true support, overflowing privatized halo buffers.
+    /// outside the true support, overflowing privatized halo buffers — and
+    /// rounded by truncate-and-compare (`ceil_i32`, `floor_i32`), which
+    /// the baseline x86-64 target does without the libm calls `f64::ceil`
+    /// and `f64::floor` compile to there.
     #[inline]
     pub fn compute(u: f32, wrad: f32, kernel: &InterpKernel) -> Window {
-        let x1 = (u as f64 - wrad as f64).ceil() as i32;
-        let x2 = (u as f64 + wrad as f64).floor() as i32;
+        let x1 = ceil_i32(u as f64 - wrad as f64);
+        let x2 = floor_i32(u as f64 + wrad as f64);
         let len = (x2 - x1 + 1) as usize;
         debug_assert!(len <= MAX_TAPS, "window of {len} taps exceeds MAX_TAPS");
         let mut w = [0.0f32; MAX_TAPS];
@@ -68,6 +71,22 @@ impl Window {
     pub fn as_ref(&self) -> WinRef<'_> {
         WinRef { start: self.start, w: &self.w[..self.len] }
     }
+}
+
+/// `⌈x⌉` as an `i32`, for `|x| < 2³¹`: the truncation, plus one where it
+/// fell below `x`. Equals `x.ceil() as i32` (NaN gives 0 in both).
+#[inline(always)]
+fn ceil_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t + (x > t as f64) as i32
+}
+
+/// `⌊x⌋` as an `i32`, for `|x| < 2³¹`: the truncation, minus one where it
+/// rose above `x`. Equals `x.floor() as i32` (NaN gives 0 in both).
+#[inline(always)]
+fn floor_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t - (x < t as f64) as i32
 }
 
 /// A borrowed one-dimensional window: first neighbor index plus the live
@@ -482,6 +501,30 @@ mod tests {
 
     fn kernel() -> InterpKernel {
         InterpKernel::new(2.0, 2.0)
+    }
+
+    /// The truncate-and-compare bounds equal `ceil`/`floor` on integers,
+    /// their neighbours one ulp away, half-integers, zero of both signs,
+    /// and the negative differences `u − W` near the grid's low edge.
+    #[test]
+    fn truncating_bounds_match_ceil_and_floor() {
+        let mut xs = vec![0.0f64, -0.0, 0.5, -0.5, 1e-300, -1e-300, f64::NAN];
+        for k in -40i32..=40 {
+            for base in [k as f64, k as f64 + 0.5] {
+                xs.extend([base, base.next_up(), base.next_down(), base + 0.25, base - 0.25]);
+            }
+        }
+        // u − W for u just above an integer, exactly as Window::compute
+        // forms it from f32 operands.
+        for u in [0.0f32, 1e-7, 0.5, 2.0, 3.999_999_8, 121.0 - 2f32.powi(-17)] {
+            for w in [1.5f32, 2.0, 2.5, 4.0, 8.0] {
+                xs.extend([u as f64 - w as f64, u as f64 + w as f64]);
+            }
+        }
+        for x in xs {
+            assert_eq!(ceil_i32(x), x.ceil() as i32, "ceil({x:e})");
+            assert_eq!(floor_i32(x), x.floor() as i32, "floor({x:e})");
+        }
     }
 
     #[test]

@@ -39,20 +39,29 @@
 //! ## Edge construction
 //!
 //! Edges are exact at the node granularity (conservative only up to
-//! chunking):
+//! chunking), and the walks that find them go by *run* of elements that
+//! share one writer, with one writer lookup per run:
 //!
 //! * last writer → axis *k*: a chunk depends, for each element it reads,
 //!   on the element's last writer — the chunk of the latest earlier axis
-//!   whose tile holding it runs, else (forward) the `Scale` slab
-//!   (`elem / slab_len`) — via
-//!   [`FftNd::tile_of_element`]/[`FftNd::for_each_tile_element`],
-//!   deduplicated with a stamp array: O(grid) per axis, not all-to-all,
-//!   wherever the layout permits fewer edges;
+//!   whose tile holding it runs, else (forward) the `Scale` slab. The
+//!   chunk's tiles hand out their read set as contiguous runs
+//!   ([`FftNd::for_each_tile_run`], [`FftNd::for_each_fs_col_run`]); along
+//!   a run an earlier axis's tile only changes at a `b`-element boundary
+//!   of its inner offset, so each run splits at those points (and at slab
+//!   ends), found by mask and addition, and the writer comes from a
+//!   tile → chunk table. Writers are deduplicated per chunk with a stamp
+//!   array: O(runs) per axis, not all-to-all;
 //! * conv → first-axis FFT and last-axis FFT → gather: a task's halo box
-//!   (cell ± ⌈W⌉, wrapped) is walked as contiguous last-dimension runs and
-//!   mapped to tile chunks;
-//! * last-axis FFT → extract: each image chunk's wrapped grid positions
-//!   map to last-axis tiles.
+//!   (cell ± ⌈W⌉, wrapped) is walked row by row with an odometer, and each
+//!   row maps to zero slabs and axis-0 tiles (spread) or to its last-axis
+//!   line (gather); four-step column groups and k-blocks come from
+//!   per-position tables, once per box;
+//! * last-axis FFT → extract: each image chunk's embed runs map to
+//!   last-axis tiles.
+//!
+//! A per-element walk, kept as a test reference (`tests::reference`),
+//! pins the run walks to the graph it builds.
 //!
 //! In the adjoint, `Zero → Fft` edges are intentionally omitted: partition
 //! cells tile the grid and every task's box contains its cell, so for any
@@ -320,77 +329,111 @@ impl TilePlan {
     }
 }
 
-/// One [`TileSet`]'s view of the FFT stage for graph wiring: the plan's
-/// lists plus their inverse, tile id → position in its axis's list.
+/// One [`TileSet`]'s view of the FFT stage for graph wiring: per axis, the
+/// chunk of every listed tile and the shard of every axis position, so the
+/// wiring walks resolve a node with table reads instead of divisions.
 struct FftLayout<'a> {
     fft: &'a FftNd,
     tp: &'a TilePlan,
     set: TileSet,
-    /// Per axis, per tile: its list position, or [`FftLayout::SKIPPED`].
-    pos: Vec<Vec<u32>>,
+    axes: Vec<AxisWiring>,
+}
+
+/// One axis's wiring tables (see [`FftLayout`]).
+struct AxisWiring {
+    /// Per tile: the chunk of the axis's list holding it, or
+    /// [`FftLayout::SKIPPED`].
+    chunk: Vec<u32>,
+    /// Entry shards per chunk: four-step column groups, else 1.
+    colg: usize,
+    /// Writer shards per chunk: four-step k-blocks, else 1.
+    kbg: usize,
+    /// Per axis position: the column group reading it (0 on a recursive
+    /// axis).
+    col_group: Vec<Piece>,
+    /// Per axis position: the k-block writing it (0 on a recursive axis).
+    kblock: Vec<Piece>,
+}
+
+/// A shard index at one axis position, plus the end of the run of
+/// positions sharing it — so a walk over a position range visits each
+/// shard run once ([`for_each_piece`]).
+#[derive(Clone, Copy)]
+struct Piece {
+    id: u32,
+    end: u32,
+}
+
+/// The [`Piece`] table of positions `0..n` under `id`.
+fn pieces(n: usize, id: impl Fn(usize) -> usize) -> Vec<Piece> {
+    let mut out = vec![Piece { id: 0, end: 0 }; n];
+    for pos in (0..n).rev() {
+        let id = id(pos) as u32;
+        let end = match out.get(pos + 1) {
+            Some(next) if next.id == id => next.end,
+            _ => pos as u32 + 1,
+        };
+        out[pos] = Piece { id, end };
+    }
+    out
+}
+
+/// Calls `f(id)` once per run of equal ids over positions `[lo, hi)`.
+fn for_each_piece(pieces: &[Piece], lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+    let mut pos = lo;
+    while pos < hi {
+        let p = pieces[pos];
+        f(p.id as usize);
+        pos = p.end as usize;
+    }
+}
+
+impl AxisWiring {
+    /// The chunk holding `tile`, which the wiring knows runs.
+    fn running(&self, tile: usize) -> usize {
+        let chunk = self.chunk[tile];
+        assert_ne!(chunk, FftLayout::SKIPPED, "tile {tile} does not run");
+        chunk as usize
+    }
 }
 
 impl<'a> FftLayout<'a> {
     const SKIPPED: u32 = u32::MAX;
 
     fn new(fft: &'a FftNd, tp: &'a TilePlan, set: TileSet) -> Self {
-        let pos = (0..fft.ndim())
+        assert!(tp.b.is_power_of_two(), "the wiring walks split runs at b-line boundaries by mask");
+        let axes = (0..fft.ndim())
             .map(|axis| {
-                let mut pos = vec![Self::SKIPPED; tp.axes[axis].tiles];
-                for (i, &tile) in tp.list(set, axis).tiles.iter().enumerate() {
-                    pos[tile as usize] = i as u32;
+                let list = tp.list(set, axis);
+                let mut chunk = vec![Self::SKIPPED; tp.axes[axis].tiles];
+                for (i, &tile) in list.tiles.iter().enumerate() {
+                    chunk[tile as usize] = (i / list.grain) as u32;
                 }
-                pos
+                let (n, stride) = (fft.shape()[axis], fft.axis_stride(axis));
+                let (colg, kbg) = tp.axes[axis].shards.unwrap_or((1, 1));
+                let (col_group, kblock) = if tp.axes[axis].shards.is_some() {
+                    (
+                        pieces(n, |pos| fft.fs_col_group_of_element(axis, pos * stride, tp.b)),
+                        pieces(n, |pos| fft.fs_kblock_of_element(axis, pos * stride)),
+                    )
+                } else {
+                    (pieces(n, |_| 0), pieces(n, |_| 0))
+                };
+                AxisWiring { chunk, colg, kbg, col_group, kblock }
             })
             .collect();
-        FftLayout { fft, tp, set, pos }
+        FftLayout { fft, tp, set, axes }
     }
 
     fn list(&self, axis: usize) -> &TileList {
         self.tp.list(self.set, axis)
     }
 
-    /// Nodes whose input is the axis's *untransformed* grid data: tile
-    /// chunks on a recursive axis, chunk × column-group sub-FFT shards on a
-    /// four-step one. Producers of the axis's elements wire edges to these.
-    fn entry_shards(&self, axis: usize) -> usize {
-        self.list(axis).chunks() * self.tp.axes[axis].shards.map_or(1, |(colg, _)| colg)
-    }
-
     /// Nodes that write the axis's *finished* spectrum: tile chunks on a
     /// recursive axis, chunk × k-block combine shards on a four-step one.
     /// Consumers of the axis's elements wire edges from these.
     fn writer_shards(&self, axis: usize) -> usize {
-        self.list(axis).chunks() * self.tp.axes[axis].shards.map_or(1, |(_, kbg)| kbg)
-    }
-
-    /// The chunk holding `tile` of `axis`, or `None` if the tile does not
-    /// run.
-    fn chunk_of_tile(&self, axis: usize, tile: usize) -> Option<usize> {
-        let p = self.pos[axis][tile];
-        (p != Self::SKIPPED).then(|| p as usize / self.list(axis).grain)
-    }
-
-    /// The entry shard whose read set contains `elem` on `axis`, or `None`
-    /// if its tile does not run.
-    fn entry_shard_of(&self, axis: usize, elem: usize) -> Option<usize> {
-        let chunk = self.chunk_of_tile(axis, self.fft.tile_of_element(axis, elem, self.tp.b))?;
-        Some(match self.tp.axes[axis].shards {
-            Some((colg, _)) => {
-                chunk * colg + self.fft.fs_col_group_of_element(axis, elem, self.tp.b)
-            }
-            None => chunk,
-        })
-    }
-
-    /// The writer shard that writes `elem` on `axis`, or `None` if its tile
-    /// does not run.
-    fn writer_shard_of(&self, axis: usize, elem: usize) -> Option<usize> {
-        let chunk = self.chunk_of_tile(axis, self.fft.tile_of_element(axis, elem, self.tp.b))?;
-        Some(match self.tp.axes[axis].shards {
-            Some((_, kbg)) => chunk * kbg + self.fft.fs_kblock_of_element(axis, elem),
-            None => chunk,
-        })
+        self.list(axis).chunks() * self.axes[axis].kbg
     }
 }
 
@@ -438,47 +481,81 @@ impl Stamp {
     }
 }
 
-/// Walks a task's wrapped halo box as contiguous last-dimension runs,
-/// calling `f(flat_start, len)` for each. `lo` is the unwrapped box origin
-/// (may be negative), `len` its extent per dimension (≤ `m[d]` — capped by
-/// the caller, so wrapped coordinates never self-overlap).
-fn for_each_box_run<const D: usize>(
+/// The `Scale`/`Zero` slab of a walked element, found by stepping slab by
+/// slab from the previous element's: the walks move in short strides, so
+/// this costs additions where `e / slab` would cost a division.
+struct SlabCursor {
+    len: usize,
+    slab: usize,
+    lo: usize,
+}
+
+impl SlabCursor {
+    fn new(len: usize) -> Self {
+        SlabCursor { len, slab: 0, lo: 0 }
+    }
+
+    /// The slab holding element `e`.
+    fn seek(&mut self, e: usize) -> usize {
+        while e < self.lo {
+            self.slab -= 1;
+            self.lo -= self.len;
+        }
+        while e >= self.lo + self.len {
+            self.slab += 1;
+            self.lo += self.len;
+        }
+        self.slab
+    }
+
+    /// One past the last element of the slab found last.
+    fn end(&self) -> usize {
+        self.lo + self.len
+    }
+}
+
+/// The wrapped positions `lo .. lo + len` of one grid dimension of extent
+/// `m` (`len ≤ m`), as at most two `(start, len)` segments.
+fn wrapped_segments(lo: i32, len: usize, m: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    let start = lo.rem_euclid(m as i32) as usize;
+    let head = len.min(m - start);
+    [(start, head), (0, len - head)].into_iter().filter(|&(_, l)| l > 0)
+}
+
+/// Visits the rows of a task's wrapped halo box — origin `lo` (may be
+/// negative), extent `len` per dimension (≤ `m[d]`, capped by the caller,
+/// so wrapped coordinates never self-overlap) — calling `f(w)` with each
+/// row's wrapped coordinates on the dimensions before the last (`w[D − 1]`
+/// is 0; [`wrapped_segments`] gives the row's last-dimension span). The
+/// coordinates advance by an odometer with compare-and-reset wrapping.
+fn for_each_box_row<const D: usize>(
     m: &[usize; D],
-    gs: &[usize; D],
     lo: &[i32; D],
     len: &[usize; D],
-    mut f: impl FnMut(usize, usize),
+    mut f: impl FnMut(&[usize; D]),
 ) {
     let dl = D - 1;
-    let mut off = [0usize; D];
+    let first: [usize; D] =
+        core::array::from_fn(|d| if d < dl { lo[d].rem_euclid(m[d] as i32) as usize } else { 0 });
+    let (mut w, mut off) = (first, [0usize; D]);
     loop {
-        let mut base = 0usize;
-        for d in 0..dl {
-            base += (lo[d] + off[d] as i32).rem_euclid(m[d] as i32) as usize * gs[d];
-        }
-        // Runs along the last dimension: at most two after wrapping.
-        let start = lo[dl].rem_euclid(m[dl] as i32) as usize;
-        let l = len[dl];
-        if start + l <= m[dl] {
-            f(base + start, l);
-        } else {
-            f(base + start, m[dl] - start);
-            f(base, start + l - m[dl]);
-        }
-        // Odometer over the prefix dimensions.
+        f(&w);
         let mut d = dl;
-        let mut carried = true;
-        while d > 0 {
+        loop {
+            if d == 0 {
+                return;
+            }
             d -= 1;
             off[d] += 1;
+            w[d] += 1;
+            if w[d] == m[d] {
+                w[d] = 0;
+            }
             if off[d] < len[d] {
-                carried = false;
                 break;
             }
             off[d] = 0;
-        }
-        if carried {
-            return;
+            w[d] = first[d];
         }
     }
 }
@@ -558,49 +635,6 @@ fn add_axis_nodes(
                 }
             }
             (sub, trn)
-        }
-    }
-}
-
-/// Emits `writer → axis entry` edges for every channel: for each entry
-/// shard of `axis` (tile chunk, or chunk × column group on a four-step
-/// axis), the deduplicated set of writer ids under `writer_of(elem)` over
-/// the shard's read set. `writer_node(c, id)` and `entry_node(c, shard)`
-/// map to node ids.
-#[allow(clippy::too_many_arguments)]
-fn connect_axis_inputs(
-    builder: &mut DagBuilder,
-    lay: &FftLayout<'_>,
-    axis: usize,
-    channels: usize,
-    stamp: &mut Stamp,
-    mut writer_of: impl FnMut(usize) -> usize,
-    writer_node: impl Fn(usize, usize) -> NodeId,
-    entry_node: impl Fn(usize, usize) -> NodeId,
-) {
-    let (fft, b) = (lay.fft, lay.tp.b);
-    let shards = lay.tp.axes[axis].shards;
-    let colg = shards.map_or(1, |(colg, _)| colg);
-    let list = lay.list(axis);
-    for chunk in 0..list.chunks() {
-        for cg in 0..colg {
-            stamp.next();
-            let shard = chunk * colg + cg;
-            let mut wire = |e: usize| {
-                let w = writer_of(e);
-                if stamp.hit(w) {
-                    for c in 0..channels {
-                        builder.add_edge(writer_node(c, w), entry_node(c, shard));
-                    }
-                }
-            };
-            for &tile in list.chunk(chunk) {
-                if shards.is_some() {
-                    fft.for_each_fs_col_element(axis, tile as usize, cg, b, &mut wire);
-                } else {
-                    fft.for_each_tile_element(axis, tile as usize, b, &mut wire);
-                }
-            }
         }
     }
 }
@@ -759,10 +793,15 @@ fn emit_extract_fragment(
         .collect()
 }
 
-/// Wires the spread fragment's inputs and outputs in one halo-box pass per
-/// task: `zero slab → conv` (a task reads-modifies-writes its box) and
-/// `conv → axis-0 entry` for the chunks covering the box, in every
+/// Wires the spread fragment's inputs and outputs per task box: `zero slab
+/// → conv` for the slabs of every box row (a task reads-modifies-writes its
+/// box) and `conv → axis-0 entry` for the shards holding the box, in every
 /// channel. `Zero → Fft` is transitively covered (see module docs).
+///
+/// An axis-0 tile holds `b` lines across every axis-0 position, so the
+/// box's axis-0 tiles are those of its rows at one axis-0 position, and its
+/// column groups (four-step) those of its axis-0 positions; the box is a
+/// product, so every pairing occurs.
 #[allow(clippy::too_many_arguments)]
 fn connect_spread_edges<const D: usize>(
     builder: &mut DagBuilder,
@@ -776,52 +815,63 @@ fn connect_spread_edges<const D: usize>(
     slab: usize,
     fft_base: &[Vec<(NodeId, NodeId)>],
 ) {
-    let nslabs = geo.grid_len().div_ceil(slab);
     let gs = geo.grid_strides();
-    let (fft, b) = (lay.fft, lay.tp.b);
-    let mut slab_stamp = Stamp::new(nslabs);
-    let mut chunk_stamp = Stamp::new(lay.entry_shards(0));
-    let mut dep_chunks: Vec<u32> = Vec::new();
+    let sh = lay.tp.b.trailing_zeros();
+    // The adjoint's axis 0 runs every tile: nothing precedes it.
+    let aw = &lay.axes[0];
+    let mut slabs = SlabCursor::new(slab);
+    let mut slab_stamp = Stamp::new(geo.grid_len().div_ceil(slab));
+    let mut chunk_stamp = Stamp::new(lay.list(0).chunks());
+    let (mut chunks, mut groups): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
     for t in 0..pre.graph.len() {
         slab_stamp.next();
         chunk_stamp.next();
-        dep_chunks.clear();
         let (lo, len) = task_box(pre, &geo.m, wc, t);
-        for_each_box_run(&geo.m, &gs, &lo, &len, |start, rlen| {
-            for s in start / slab..=(start + rlen - 1) / slab {
-                if slab_stamp.hit(s) {
-                    builder.add_edge(zero_base + s as NodeId, conv_shared[t]);
-                }
-            }
-            // The adjoint's axis 0 runs every tile: nothing precedes it.
-            let shard_of = |e: usize| lay.entry_shard_of(0, e).expect("axis 0 runs every tile");
-            if lay.tp.axes[0].shards.is_some() {
-                // Four-step column groups decimate a line, so a contiguous
-                // run can cross entry shards: resolve per element.
-                for e in start..start + rlen {
-                    let shard = shard_of(e);
-                    if chunk_stamp.hit(shard) {
-                        dep_chunks.push(shard as u32);
-                    }
-                }
-            } else {
-                // Axis-0 tiles of a last-dim run are contiguous (the run
-                // stays within one outer block and one inner window — see
-                // tile_of_element); stride-1 axis 0 means D == 1, one line.
-                let last = if fft.axis_stride(0) == 1 { start } else { start + rlen - 1 };
-                let (t_first, t_last) =
-                    (fft.tile_of_element(0, start, b), fft.tile_of_element(0, last, b));
-                for tile in t_first..=t_last {
-                    let chunk = lay.chunk_of_tile(0, tile).expect("axis 0 runs every tile");
-                    if chunk_stamp.hit(chunk) {
-                        dep_chunks.push(chunk as u32);
+        let segs = wrapped_segments(lo[D - 1], len[D - 1], geo.m[D - 1]);
+        for_each_box_row(&geo.m, &lo, &len, |w| {
+            let row: usize = (0..D - 1).map(|d| w[d] * gs[d]).sum();
+            for (s, l) in segs.clone() {
+                let first = slabs.seek(row + s);
+                for sl in first..=slabs.seek(row + s + l - 1) {
+                    if slab_stamp.hit(sl) {
+                        builder.add_edge(zero_base + sl as NodeId, conv_shared[t]);
                     }
                 }
             }
         });
-        for &chunk in &dep_chunks {
-            for c in 0..channels {
-                builder.add_edge(conv_shared[t], fft_base[c][0].0 + chunk as NodeId);
+        chunks.clear();
+        if D == 1 {
+            // A 1D grid is one line: one tile.
+            chunks.push(aw.running(0));
+        } else {
+            let mut plane = len;
+            plane[0] = 1;
+            for_each_box_row(&geo.m, &lo, &plane, |w| {
+                let x: usize = (1..D - 1).map(|d| w[d] * gs[d]).sum();
+                for (s, l) in segs.clone() {
+                    for tile in (x + s) >> sh..=(x + s + l - 1) >> sh {
+                        let chunk = aw.running(tile);
+                        if chunk_stamp.hit(chunk) {
+                            chunks.push(chunk);
+                        }
+                    }
+                }
+            });
+        }
+        groups.clear();
+        for (s, l) in wrapped_segments(lo[0], len[0], geo.m[0]) {
+            for_each_piece(&aw.col_group, s, s + l, |g| {
+                if !groups.contains(&g) {
+                    groups.push(g);
+                }
+            });
+        }
+        for &chunk in &chunks {
+            for &g in &groups {
+                let shard = (chunk * aw.colg + g) as NodeId;
+                for c in 0..channels {
+                    builder.add_edge(conv_shared[t], fft_base[c][0].0 + shard);
+                }
             }
         }
     }
@@ -834,15 +884,74 @@ struct ScaleSlabs<'a> {
     base: &'a [NodeId],
 }
 
+/// One earlier axis `j`'s view of a tile being wired on axis `k > j`.
+/// Every element of the tile shares its indices on the axes before `k`, so
+/// it lies in one `s_j`-element block of `j` (fixed indices up to `j`),
+/// where `j`'s tiles are runs of `b` consecutive elements with consecutive
+/// ids, all in one k-block.
+struct Earlier<'a> {
+    /// First element of the block.
+    blk: usize,
+    /// Tile id of the block's first `b` elements.
+    tile: usize,
+    /// Writer id of the block's k-block in chunk 0.
+    id: usize,
+    /// Writer ids per chunk (`j`'s k-block count).
+    kbg: usize,
+    chunk: &'a [u32],
+}
+
+/// The last-writer lookup of [`connect_fft_chain`]'s run walk, for the
+/// tile being wired: its [`Earlier`] axes and the forward's slab cursor.
+struct LastWriter<'a> {
+    earlier: Vec<Earlier<'a>>,
+    slabs: Option<SlabCursor>,
+    /// `b`, and the shift and mask that divide by it.
+    b: usize,
+    sh: u32,
+    mask: usize,
+}
+
+impl LastWriter<'_> {
+    /// The writer id of element `e` and the end (≤ `end`) of the piece
+    /// from `e` it wrote: the latest earlier axis whose tile holding `e`
+    /// runs, up to the next `b`-element tile boundary of every axis
+    /// consulted; else the slab, up to its end too.
+    #[inline]
+    fn at(&mut self, e: usize, end: usize) -> (usize, usize) {
+        let mut next = end;
+        for ej in self.earlier.iter().rev() {
+            let x = e - ej.blk;
+            next = next.min(e + self.b - (x & self.mask));
+            let chunk = ej.chunk[ej.tile + (x >> self.sh)];
+            if chunk != FftLayout::SKIPPED {
+                return (ej.id + chunk as usize * ej.kbg, next);
+            }
+        }
+        let slabs = self
+            .slabs
+            .as_mut()
+            .expect("an adjoint element read on axis k ≥ 1 was written on axis k − 1");
+        let slab = slabs.seek(e);
+        (slab, next.min(slabs.end()))
+    }
+}
+
 /// Wires each FFT axis's entries, in every channel, from the **last
 /// writer** of every element they read: the latest earlier axis whose tile
 /// holding the element runs, else the forward's `Scale` slab. With
 /// `slabs` (the forward) this covers axis 0 too; without (the adjoint,
 /// whose axis 0 is fed by the scatter) it starts at axis 1.
 ///
-/// Writers are deduplicated per entry shard under one dense id space —
-/// slab ids first, then each axis's writer shards — so a chunk gets one
-/// edge per distinct writer however many of its elements it wrote.
+/// The walk goes by run, not by element: an entry shard's tiles hand out
+/// their read set as contiguous runs ([`FftNd::for_each_tile_run`],
+/// [`FftNd::for_each_fs_col_run`]), and along a run the last writer only
+/// changes where a consulted earlier axis crosses a `b`-element tile
+/// boundary (or, for the slab, a slab boundary) — so each run splits into
+/// pieces at those points, found by mask and addition, with one writer
+/// lookup per piece. Writers are deduplicated per entry shard under one
+/// dense id space — slab ids first, then each axis's writer shards — so a
+/// shard gets one edge per distinct writer.
 fn connect_fft_chain(
     builder: &mut DagBuilder,
     lay: &FftLayout<'_>,
@@ -850,8 +959,9 @@ fn connect_fft_chain(
     fft_base: &[Vec<(NodeId, NodeId)>],
     slabs: Option<ScaleSlabs<'_>>,
 ) {
-    let ndim = lay.fft.ndim();
-    let nslabs = slabs.as_ref().map_or(0, |s| lay.fft.len().div_ceil(s.slab));
+    let fft = lay.fft;
+    let (ndim, shape, b) = (fft.ndim(), fft.shape(), lay.tp.b);
+    let nslabs = slabs.as_ref().map_or(0, |s| fft.len().div_ceil(s.slab));
     // axis_id[j] = the first writer id of axis j; axis_id[ndim] = total.
     let mut axis_id = vec![nslabs];
     for axis in 0..ndim {
@@ -865,36 +975,69 @@ fn connect_fft_chain(
         }
     };
     let mut stamp = Stamp::new(axis_id[ndim]);
+    let mut walk = LastWriter {
+        earlier: Vec::with_capacity(ndim),
+        slabs: slabs.as_ref().map(|s| SlabCursor::new(s.slab)),
+        b,
+        sh: b.trailing_zeros(),
+        mask: b - 1,
+    };
     let first = if slabs.is_some() { 0 } else { 1 };
     for axis in first..ndim {
-        let last_writer = |e: usize| {
-            (0..axis)
-                .rev()
-                .find_map(|j| lay.writer_shard_of(j, e).map(|s| axis_id[j] + s))
-                .unwrap_or_else(|| {
-                    let s = slabs
-                        .as_ref()
-                        .expect("an adjoint element read on axis k ≥ 1 was written on axis k − 1");
-                    e / s.slab
-                })
-        };
-        connect_axis_inputs(
-            builder,
-            lay,
-            axis,
-            channels,
-            &mut stamp,
-            last_writer,
-            writer_node,
-            |c, k| fft_base[c][axis].0 + k as NodeId,
-        );
+        let (list, aw) = (lay.list(axis), &lay.axes[axis]);
+        let four_step = lay.tp.axes[axis].shards.is_some();
+        for chunk in 0..list.chunks() {
+            for cg in 0..aw.colg {
+                stamp.next();
+                let entry = (chunk * aw.colg + cg) as NodeId;
+                // Consecutive pieces often share a writer: skip its stamp.
+                let mut prev = usize::MAX;
+                for &tile in list.chunk(chunk) {
+                    let tile = tile as usize;
+                    let (outer, inner) = fft.tile_lines(axis, tile, b);
+                    let e0 = outer * shape[axis] * fft.axis_stride(axis) + inner.start;
+                    walk.earlier.clear();
+                    walk.earlier.extend((0..axis).map(|j| {
+                        let s = fft.axis_stride(j);
+                        Earlier {
+                            blk: e0 - e0 % s,
+                            tile: e0 / (shape[j] * s) * s.div_ceil(b),
+                            id: axis_id[j] + lay.axes[j].kblock[e0 / s % shape[j]].id as usize,
+                            kbg: lay.axes[j].kbg,
+                            chunk: &lay.axes[j].chunk,
+                        }
+                    }));
+                    let mut wire = |start: usize, len: usize| {
+                        let (mut e, end) = (start, start + len);
+                        while e < end {
+                            let (w, next) = walk.at(e, end);
+                            if w != prev && stamp.hit(w) {
+                                for c in 0..channels {
+                                    builder
+                                        .add_edge(writer_node(c, w), fft_base[c][axis].0 + entry);
+                                }
+                            }
+                            prev = w;
+                            e = next;
+                        }
+                    };
+                    if four_step {
+                        fft.for_each_fs_col_run(axis, tile, cg, b, &mut wire);
+                    } else {
+                        fft.for_each_tile_run(axis, tile, b, &mut wire);
+                    }
+                }
+            }
+        }
     }
 }
 
 /// Wires last-axis FFT writers → gather chunks: a task's chunks read its
 /// halo box, so they depend on the last-axis writer shards containing the
 /// box's rows — in every channel (one gather chunk writes all channels'
-/// outputs).
+/// outputs). The forward's last axis runs every tile, so it is the last
+/// writer of every element a gather reads: per box row, the row's line in
+/// each k-block the box's last-dimension span meets.
 #[allow(clippy::too_many_arguments)]
 fn connect_interp_inputs<const D: usize>(
     builder: &mut DagBuilder,
@@ -907,34 +1050,40 @@ fn connect_interp_inputs<const D: usize>(
     gather_base: NodeId,
     task_chunks: &[core::ops::Range<usize>],
 ) {
-    let gs = geo.grid_strides();
     let last = D - 1;
-    // The forward's last axis runs every tile, so it is the last writer of
-    // every element a gather reads.
-    let writer_of = |e: usize| lay.writer_shard_of(last, e).expect("last axis runs every tile");
-    let mut dep_chunks: Vec<u32> = Vec::new();
+    let aw = &lay.axes[last];
+    // Line (last-axis tile) id strides of the rows' wrapped coordinates.
+    let gs = geo.grid_strides();
+    let line_strides: [usize; D] = core::array::from_fn(|d| gs[d] / geo.m[last]);
+    let (mut deps, mut kblocks): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
     let mut task_stamp = Stamp::new(lay.writer_shards(last));
     for t in 0..pre.graph.len() {
         if task_chunks[t].is_empty() {
             continue;
         }
         task_stamp.next();
-        dep_chunks.clear();
+        deps.clear();
+        kblocks.clear();
         let (lo, len) = task_box(pre, &geo.m, wc, t);
-        for_each_box_run(&geo.m, &gs, &lo, &len, |start, rlen| {
-            // Four-step k-blocks stripe a line, so a contiguous run can
-            // cross writer shards: resolve per element. A recursive
-            // last-axis tile is one line, which holds the whole run.
-            let end = if lay.tp.axes[last].shards.is_some() { start + rlen } else { start + 1 };
-            for e in start..end {
-                let shard = writer_of(e);
+        for (s, l) in wrapped_segments(lo[last], len[last], geo.m[last]) {
+            for_each_piece(&aw.kblock, s, s + l, |kb| {
+                if !kblocks.contains(&kb) {
+                    kblocks.push(kb);
+                }
+            });
+        }
+        for_each_box_row(&geo.m, &lo, &len, |w| {
+            let line: usize = (0..last).map(|d| w[d] * line_strides[d]).sum();
+            let chunk = aw.running(line);
+            for &kb in &kblocks {
+                let shard = chunk * aw.kbg + kb;
                 if task_stamp.hit(shard) {
-                    dep_chunks.push(shard as u32);
+                    deps.push(shard);
                 }
             }
         });
         for g in task_chunks[t].clone() {
-            for &dep in &dep_chunks {
+            for &dep in &deps {
                 for c in 0..channels {
                     builder
                         .add_edge(fft_base[c][last].1 + dep as NodeId, gather_base + g as NodeId);
@@ -945,7 +1094,9 @@ fn connect_interp_inputs<const D: usize>(
 }
 
 /// Wires last-axis FFT writers → extract chunks: an image chunk reads the
-/// wrapped embed positions of its flat range.
+/// wrapped embed positions of its flat range, walked as the embed map's
+/// runs ([`crate::grid::for_each_embed_run`]), each inside one grid line.
+/// Band elements lie in listed tiles on every adjoint axis.
 #[allow(clippy::too_many_arguments)]
 fn connect_extract_inputs<const D: usize>(
     builder: &mut DagBuilder,
@@ -956,31 +1107,29 @@ fn connect_extract_inputs<const D: usize>(
     extract_base: &[NodeId],
     img_chunk: usize,
 ) {
-    let gs = geo.grid_strides();
     let image_len = geo.image_len();
-    let nchunks = image_len.div_ceil(img_chunk);
-    let last = D - 1;
+    let (last, m_last) = (D - 1, geo.m[D - 1]);
+    let aw = &lay.axes[last];
     let mut ex_stamp = Stamp::new(lay.writer_shards(last));
-    for k in 0..nchunks {
+    for k in 0..image_len.div_ceil(img_chunk) {
         ex_stamp.next();
         let lo = k * img_chunk;
-        let count = (image_len - lo).min(img_chunk);
-        crate::grid::for_each_index_range(&geo.n, lo, count, |_flat, idx| {
-            let mut g = 0usize;
-            for d in 0..D {
-                let wrapped = (idx[d] + geo.m[d] - geo.n[d] / 2) % geo.m[d];
-                g += wrapped * gs[d];
-            }
-            // Band elements lie in listed tiles on every adjoint axis.
-            let shard = lay.writer_shard_of(last, g).expect("band tiles run");
-            if ex_stamp.hit(shard) {
-                for c in 0..channels {
-                    builder.add_edge(
-                        fft_base[c][last].1 + shard as NodeId,
-                        extract_base[c] + k as NodeId,
-                    );
+        let hi = (lo + img_chunk).min(image_len);
+        crate::grid::for_each_embed_run(geo, lo, hi, |_, g, len| {
+            let line = g / m_last;
+            let chunk = aw.running(line);
+            let pos = g - line * m_last;
+            for_each_piece(&aw.kblock, pos, pos + len, |kb| {
+                let shard = chunk * aw.kbg + kb;
+                if ex_stamp.hit(shard) {
+                    for c in 0..channels {
+                        builder.add_edge(
+                            fft_base[c][last].1 + shard as NodeId,
+                            extract_base[c] + k as NodeId,
+                        );
+                    }
                 }
-            }
+            });
         });
     }
 }
@@ -1135,6 +1284,41 @@ pub(crate) fn kind_span(stats: &DagRunStats, pred: impl Fn(u8) -> bool) -> f64 {
 mod tests {
     use super::*;
 
+    /// A box walk as flat `(start, len)` runs: [`for_each_box_row`]'s rows
+    /// times the [`wrapped_segments`] of the last dimension.
+    fn for_each_box_run<const D: usize>(
+        m: &[usize; D],
+        gs: &[usize; D],
+        lo: &[i32; D],
+        len: &[usize; D],
+        mut f: impl FnMut(usize, usize),
+    ) {
+        let segs = wrapped_segments(lo[D - 1], len[D - 1], m[D - 1]);
+        for_each_box_row(m, lo, len, |w| {
+            let row: usize = (0..D - 1).map(|d| w[d] * gs[d]).sum();
+            for (s, l) in segs.clone() {
+                f(row + s, l);
+            }
+        });
+    }
+
+    /// Every element of a wrapped box, decoded one at a time — the oracle
+    /// the box walks are checked against.
+    fn box_elements<const D: usize>(m: &[usize; D], lo: &[i32; D], len: &[usize; D]) -> Vec<usize> {
+        let gs: [usize; D] = core::array::from_fn(|d| m[d + 1..].iter().product());
+        (0..len.iter().product::<usize>())
+            .map(|mut k| {
+                let mut e = 0;
+                for d in (0..D).rev() {
+                    let off = (k % len[d]) as i32;
+                    k /= len[d];
+                    e += (lo[d] + off).rem_euclid(m[d] as i32) as usize * gs[d];
+                }
+                e
+            })
+            .collect()
+    }
+
     #[test]
     fn tag_round_trips() {
         let t = tag(KIND_FFT, 2, 7, 123456);
@@ -1190,6 +1374,34 @@ mod tests {
         assert_eq!(runs, vec![(8, 2), (0, 3)]);
     }
 
+    /// What a [`Case`] varies: everything a fused graph's shape depends
+    /// on besides the grid extents.
+    #[derive(Clone, Copy, Debug)]
+    struct Spec {
+        alpha: f64,
+        strategy: nufft_fft::FftStrategy,
+        /// Worker count: sets the tile-list chunk grains, the slab and
+        /// image-chunk sizes and the Eq. 6 privatization threshold.
+        threads: usize,
+        channels: usize,
+        privatization: bool,
+        /// Kernel radius `W`: the halo width and minimum partition width.
+        w: f64,
+    }
+
+    impl Default for Spec {
+        fn default() -> Self {
+            Spec {
+                alpha: 2.0,
+                strategy: nufft_fft::FftStrategy::Recursive,
+                threads: 2,
+                channels: 1,
+                privatization: true,
+                w: 2.0,
+            }
+        }
+    }
+
     /// One graph-building input set: a small plan's geometry, FFT and
     /// tile lists, preprocessed tasks and channel count.
     struct Case<const D: usize> {
@@ -1199,6 +1411,7 @@ mod tests {
         pre: Preprocess<D>,
         wc: usize,
         channels: usize,
+        threads: usize,
     }
 
     /// A node's grid footprint, from its body's semantics (not from its
@@ -1213,9 +1426,13 @@ mod tests {
 
     impl<const D: usize> Case<D> {
         fn new(n: [usize; D], strategy: nufft_fft::FftStrategy, channels: usize) -> Self {
-            let threads = 2;
-            let geo = Geometry::new(n, 2.0);
-            let fft = FftNd::with_strategy(&geo.m, strategy, nufft_fft::DEFAULT_LLC_BUDGET);
+            Self::with(n, Spec { strategy, channels, ..Spec::default() })
+        }
+
+        fn with(n: [usize; D], spec: Spec) -> Self {
+            let threads = spec.threads;
+            let geo = Geometry::new(n, spec.alpha);
+            let fft = FftNd::with_strategy(&geo.m, spec.strategy, nufft_fft::DEFAULT_LLC_BUDGET);
             let tp = TilePlan::new(&fft, &geo.n, threads);
             let coords: Vec<[f32; D]> = (0..300)
                 .map(|i| {
@@ -1227,22 +1444,19 @@ mod tests {
                 .collect();
             let pcfg = crate::tasks::PreprocessConfig {
                 partitions_per_dim: 3,
-                w: 2.0,
+                w: spec.w,
                 threads,
+                privatization: spec.privatization,
                 tile: 8,
                 ..Default::default()
             };
             let pre = crate::tasks::preprocess(&coords, geo.m, &pcfg);
-            Case { geo, fft, tp, pre, wc: 2, channels }
+            Case { geo, fft, tp, pre, wc: spec.w.ceil() as usize, channels: spec.channels, threads }
         }
 
         fn task_box_elems(&self, t: usize) -> Vec<usize> {
             let (lo, len) = task_box(&self.pre, &self.geo.m, self.wc, t);
-            let mut elems = Vec::new();
-            for_each_box_run(&self.geo.m, &self.geo.grid_strides(), &lo, &len, |start, rlen| {
-                elems.extend(start..start + rlen)
-            });
-            elems
+            box_elements(&self.geo.m, &lo, &len)
         }
 
         fn all_channels(&self, elems: &[usize]) -> Vec<usize> {
@@ -1373,7 +1587,7 @@ mod tests {
         }
 
         fn check_graphs(&self, label: &str) {
-            let (threads, channels) = (2, self.channels);
+            let (threads, channels) = (self.threads, self.channels);
             let (geo, fft, tp, pre, wc) = (&self.geo, &self.fft, &self.tp, &self.pre, self.wc);
             let fa = build_forward(geo, fft, tp, pre, wc, 16, threads, channels);
             self.check_wiring(&fa, false, &format!("{label} forward"));
@@ -1440,6 +1654,322 @@ mod tests {
             case.check_graphs(&format!("[9, 7] {strategy:?}"));
             Case::new([7, 9, 5], strategy, 1).check_graphs(&format!("[7, 9, 5] {strategy:?}"));
         }
+    }
+
+    #[test]
+    fn box_runs_match_the_element_oracle() {
+        // Boxes inside, hanging off either edge and spanning the grid, in
+        // 1D–3D.
+        let m3 = [7usize, 5, 6];
+        let gs3 = [30usize, 6, 1];
+        for (lo, len) in [([1, 0, 2], [3, 5, 2]), ([-2, 3, -1], [7, 4, 6]), ([5, -4, 4], [4, 2, 5])]
+        {
+            let mut got = Vec::new();
+            for_each_box_run(&m3, &gs3, &lo, &len, |s, l| got.extend(s..s + l));
+            let mut want = box_elements(&m3, &lo, &len);
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "box {lo:?} {len:?}");
+        }
+        let mut got = Vec::new();
+        for_each_box_run(&[9], &[1], &[-3], &[9], |s, l| got.extend(s..s + l));
+        assert_eq!(got, box_elements(&[9], &[-3], &[9]));
+    }
+
+    /// The per-element wiring walk, the reference the run walks are pinned
+    /// to: each element a node reads is resolved to its writer on its own,
+    /// through the FFT plan's per-element footprint functions and a search
+    /// of the tile lists, and each halo box is decoded element by element.
+    mod reference {
+        use super::super::*;
+        use super::box_elements;
+        use std::collections::BTreeSet;
+
+        fn chunk_of_tile(lay: &FftLayout<'_>, axis: usize, tile: usize) -> Option<usize> {
+            let list = lay.list(axis);
+            list.tiles.binary_search(&(tile as u32)).ok().map(|p| p / list.grain)
+        }
+
+        fn entry_shard_of(lay: &FftLayout<'_>, axis: usize, e: usize) -> Option<usize> {
+            let (fft, b) = (lay.fft, lay.tp.b);
+            let chunk = chunk_of_tile(lay, axis, fft.tile_of_element(axis, e, b))?;
+            Some(match lay.tp.axes[axis].shards {
+                Some((colg, _)) => chunk * colg + fft.fs_col_group_of_element(axis, e, b),
+                None => chunk,
+            })
+        }
+
+        fn writer_shard_of(lay: &FftLayout<'_>, axis: usize, e: usize) -> Option<usize> {
+            let chunk = chunk_of_tile(lay, axis, lay.fft.tile_of_element(axis, e, lay.tp.b))?;
+            Some(match lay.tp.axes[axis].shards {
+                Some((_, kbg)) => chunk * kbg + lay.fft.fs_kblock_of_element(axis, e),
+                None => chunk,
+            })
+        }
+
+        fn connect_fft_chain(
+            builder: &mut DagBuilder,
+            lay: &FftLayout<'_>,
+            channels: usize,
+            fft_base: &[Vec<(NodeId, NodeId)>],
+            slabs: Option<ScaleSlabs<'_>>,
+        ) {
+            let (fft, b, ndim) = (lay.fft, lay.tp.b, lay.fft.ndim());
+            let nslabs = slabs.as_ref().map_or(0, |s| fft.len().div_ceil(s.slab));
+            let mut axis_id = vec![nslabs];
+            for axis in 0..ndim {
+                axis_id.push(axis_id[axis] + lay.writer_shards(axis));
+            }
+            let writer_node = |c: usize, id: usize| match &slabs {
+                Some(s) if id < nslabs => s.base[c] + id as NodeId,
+                _ => {
+                    let j = axis_id.partition_point(|&start| start <= id) - 1;
+                    fft_base[c][j].1 + (id - axis_id[j]) as NodeId
+                }
+            };
+            for axis in if slabs.is_some() { 0 } else { 1 }..ndim {
+                let list = lay.list(axis);
+                let shards = lay.tp.axes[axis].shards;
+                let colg = shards.map_or(1, |(colg, _)| colg);
+                for chunk in 0..list.chunks() {
+                    for cg in 0..colg {
+                        let mut writers = BTreeSet::new();
+                        let mut read = |e: usize| {
+                            let w = (0..axis)
+                                .rev()
+                                .find_map(|j| writer_shard_of(lay, j, e).map(|s| axis_id[j] + s))
+                                .unwrap_or_else(|| e / slabs.as_ref().expect("a writer").slab);
+                            writers.insert(w);
+                        };
+                        for &tile in list.chunk(chunk) {
+                            if shards.is_some() {
+                                fft.for_each_fs_col_element(axis, tile as usize, cg, b, &mut read);
+                            } else {
+                                fft.for_each_tile_element(axis, tile as usize, b, &mut read);
+                            }
+                        }
+                        let entry = (chunk * colg + cg) as NodeId;
+                        for w in writers {
+                            for c in 0..channels {
+                                builder.add_edge(writer_node(c, w), fft_base[c][axis].0 + entry);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn build_forward<const D: usize>(
+            geo: &Geometry<D>,
+            fft: &FftNd,
+            tp: &TilePlan,
+            pre: &Preprocess<D>,
+            wc: usize,
+            gather_grain: usize,
+            threads: usize,
+            channels: usize,
+        ) -> FusedApply {
+            let grid_len = geo.grid_len();
+            let slab = piece_len(grid_len, threads);
+            let lay = FftLayout::new(fft, tp, TileSet::Forward);
+            let mut builder = DagBuilder::new();
+            let scale_base = emit_scale_fragment(&mut builder, grid_len, slab, channels);
+            let fft_base = emit_fft_fragment(&mut builder, &lay, channels);
+            let (gather_base, chunks, task_chunks) =
+                emit_interp_fragment(&mut builder, pre, gather_grain);
+            let slabs = Some(ScaleSlabs { slab, base: &scale_base });
+            connect_fft_chain(&mut builder, &lay, channels, &fft_base, slabs);
+            // Gather chunks read their task's halo box, last written by the
+            // last axis.
+            for t in 0..pre.graph.len() {
+                let (lo, len) = task_box(pre, &geo.m, wc, t);
+                let deps: BTreeSet<usize> = box_elements(&geo.m, &lo, &len)
+                    .into_iter()
+                    .map(|e| writer_shard_of(&lay, D - 1, e).expect("last axis runs every tile"))
+                    .collect();
+                for g in task_chunks[t].clone() {
+                    for &dep in &deps {
+                        for c in 0..channels {
+                            builder.add_edge(
+                                fft_base[c][D - 1].1 + dep as NodeId,
+                                gather_base + g as NodeId,
+                            );
+                        }
+                    }
+                }
+            }
+            apply_phase_priorities(&mut builder, false, D);
+            FusedApply { dag: builder.build(), chunks, slab, img_chunk: 0 }
+        }
+
+        pub(super) fn build_adjoint<const D: usize>(
+            geo: &Geometry<D>,
+            fft: &FftNd,
+            tp: &TilePlan,
+            pre: &Preprocess<D>,
+            wc: usize,
+            threads: usize,
+            channels: usize,
+        ) -> FusedApply {
+            let (grid_len, image_len) = (geo.grid_len(), geo.image_len());
+            let slab = piece_len(grid_len, threads);
+            let img_chunk = piece_len(image_len, threads);
+            let lay = FftLayout::new(fft, tp, TileSet::Adjoint);
+            let mut builder = DagBuilder::new();
+            let zero_base = emit_zero_fragment(&mut builder, grid_len, slab, channels);
+            let conv_shared = emit_spread_fragment(&mut builder, pre, channels);
+            let fft_base = emit_fft_fragment(&mut builder, &lay, channels);
+            let extract_base = emit_extract_fragment(&mut builder, image_len, img_chunk, channels);
+            // A task reads-modifies-writes its halo box: after the zero
+            // slabs holding it, before the axis-0 shards reading it.
+            for t in 0..pre.graph.len() {
+                let (lo, len) = task_box(pre, &geo.m, wc, t);
+                let elems = box_elements(&geo.m, &lo, &len);
+                let slabs: BTreeSet<usize> = elems.iter().map(|&e| e / slab).collect();
+                let shards: BTreeSet<usize> = elems
+                    .iter()
+                    .map(|&e| entry_shard_of(&lay, 0, e).expect("axis 0 runs every tile"))
+                    .collect();
+                for s in slabs {
+                    builder.add_edge(zero_base + s as NodeId, conv_shared[t]);
+                }
+                for shard in shards {
+                    for c in 0..channels {
+                        builder.add_edge(conv_shared[t], fft_base[c][0].0 + shard as NodeId);
+                    }
+                }
+            }
+            connect_fft_chain(&mut builder, &lay, channels, &fft_base, None);
+            // An image chunk reads the wrapped embed positions of its range.
+            let gs = geo.grid_strides();
+            for k in 0..image_len.div_ceil(img_chunk) {
+                let lo = k * img_chunk;
+                let mut deps = BTreeSet::new();
+                crate::grid::for_each_index_range(
+                    &geo.n,
+                    lo,
+                    (image_len - lo).min(img_chunk),
+                    |_, idx| {
+                        let g: usize = (0..D)
+                            .map(|d| (idx[d] + geo.m[d] - geo.n[d] / 2) % geo.m[d] * gs[d])
+                            .sum();
+                        deps.insert(writer_shard_of(&lay, D - 1, g).expect("band tiles run"));
+                    },
+                );
+                for shard in deps {
+                    for c in 0..channels {
+                        builder.add_edge(
+                            fft_base[c][D - 1].1 + shard as NodeId,
+                            extract_base[c] + k as NodeId,
+                        );
+                    }
+                }
+            }
+            apply_phase_priorities(&mut builder, true, D);
+            FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk }
+        }
+    }
+
+    fn assert_same_dag(got: &Dag, want: &Dag, label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}: node count");
+        assert_eq!(got.num_edges(), want.num_edges(), "{label}: edge count");
+        for v in 0..got.len() as NodeId {
+            assert_eq!(got.tag(v), want.tag(v), "{label}: tag of node {v}");
+            assert_eq!(got.weight(v), want.weight(v), "{label}: weight of node {v}");
+            assert_eq!(got.priority(v), want.priority(v), "{label}: priority of node {v}");
+            assert_eq!(got.pred_count(v), want.pred_count(v), "{label}: preds of node {v}");
+            assert_eq!(got.succs(v), want.succs(v), "{label}: successors of node {v}");
+        }
+    }
+
+    impl<const D: usize> Case<D> {
+        /// Builds both directions with the run walks and the per-element
+        /// reference and asserts the graphs are identical. Returns whether
+        /// any task was privatized and whether a strided axis's stride is
+        /// not a multiple of the tile width `b`.
+        fn check_against_reference(&self, label: &str) -> (bool, bool) {
+            let (geo, fft, tp, pre, wc) = (&self.geo, &self.fft, &self.tp, &self.pre, self.wc);
+            let (threads, channels) = (self.threads, self.channels);
+            let got = build_forward(geo, fft, tp, pre, wc, 16, threads, channels);
+            let want = reference::build_forward(geo, fft, tp, pre, wc, 16, threads, channels);
+            assert_same_dag(&got.dag, &want.dag, &format!("{label} forward"));
+            assert_eq!(got.chunks, want.chunks, "{label}: gather chunks");
+            let got = build_adjoint(geo, fft, tp, pre, wc, threads, channels);
+            let want = reference::build_adjoint(geo, fft, tp, pre, wc, threads, channels);
+            assert_same_dag(&got.dag, &want.dag, &format!("{label} adjoint"));
+            (
+                (0..got.dag.len()).any(|v| kind_of(got.dag.tag(v as NodeId)) == KIND_PRIV),
+                (0..D - 1).any(|d| fft.axis_stride(d) % tp.b != 0),
+            )
+        }
+    }
+
+    /// The run walks build exactly the graph the per-element reference
+    /// builds — tags, weights, priorities and successor lists — across
+    /// rank; even, odd, mixed-radix and Bluestein extents, including grid
+    /// strides that are not multiples of the tile width `b`; α = 2 and
+    /// 1.25 (1.5 once); recursive and forced four-step FFTs; 1, 2, 4 and 16
+    /// workers (chunk grains, slab sizes and the privatized set); 1 and 3
+    /// channels; privatization on and off; and the Kaiser–Bessel and ES
+    /// kernels' planned widths (the family reaches the graph only through
+    /// `W`: the halo and the minimum partition width).
+    #[test]
+    fn run_walks_build_the_per_element_reference_graphs() {
+        use nufft_fft::FftStrategy::{FourStep, Recursive};
+        let kb = crate::plan::NufftConfig::default();
+        let es = crate::plan::NufftConfig::default().with_tolerance(1e-4);
+        assert_eq!(kb.kernel, crate::kernel::KernelChoice::KaiserBessel);
+        assert_eq!(es.kernel, crate::kernel::KernelChoice::EsKernel);
+        // Every (strategy, threads) pair meets each (channels,
+        // privatization, kernel) combination over the shapes: the second
+        // index is offset per shape.
+        let mut case = 0usize;
+        let (mut privatized, mut off_b) = (false, false);
+        let mut run = |n: &[usize], alpha: f64| {
+            for (i, (strategy, threads)) in [Recursive, FourStep]
+                .into_iter()
+                .flat_map(|s| [1, 2, 4, 16].map(|t| (s, t)))
+                .enumerate()
+            {
+                let j = (i + 3 * case) % 8;
+                let (fam, w) = if j & 4 == 0 { ("KB", kb.w) } else { ("ES", es.w) };
+                let spec = Spec {
+                    alpha,
+                    strategy,
+                    threads,
+                    channels: if j & 1 == 0 { 1 } else { 3 },
+                    privatization: j & 2 == 0,
+                    w,
+                };
+                let label = format!("{n:?} {spec:?} {fam}");
+                let (p, o) = match *n {
+                    [a] => Case::with([a], spec).check_against_reference(&label),
+                    [a, b] => Case::with([a, b], spec).check_against_reference(&label),
+                    [a, b, c] => Case::with([a, b, c], spec).check_against_reference(&label),
+                    _ => unreachable!(),
+                };
+                privatized |= p;
+                off_b |= o;
+            }
+            case += 1;
+        };
+        // 1D: mixed radix (M = 48), Bluestein (34 = 2·17), odd N at α = 1.25.
+        run(&[24], 2.0);
+        run(&[17], 2.0);
+        run(&[13], 1.25);
+        // 2D: even; odd at α = 1.25 (M = 41 × 59, both Bluestein; stride
+        // 59 is off every b); strides off b = 4 (M = 18 × 14).
+        run(&[40, 36], 2.0);
+        run(&[33, 47], 1.25);
+        run(&[9, 7], 2.0);
+        // 3D: mixed radix (M = 40 × 36 × 44); odd N at α = 1.5 with strides
+        // off b (M = 26 × 20 × 14); odd N at α = 1.25.
+        run(&[20, 18, 22], 2.0);
+        run(&[17, 13, 9], 1.5);
+        run(&[7, 9, 5], 1.25);
+        assert!(privatized, "no case privatized a task");
+        assert!(off_b, "no case has a grid stride that b does not divide");
     }
 
     #[test]

@@ -320,9 +320,10 @@ impl InterpKernel {
         }
     }
 
-    /// LUT arm of [`InterpKernel::eval_row`]: hoists the LUT scale
-    /// conversion and the per-tap support branch out of the loop; results
-    /// are identical to per-tap [`eval_lut`] calls.
+    /// LUT arm of [`InterpKernel::eval_row`]: one [`nufft_simd::lut_row`]
+    /// call (eight taps per AVX2 gather pair, a scalar loop below AVX2);
+    /// results are identical to per-tap [`eval_lut`] calls at every ISA
+    /// level.
     ///
     /// [`eval_lut`]: InterpKernel::eval_lut
     ///
@@ -330,20 +331,15 @@ impl InterpKernel {
     /// Panics if `out.len() < len`.
     #[inline]
     pub fn eval_lut_row(&self, x1: i32, len: usize, u: f32, out: &mut [f32]) {
-        let dens = self.density as f32;
-        let lut = &self.lut[..];
-        for (i, o) in out[..len].iter_mut().enumerate() {
-            let ax = ((x1 + i as i32) as f32 - u).abs();
-            debug_assert!(ax as f64 <= self.w, "tap outside kernel support");
-            let pos = ax * dens;
-            let idx = pos as usize;
-            let frac = pos - idx as f32;
-            // The table has 2 slack entries past W·density, so idx+1 is in
-            // range for every in-support tap.
-            let a = lut[idx];
-            let b = lut[idx + 1];
-            *o = a + (b - a) * frac;
-        }
+        debug_assert!(
+            len == 0
+                || ((x1 as f32 - u).abs() as f64 <= self.w
+                    && ((x1 + len as i32 - 1) as f32 - u).abs() as f64 <= self.w),
+            "tap outside kernel support"
+        );
+        // The table has 2 slack entries past W·density, so `idx + 1` is in
+        // range for every in-support tap.
+        nufft_simd::lut_row(&self.lut, self.density as f32, x1, u, &mut out[..len]);
     }
 
     /// The kernel's continuous Fourier transform `Â(ξ)`, with `ξ` in cycles

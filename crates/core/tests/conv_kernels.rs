@@ -18,6 +18,9 @@
 //!   bit).
 //! * **Channel pairing.** `forward_gather2` equals two `forward_gather`
 //!   calls bitwise under every ISA override.
+//! * **Part 1 windows.** The LUT families' window rows (AVX2 gathers at
+//!   that level, a scalar loop below it) equal StrictScalar's bitwise at
+//!   every level, for tap counts 1..=17.
 
 use nufft_core::conv::{
     adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, WinRef, Window,
@@ -340,4 +343,57 @@ fn box_scatter_local_agrees_with_row_path() {
     let _guard = isa_guard();
     check_scatter_local::<2>();
     check_scatter_local::<3>();
+}
+
+/// Part 1 through the LUT row kernel: at every ISA level `Window::compute`
+/// (bounds and weights) and every prefix of its row (`eval_row` at tap
+/// counts 1..=17) are bitwise equal to StrictScalar's, for Kaiser–Bessel
+/// at W ∈ {1.5, 2, 2.5, 4, 8} and a Gaussian, at coordinates on and one
+/// ulp either side of integers and half-integers — where taps land on
+/// table points and the bounds flip — plus generic fractions.
+#[test]
+fn part1_lut_windows_match_strict_scalar_bitwise() {
+    let _guard = isa_guard();
+    let mut kernels: Vec<InterpKernel> =
+        [1.5, 2.0, 2.5, 4.0, 8.0].iter().map(|&w| InterpKernel::new(w, 2.0)).collect();
+    kernels.push(InterpKernel::of(KernelChoice::Gaussian, 3.0, 2.0, DEFAULT_LUT_DENSITY));
+    let mut coords = Vec::new();
+    for base in [9.0f32, 9.5, 10.0, 10.5, 63.0, 63.5] {
+        coords.extend([base, base.next_up(), base.next_down(), base + 0.3, base + 0.71]);
+    }
+    let mut want = Vec::new();
+    set_isa_override(IsaLevel::StrictScalar).unwrap();
+    for k in &kernels {
+        for &u in &coords {
+            let win = Window::compute(u, k.w() as f32, k);
+            assert!(!k.uses_horner());
+            let rows: Vec<Vec<f32>> = (1..=win.len)
+                .map(|taps| {
+                    let mut row = vec![0.0f32; taps];
+                    k.eval_row(win.start, taps, u, &mut row);
+                    row
+                })
+                .collect();
+            want.push((win, rows));
+        }
+    }
+    for_each_isa(|level| {
+        let mut want = want.iter();
+        for k in &kernels {
+            for &u in &coords {
+                let (w_win, w_rows) = want.next().unwrap();
+                let win = Window::compute(u, k.w() as f32, k);
+                let label = format!("{level:?} W={} u={u}", k.w());
+                assert_eq!((win.start, win.len), (w_win.start, w_win.len), "{label}: bounds");
+                let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&win.w), bits(&w_win.w), "{label}: window weights");
+                for (taps, w_row) in (1..=win.len).zip(w_rows) {
+                    let mut row = vec![f32::NAN; taps];
+                    k.eval_row(win.start, taps, u, &mut row);
+                    assert_eq!(bits(&row), bits(w_row), "{label}: {taps}-tap row");
+                }
+            }
+        }
+        assert!(kernels.iter().any(|k| Window::compute(9.0, k.w() as f32, k).len == 17));
+    });
 }

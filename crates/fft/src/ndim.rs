@@ -246,13 +246,30 @@ impl FftNd {
         b: usize,
         mut f: impl FnMut(usize),
     ) {
+        self.for_each_tile_run(axis, tile, b, |start, len| (start..start + len).for_each(&mut f));
+    }
+
+    /// The run form of [`FftNd::for_each_tile_element`]: calls `f(start,
+    /// len)` for each run of contiguous elements of tile `tile` of `axis`
+    /// at width `b`, in ascending order — one run of the tile's lines per
+    /// axis position on a strided axis, the whole line on the contiguous
+    /// one. A fused task graph resolves an element's writer once per run.
+    pub fn for_each_tile_run(
+        &self,
+        axis: usize,
+        tile: usize,
+        b: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
         let n = self.shape[axis];
         let stride = self.axis_stride(axis);
         let (outer, inner) = self.tile_lines(axis, tile, b);
-        for j in 0..n {
-            let base = outer * n * stride + j * stride;
-            for e in base + inner.start..base + inner.end {
-                f(e);
+        let base = outer * n * stride + inner.start;
+        if stride == 1 {
+            f(base, n);
+        } else {
+            for j in 0..n {
+                f(base + j * stride, inner.len());
             }
         }
     }
@@ -321,6 +338,24 @@ impl FftNd {
         b: usize,
         mut f: impl FnMut(usize),
     ) {
+        self.for_each_fs_col_run(axis, tile, cg, b, |start, len| {
+            (start..start + len).for_each(&mut f)
+        });
+    }
+
+    /// The run form of [`FftNd::for_each_fs_col_element`]: calls `f(start,
+    /// len)` for each run of contiguous elements the column group reads,
+    /// in ascending order — per decimation step `t`, the group's columns
+    /// `c + P·t` as one run on the contiguous axis, else one run of the
+    /// tile's lines per column.
+    pub fn for_each_fs_col_run(
+        &self,
+        axis: usize,
+        tile: usize,
+        cg: usize,
+        b: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
         let four = self.split(axis);
         let (p, n2) = (four.p, four.n2);
         let n = self.shape[axis];
@@ -328,25 +363,14 @@ impl FftNd {
         let w = self.fs_col_group_width(axis, b);
         let c_lo = cg * w;
         let c_hi = (c_lo + w).min(p);
-        if stride == 1 {
-            let start = tile * n;
-            for c in c_lo..c_hi {
-                for t in 0..n2 {
-                    f(start + c + p * t);
-                }
-            }
-        } else {
-            let tiles_per_outer = stride.div_ceil(b);
-            let outer = tile / tiles_per_outer;
-            let inner0 = (tile % tiles_per_outer) * b;
-            let lines_here = b.min(stride - inner0);
-            let base = outer * n * stride + inner0;
-            for c in c_lo..c_hi {
-                for t in 0..n2 {
-                    let e0 = base + (c + p * t) * stride;
-                    for l in 0..lines_here {
-                        f(e0 + l);
-                    }
+        let (outer, inner) = self.tile_lines(axis, tile, b);
+        let base = outer * n * stride + inner.start;
+        for t in 0..n2 {
+            if stride == 1 {
+                f(base + p * t + c_lo, c_hi - c_lo);
+            } else {
+                for c in c_lo..c_hi {
+                    f(base + (c + p * t) * stride, inner.len());
                 }
             }
         }
@@ -1000,6 +1024,49 @@ mod tests {
                     }
                 }
                 assert!(seen.iter().all(|&c| c == 1), "axis {axis} b={b}: line coverage {seen:?}");
+            }
+        }
+    }
+
+    /// The run walks hand out non-empty runs in ascending, non-overlapping
+    /// order, each inside one block of the axis's stride (its elements
+    /// share every index up to the axis; on the contiguous axis, one
+    /// line) — what a fused graph's wiring walk relies on.
+    #[test]
+    fn tile_and_column_runs_ascend_within_one_block() {
+        use crate::FftStrategy;
+        let check = |runs: &[(usize, usize)], block: usize, what: &str| {
+            for (i, &(s, l)) in runs.iter().enumerate() {
+                assert!(l > 0, "{what}: empty run");
+                assert_eq!(s / block, (s + l - 1) / block, "{what}: run crosses a block");
+                assert!(i == 0 || runs[i - 1].0 + runs[i - 1].1 <= s, "{what}: not ascending");
+            }
+        };
+        for shape in [&[3usize, 5, 4][..], &[6, 8], &[7], &[2, 2, 2, 3], &[16, 12]] {
+            for strategy in [FftStrategy::Recursive, FftStrategy::FourStep] {
+                let plan = FftNd::with_strategy(shape, strategy, 0);
+                for axis in 0..shape.len() {
+                    let stride = plan.axis_stride(axis);
+                    let block = if stride == 1 { shape[axis] } else { stride };
+                    for b in [2usize, 4] {
+                        for tile in 0..plan.num_tiles(axis, b) {
+                            let what = format!("{shape:?} {strategy:?} axis {axis} b={b} {tile}");
+                            let mut runs = Vec::new();
+                            plan.for_each_tile_run(axis, tile, b, |s, l| runs.push((s, l)));
+                            check(&runs, block, &what);
+                            if !plan.axis_fourstep(axis) {
+                                continue;
+                            }
+                            for cg in 0..plan.fs_col_groups(axis, b) {
+                                runs.clear();
+                                plan.for_each_fs_col_run(axis, tile, cg, b, |s, l| {
+                                    runs.push((s, l))
+                                });
+                                check(&runs, block, &format!("{what} column group {cg}"));
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -17,6 +17,11 @@
 //! call covers a 2D/3D sample's whole window box instead of one row-kernel
 //! call per grid row.
 //!
+//! Part 1 — a sample's window weights — is vectorized across the window's
+//! taps rather than across samples: [`lut_row`] (table lookup, AVX2
+//! gathers) and [`horner_row`] (fitted ES polynomials, AVX2 FMAs) each
+//! fill one window row per call, bitwise-identically at every level.
+//!
 //! The active level is detected once at startup and can be overridden with
 //! [`set_isa_override`] — the Figure 13 experiment uses this to measure
 //! scalar-vs-SSE-vs-AVX speedups of the convolution (at AVX2+FMA, through
@@ -31,6 +36,7 @@ pub mod boxes;
 pub mod dispatch;
 pub mod fft_rows;
 pub mod horner;
+pub mod lut;
 pub mod rows;
 pub mod transpose;
 pub mod vecops;
@@ -41,6 +47,7 @@ mod sse;
 
 pub use dispatch::{active_isa, detect_isa, set_isa_override, IsaLevel};
 pub use horner::horner_row;
+pub use lut::lut_row;
 pub use rows::{gather_row, gather_row2, scatter_row, scatter_row2};
 pub use transpose::{gather_chunks, gather_chunks_cmul, scatter_chunks, transpose};
 pub use vecops::{accumulate, dotc, scale_by_real, sum_norm_sqr};

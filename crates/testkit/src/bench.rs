@@ -92,12 +92,42 @@ impl Bencher {
             per_iter_ns.push(dt / batch as f64);
             total_iters += batch;
         }
+        self.record(per_iter_ns, total_iters);
+    }
+
+    /// Like [`Bencher::iter`] for a routine that consumes state a setup
+    /// builds — a one-time cost such as a plan's lazy first-use work: each
+    /// sample calls `setup` outside the timed region, then times one call
+    /// of `routine` on its output (dropped untimed). Call exactly once per
+    /// `bench_function` closure.
+    pub fn iter_batched<I, R>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(&mut I) -> R,
+    ) {
+        let mut once = || {
+            let mut input = setup();
+            let t0 = Instant::now();
+            black_box(routine(&mut input));
+            let dt = t0.elapsed();
+            drop(input);
+            dt
+        };
+        let mut warm = Duration::ZERO;
+        while warm < self.warmup {
+            warm += once();
+        }
+        let per_iter_ns = (0..self.samples).map(|_| once().as_nanos() as f64).collect();
+        self.record(per_iter_ns, self.samples as u64);
+    }
+
+    fn record(&mut self, mut per_iter_ns: Vec<f64>, iters: u64) {
         per_iter_ns.sort_by(f64::total_cmp);
         self.stats = Some(Stats {
             median_ns: percentile(&per_iter_ns, 0.5),
             p10_ns: percentile(&per_iter_ns, 0.1),
             p90_ns: percentile(&per_iter_ns, 0.9),
-            iters: total_iters,
+            iters,
             samples: self.samples,
         });
     }
@@ -213,10 +243,11 @@ impl BenchGroup {
             .map(|e| format!("  {:>9.2} Melem/s", e as f64 / s.median_ns * 1e3))
             .unwrap_or_default();
         println!(
-            "{label:<44} median {:>12}  p10 {:>12}  p90 {:>12}{thr}",
+            "{label:<44} median {:>12}  p10 {:>12}  p90 {:>12}  n {:>3}{thr}",
             fmt_ns(s.median_ns),
             fmt_ns(s.p10_ns),
             fmt_ns(s.p90_ns),
+            s.samples,
         );
         if let Some(path) = &self.sink {
             if let Some(parent) = path.parent() {
@@ -307,6 +338,28 @@ mod tests {
         assert!(s.median_ns.is_finite() && s.median_ns > 0.0);
         assert_eq!(s.samples, 5);
         assert!(s.iters >= 5);
+    }
+
+    #[test]
+    fn batched_iterations_time_the_routine_not_the_setup() {
+        let mut g = tiny_group("selftest");
+        let (mut setups, mut runs) = (0usize, 0usize);
+        let s = g.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    setups += 1;
+                    std::thread::sleep(Duration::from_millis(2));
+                    vec![1u64; 64]
+                },
+                |v| {
+                    runs += 1;
+                    v.iter().sum::<u64>()
+                },
+            )
+        });
+        assert_eq!(setups, runs, "one fresh input per timed call");
+        assert_eq!((s.samples, s.iters), (5, 5));
+        assert!(s.median_ns < 1.5e6, "setup's 2 ms sleep leaked into the timing: {s:?}");
     }
 
     #[test]

@@ -82,6 +82,17 @@ echo "== zero-aware FFT passes =="
 # also pins the exact tile counts at AVX2.
 cargo test -q --offline --test fft_pruning
 
+echo "== fused-graph wiring =="
+# nufft-core's fused tests pin the run walks that wire the fused DAGs to
+# the per-element reference walk they replaced (identical Dag: tags,
+# weights, priorities, successor lists) across rank, extent kind, alpha,
+# FFT strategy, worker count, channels, privatization and kernel width,
+# and check every read against its last writer. conv_kernels' Part 1 test
+# pins the LUT window rows (AVX2 gathers) bitwise to StrictScalar at tap
+# counts 1..=17.
+cargo test -q --offline -p nufft-core fused
+cargo test -q --offline -p nufft-core --test conv_kernels part1_lut_windows
+
 echo "== Toeplitz CG-SENSE =="
 # IterativeRecon's normal operator is the multi-coil Toeplitz embedding
 # (a 2N-grid FFT round trip per coil on the plan's pool): nufft-mri pins it

@@ -2,8 +2,8 @@
 //! executor overhead and the discrete-event simulator itself. Runs on the
 //! `nufft-testkit` harness.
 
-use nufft_parallel::exec::Executor;
-use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
+use nufft_parallel::graph::{DagBuilder, QueuePolicy, TaskGraph};
 use nufft_parallel::queue::{Entry, ReadyQueue};
 use nufft_sim::{simulate, LinearCost};
 use nufft_testkit::bench::{black_box, BenchGroup};
@@ -56,10 +56,19 @@ fn main() {
     g.sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(400));
+    // The 144-task skewed graph expanded into nodes (prioritized by task
+    // weight), run on one reused scratch.
     let graph = skewed_graph(12);
+    let mut builder = DagBuilder::new();
+    graph.expand_into(&mut builder, |t, _phase| (t as u64, graph.weight(t)));
+    let dag = builder.build();
+    let mut scratch = DagScratch::new();
     let exec = Executor::new(2);
-    g.bench_function("run_graph_144_tasks_noop", |b| {
-        b.iter(|| exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {}))
+    g.bench_function("run_dag_expanded_144_tasks_noop", |b| {
+        b.iter(|| {
+            let prio = JobPriority::Normal;
+            exec.run_dag(&dag, QueuePolicy::Priority, prio, &mut scratch, |_v, _tag, _w| {})
+        })
     });
     g.bench_function("parallel_for_100k_noop", |b| {
         b.iter(|| {

@@ -6,7 +6,7 @@
 //! `D + 2` stragglers' worth of idle time per apply. This module builds,
 //! once per plan and channel count, a single heterogeneous [`Dag`] whose
 //! nodes cover *every* phase of an operator and whose edges are the actual
-//! data dependencies between them, so one `run_dag_reuse` dispatch
+//! data dependencies between them, so one `Executor::run_dag` dispatch
 //! replaces all the joins. It is the only schedule
 //! [`NufftPlan`](crate::plan::NufftPlan) runs:
 //!
@@ -22,8 +22,8 @@
 //! * **`Conv`/`Priv`/`Reduce`** — the adjoint scatter tasks with their
 //!   Gray-code exclusion edges carried over verbatim, privatized tasks
 //!   split into a dependency-free `Priv` convolve and a `Reduce` that
-//!   inherits the edges (exactly the task-graph driver's protocol, now as
-//!   two plain nodes joined by an edge);
+//!   inherits the edges: the task graph's expansion, node for node the
+//!   graph the spread stage driver runs on its own;
 //! * **`Gather`** (forward) — a chunk of one task's samples (so a chunk's
 //!   kernel windows stay inside that task's halo box);
 //! * **`Extract`** (adjoint) — a contiguous image chunk.
@@ -190,6 +190,18 @@ pub(crate) fn task_phase(kind: u8) -> Option<TaskPhase> {
         KIND_REDUCE => Some(TaskPhase::Reduce),
         _ => None,
     }
+}
+
+/// The tag of scatter task `t`'s node for `phase` — the inverse of
+/// [`task_phase`], shared by the fused adjoint and the spread stage's own
+/// graph.
+pub(crate) fn task_tag(t: usize, phase: TaskPhase) -> u64 {
+    let kind = match phase {
+        TaskPhase::Normal => KIND_CONV,
+        TaskPhase::PrivateConvolve => KIND_PRIV,
+        TaskPhase::Reduce => KIND_REDUCE,
+    };
+    tag(kind, 0, 0, t)
 }
 
 /// Which tiles of each axis an FFT pass runs — the zero-aware passes of
@@ -700,36 +712,28 @@ fn emit_zero_fragment(
     base
 }
 
-/// Spread-stage fragment (adjoint scatter): privatized tasks as a
-/// `(Priv → Reduce)` pair, others as a single `Conv` node, plus the
-/// Gray-code exclusion edges **verbatim** — this is what fixes the
-/// per-cell summation order and hence bitwise output. Returns
-/// `conv_shared[t]`, the node carrying task `t`'s shared-grid writes (and
-/// hence its ordering edges).
+/// Spread-stage fragment (adjoint scatter): the task graph's expansion
+/// ([`TaskGraph::expand_into`]) — privatized tasks as a `(Priv → Reduce)`
+/// pair, others as a single `Conv` node, plus the Gray-code exclusion
+/// edges **verbatim**, which fix the per-cell summation order and hence
+/// bitwise output. Returns `conv_shared[t]`, the node carrying task `t`'s
+/// shared-grid writes (and hence its ordering edges).
+///
+/// [`TaskGraph::expand_into`]: nufft_parallel::graph::TaskGraph::expand_into
 fn emit_spread_fragment<const D: usize>(
     builder: &mut DagBuilder,
     pre: &Preprocess<D>,
     channels: usize,
 ) -> Vec<NodeId> {
-    let graph = &pre.graph;
-    let mut conv_shared: Vec<NodeId> = Vec::with_capacity(graph.len());
-    for t in 0..graph.len() {
-        let samples = (pre.ranges[t].end - pre.ranges[t].start) as u64;
-        if let Some(region) = pre.regions[t] {
-            let p = builder.add_node(tag(KIND_PRIV, 0, 0, t), samples * W_SAMPLE);
-            let r = builder.add_node(tag(KIND_REDUCE, 0, 0, t), (region.len() * channels) as u64);
-            builder.add_edge(p, r);
-            conv_shared.push(r);
-        } else {
-            conv_shared.push(builder.add_node(tag(KIND_CONV, 0, 0, t), samples * W_SAMPLE));
-        }
-    }
-    for t in 0..graph.len() {
-        for p in graph.preds(t) {
-            builder.add_edge(conv_shared[p], conv_shared[t]);
-        }
-    }
-    conv_shared
+    pre.graph.expand_into(builder, |t, phase| {
+        let weight = match phase {
+            TaskPhase::Reduce => {
+                (pre.regions[t].expect("privatized task has region").len() * channels) as u64
+            }
+            _ => pre.ranges[t].len() as u64 * W_SAMPLE,
+        };
+        (task_tag(t, phase), weight)
+    })
 }
 
 /// FFT-stage fragment: per-channel, per-axis node runs (with the

@@ -264,25 +264,12 @@ pub struct NufftPlan<const D: usize> {
     fused_adj: Vec<(usize, FusedApply)>,
     /// Reusable fused-graph run state (shards, pending counters, node logs).
     dag_scratch: DagScratch,
-    /// Conv-phase stats synthesized from the last fused adjoint's node log,
-    /// shaped like the spread stage driver's (for `last_run_stats`).
-    fused_stats: RunStats,
+    /// Per-task stats synthesized from the conv/priv/reduce records of the
+    /// last scatter's node log (`None` until a scatter ran).
+    conv_stats: Option<RunStats>,
     preprocess_seconds: f64,
     last_forward: OpTimers,
     last_adjoint: OpTimers,
-    /// Which scratch holds the most recent adjoint-convolution stats.
-    stats_source: StatsSource,
-}
-
-/// Where `last_run_stats` should read from (nowhere until a scatter ran).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StatsSource {
-    None,
-    /// The spread stage driver's own log (`spread_only`,
-    /// `adjoint_convolution_only`).
-    Stage,
-    /// Synthesized from the fused adjoint graph's node log.
-    Fused,
 }
 
 impl<const D: usize> NufftPlan<D> {
@@ -417,15 +404,9 @@ impl<const D: usize> NufftPlan<D> {
                 );
                 Some(table)
             }
-            None => match cfg
-                .window_mode
-                .resolve(WindowTable::<D>::estimate_bytes(pre.coords.len(), cfg.w))
-            {
-                WindowMode::Precomputed => {
-                    Some(Arc::new(WindowTable::build(&pre.coords, cfg.w as f32, &kernel, &exec)))
-                }
-                _ => None,
-            },
+            None => {
+                WindowTable::for_mode(cfg.window_mode, None, &pre.coords, cfg.w, &kernel, &exec)
+            }
         };
 
         let spread = SpreadOp::from_parts(geo.m, pre, kernel, cfg.w as f32, cfg.policy, windows);
@@ -446,11 +427,10 @@ impl<const D: usize> NufftPlan<D> {
             fused_fwd: Vec::new(),
             fused_adj: Vec::new(),
             dag_scratch: DagScratch::new(),
-            fused_stats: RunStats::default(),
+            conv_stats: None,
             preprocess_seconds,
             last_forward: OpTimers::default(),
             last_adjoint: OpTimers::default(),
-            stats_source: StatsSource::None,
         }
     }
 
@@ -543,17 +523,13 @@ impl<const D: usize> NufftPlan<D> {
     }
 
     /// Per-worker/per-task execution log of the most recent adjoint
-    /// scatter. After [`NufftPlan::adjoint`] or [`NufftPlan::adjoint_batch`]
-    /// it is synthesized from the fused graph's conv/priv/reduce node
-    /// records; after [`NufftPlan::spread_only`] or
-    /// [`NufftPlan::adjoint_convolution_only`] it is the [`SpreadOp`] task
-    /// driver's own log. Consumers see the same shape either way.
+    /// scatter, synthesized from the conv/priv/reduce node records of the
+    /// graph that ran it: the fused graph after [`NufftPlan::adjoint`] or
+    /// [`NufftPlan::adjoint_batch`], the [`SpreadOp`]'s own graph after
+    /// [`NufftPlan::spread_only`] or [`NufftPlan::adjoint_convolution_only`].
+    /// `None` until a scatter ran.
     pub fn last_run_stats(&self) -> Option<&RunStats> {
-        match self.stats_source {
-            StatsSource::None => None,
-            StatsSource::Stage => Some(self.spread.scratch.stats()),
-            StatsSource::Fused => Some(&self.fused_stats),
-        }
+        self.conv_stats.as_ref()
     }
 
     /// The fused whole-operator graph for one direction and channel count,
@@ -598,26 +574,17 @@ impl<const D: usize> NufftPlan<D> {
     /// stages switch together.
     pub fn set_window_mode(&mut self, mode: WindowMode) {
         self.cfg.window_mode = mode;
-        let resolved = mode
-            .resolve(WindowTable::<D>::estimate_bytes(self.spread.pre.coords.len(), self.cfg.w));
-        match resolved {
-            WindowMode::Precomputed => {
-                if self.spread.windows.is_none() {
-                    let table = Arc::new(WindowTable::build(
-                        &self.spread.pre.coords,
-                        self.cfg.w as f32,
-                        &self.spread.kernel,
-                        &self.exec,
-                    ));
-                    self.spread.windows = Some(Arc::clone(&table));
-                    self.interp.windows = Some(table);
-                }
-            }
-            _ => {
-                self.spread.windows = None;
-                self.interp.windows = None;
-            }
-        }
+        let spread = &mut self.spread;
+        let held = spread.windows.take();
+        spread.windows = WindowTable::for_mode(
+            mode,
+            held,
+            &spread.pre.coords,
+            self.cfg.w,
+            &spread.kernel,
+            &self.exec,
+        );
+        self.interp.windows = spread.windows.clone();
     }
 
     /// The plan's window table as a shareable handle, if one is held —
@@ -714,7 +681,7 @@ impl<const D: usize> NufftPlan<D> {
     /// Panics if buffer lengths don't match the plan.
     pub fn spread_only(&mut self, samples: &[Complex32], grid: &mut [Complex32]) {
         self.spread.apply(&self.exec, self.cfg.admission, samples, grid);
-        self.stats_source = StatsSource::Stage;
+        self.record_conv_stats(false);
     }
 
     /// Standalone forward **interpolation**: gathers every sample's value
@@ -867,12 +834,7 @@ impl<const D: usize> NufftPlan<D> {
                 &twiddle_ns,
             );
         }
-        Self::synth_conv_stats(
-            self.dag_scratch.stats(),
-            &mut self.fused_stats,
-            self.spread.pre.canonical_revisits,
-        );
-        self.stats_source = StatsSource::Fused;
+        self.record_conv_stats(true);
         self.last_adjoint = Self::fused_adjoint_timers(
             self.dag_scratch.stats(),
             t_start,
@@ -904,7 +866,7 @@ impl<const D: usize> NufftPlan<D> {
     pub fn adjoint_convolution_only(&mut self, samples: &[Complex32]) -> f64 {
         let t0 = Instant::now();
         self.spread.apply(&self.exec, self.cfg.admission, samples, &mut self.grids[0]);
-        self.stats_source = StatsSource::Stage;
+        self.record_conv_stats(false);
         t0.elapsed().as_secs_f64()
     }
 
@@ -1075,7 +1037,7 @@ impl<const D: usize> NufftPlan<D> {
         let grid_len = geo.grid_len();
         let b = tp.b;
         let gather = Gather { pre, source, m: &geo.m, grid_ptrs, grid_len, out_ptrs };
-        exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
+        exec.run_dag(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
                 fused::KIND_SCALE => {
                     let c = fused::channel_of(tag);
@@ -1179,7 +1141,7 @@ impl<const D: usize> NufftPlan<D> {
             buf_of_task,
             samples,
         };
-        exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
+        exec.run_dag(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
                 fused::KIND_ZERO => {
                     let lo = fused::index_of(tag) * fa.slab;
@@ -1305,10 +1267,19 @@ impl<const D: usize> NufftPlan<D> {
         }
     }
 
-    /// Rebuilds `fused_stats` (shaped like the spread stage driver's
-    /// [`RunStats`]) from the conv/priv/reduce records of a fused run, so
-    /// `last_run_stats` has one shape whichever path scattered last.
-    /// Reuses the destination's capacity — allocation-free once warm.
+    /// Rebuilds `conv_stats` from the scatter that just ran: the fused
+    /// adjoint's node log (`fused`) or the spread stage's.
+    fn record_conv_stats(&mut self, fused: bool) {
+        let src = if fused { self.dag_scratch.stats() } else { self.spread.scratch.stats() };
+        let dst = self.conv_stats.get_or_insert_with(RunStats::default);
+        Self::synth_conv_stats(src, dst, self.spread.pre.canonical_revisits);
+    }
+
+    /// Fills `dst` from the conv/priv/reduce records of `src`, so
+    /// `last_run_stats` has one shape whichever graph scattered last. The
+    /// scatter traversal is fixed at plan time, so its tile-revisit count
+    /// is a plan constant stamped next to the timing log. Reuses the
+    /// destination's capacity — allocation-free once warm.
     fn synth_conv_stats(
         src: &nufft_parallel::exec::DagRunStats,
         dst: &mut RunStats,
@@ -1406,6 +1377,53 @@ mod tests {
     #[should_panic(expected = "tolerance must be")]
     fn tolerance_rejects_out_of_range() {
         let _ = NufftConfig::tolerance(0.0);
+    }
+
+    /// The spread stage's own graph is the fused adjoint's spread fragment
+    /// on its own — the same nodes in the same order, the same Gray-code
+    /// and privatization edges, priorities from the task weights — and
+    /// `last_run_stats` after `spread_only` holds one record per node.
+    #[test]
+    fn spread_stage_graph_is_the_fused_spread_fragment() {
+        // Center-heavy samples, so the dense central tasks privatize.
+        let traj: Vec<[f64; 2]> = (0..2000)
+            .map(|i| {
+                let r = 0.5 * (i as f64 / 2000.0).powi(3);
+                let th = i as f64 * 2.399963;
+                [r * th.cos(), r * th.sin()]
+            })
+            .collect();
+        let cfg =
+            NufftConfig { threads: 2, w: 3.0, partitions_per_dim: Some(4), ..Default::default() };
+        let mut plan = NufftPlan::new([16, 16], &traj, cfg);
+        assert!(plan.graph().num_privatized() > 0, "the case must privatize");
+        let stage = plan.spread.dag.clone();
+        let scatter = |dag: &Dag, v: u32| fused::task_phase(fused::kind_of(dag.tag(v))).is_some();
+        let fused = plan.fused_dag(true, 1).clone();
+        let base = (0..fused.len() as u32).position(|v| scatter(&fused, v)).unwrap() as u32;
+        for v in 0..stage.len() as u32 {
+            let f = base + v;
+            assert_eq!(stage.tag(v), fused.tag(f), "node {v}");
+            let t = fused::index_of(stage.tag(v));
+            assert_eq!(stage.priority(v), plan.graph().weight(t), "node {v}");
+            let want: Vec<u32> =
+                fused.succs(f).iter().filter(|&&s| scatter(&fused, s)).map(|&s| s - base).collect();
+            assert_eq!(stage.succs(v), &want[..], "node {v}");
+        }
+        assert!(!scatter(&fused, base + stage.len() as u32), "the fragment is contiguous");
+
+        let samples = vec![Complex32::new(1.0, -0.5); traj.len()];
+        let mut grid = vec![Complex32::ZERO; plan.grid_len()];
+        plan.spread_only(&samples, &mut grid);
+        let stats = plan.last_run_stats().expect("spread_only records stats");
+        assert_eq!(stats.worker_busy.len(), 2);
+        assert_eq!(stats.tile_revisits, plan.scatter_tile_revisits());
+        let mut units: Vec<u64> =
+            stats.log.iter().map(|r| fused::task_tag(r.task, r.phase)).collect();
+        units.sort_unstable();
+        let mut want: Vec<u64> = (0..stage.len() as u32).map(|v| stage.tag(v)).collect();
+        want.sort_unstable();
+        assert_eq!(units, want, "one record per stage node");
     }
 
     #[test]

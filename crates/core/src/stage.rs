@@ -22,8 +22,10 @@
 //! (`crate::fused` builds per-stage DAG *fragments* from it), and the
 //! graph's convolution nodes call the same per-chunk and per-task bodies
 //! the [`InterpOp`] and [`SpreadOp`] drivers run, so every plan operator is
-//! bitwise-equal to the composition of its stages. Type-3 transforms
-//! ([`crate::type3::Type3Plan`]) and the standalone
+//! bitwise-equal to the composition of its stages. The [`SpreadOp`]
+//! driver's graph is the fused adjoint's spread fragment on its own: the
+//! same expansion of the task graph, run by the same executor entry.
+//! Type-3 transforms ([`crate::type3::Type3Plan`]) and the standalone
 //! `spread_only`/`interp_only` entry points are built from the same four
 //! operators.
 //!
@@ -50,18 +52,18 @@ use crate::conv::{
     adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
     MAX_TAPS,
 };
-use crate::fused::{TilePlan, TileSet};
+use crate::fused::{self, TilePlan, TileSet};
 use crate::grid::{embed_scaled, extract_scaled, Geometry};
 use crate::kernel::InterpKernel;
 use crate::plan::NufftConfig;
 use crate::scale::build_scale;
 use crate::tasks::{preprocess, Preprocess, PreprocessConfig};
-use crate::windows::{WindowMode, WindowSource, WindowTable};
+use crate::windows::{WindowSource, WindowTable};
 use core::ops::Range;
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
-use nufft_parallel::exec::{Executor, GraphScratch, JobPriority, TaskPhase};
-use nufft_parallel::graph::QueuePolicy;
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority, TaskPhase};
+use nufft_parallel::graph::{Dag, DagBuilder, QueuePolicy};
 use nufft_parallel::scratch::WorkerLocal;
 use std::sync::Arc;
 
@@ -126,8 +128,9 @@ pub(crate) fn check_kernel_fit<const D: usize>(m: &[usize; D], w: f64) {
 ///
 /// Owns everything the scatter reuses across applies: the preprocessing
 /// (partitions, task graph, canonical sample order), the kernel + LUT, the
-/// optional precomputed window table, the privatized halo buffers and the
-/// task-graph run scratch — so steady-state applies allocate nothing.
+/// optional precomputed window table, the privatized halo buffers, the
+/// task graph's expansion into a [`Dag`] and its run scratch — so
+/// steady-state applies allocate nothing.
 pub struct SpreadOp<const D: usize> {
     /// Oversampled grid extents.
     pub(crate) m: [usize; D],
@@ -154,8 +157,12 @@ pub struct SpreadOp<const D: usize> {
     /// refreshed (without allocating) at the top of every apply.
     pub(crate) priv_ptrs: Vec<(SendPtr<Complex32>, usize)>,
     pub(crate) buf_of_task: Vec<u32>,
-    /// Reusable task-graph run state (shards, pending counters, stat logs).
-    pub(crate) scratch: GraphScratch,
+    /// The task graph expanded into plain nodes at plan time, tagged like
+    /// the fused adjoint's scatter nodes and prioritized by their task's
+    /// sample count.
+    pub(crate) dag: Dag,
+    /// Reusable run state of `dag` (shards, pending counters, node logs).
+    pub(crate) scratch: DagScratch,
 }
 
 impl<const D: usize> SpreadOp<D> {
@@ -199,15 +206,8 @@ impl<const D: usize> SpreadOp<D> {
             tile: (4.0 * cfg.w).ceil() as usize,
         };
         let pre = Arc::new(preprocess(&coords, m, &pcfg));
-        let windows = match cfg
-            .window_mode
-            .resolve(WindowTable::<D>::estimate_bytes(pre.coords.len(), cfg.w))
-        {
-            WindowMode::Precomputed => {
-                Some(Arc::new(WindowTable::build(&pre.coords, cfg.w as f32, &kernel, exec)))
-            }
-            _ => None,
-        };
+        let windows =
+            WindowTable::for_mode(cfg.window_mode, None, &pre.coords, cfg.w, &kernel, exec);
         Self::from_parts(m, pre, kernel, cfg.w as f32, cfg.policy, windows)
     }
 
@@ -233,6 +233,10 @@ impl<const D: usize> SpreadOp<D> {
                 priv_lens.push(r.len());
             }
         }
+        let graph = &pre.graph;
+        let mut builder = DagBuilder::new();
+        graph.expand_into(&mut builder, |t, phase| (fused::task_tag(t, phase), graph.weight(t)));
+        let dag = builder.build();
         SpreadOp {
             m,
             grid_len,
@@ -246,7 +250,8 @@ impl<const D: usize> SpreadOp<D> {
             priv_channels: 1,
             priv_ptrs: Vec::new(),
             buf_of_task,
-            scratch: GraphScratch::new(),
+            dag,
+            scratch: DagScratch::new(),
         }
     }
 
@@ -283,58 +288,34 @@ impl<const D: usize> SpreadOp<D> {
         assert_eq!(grid.len(), self.grid_len, "grid buffer length mismatch");
         grid.fill(Complex32::ZERO);
         self.refresh_priv_ptrs();
-        let Self {
-            m,
-            grid_len,
-            pre,
-            kernel,
-            wrad,
-            policy,
-            windows,
-            priv_ptrs,
-            buf_of_task,
-            scratch,
-            ..
-        } = self;
-        let source = match windows {
-            Some(table) => WindowSource::Table(table),
-            None => WindowSource::Fly { coords: &pre.coords, wrad: *wrad, kernel },
-        };
+        let source =
+            WindowSource::new(self.windows.as_deref(), &self.pre.coords, self.wrad, &self.kernel);
         let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
         let scatter = Scatter {
-            pre,
+            pre: &self.pre,
             source: &source,
-            m,
+            m: &self.m,
             grid_ptrs: &grid_ptrs,
-            grid_len: *grid_len,
-            priv_ptrs,
-            buf_of_task,
+            grid_len: self.grid_len,
+            priv_ptrs: &self.priv_ptrs,
+            buf_of_task: &self.buf_of_task,
             samples: &[samples],
         };
-        exec.run_graph_reuse_prio(&pre.graph, *policy, priority, scratch, |t, phase, _w| {
-            // SAFETY: the task graph never runs adjacent tasks (whose halo
-            // boxes overlap) concurrently and runs a privatized task's
-            // reduce after its convolve — see the exclusion tests in
-            // `nufft-parallel`. `grid` is borrowed for the whole dispatch.
-            unsafe { scatter.run_task(t, phase) }
+        exec.run_dag(&self.dag, self.policy, priority, &mut self.scratch, |_node, tag, _w| {
+            let phase = fused::task_phase(fused::kind_of(tag)).expect("a scatter-task node");
+            // SAFETY: the expanded task graph never runs adjacent tasks'
+            // shared-grid nodes (whose halo boxes overlap) concurrently and
+            // runs a privatized task's reduce after its convolve — see the
+            // exclusion tests in `nufft-parallel`. `grid` is borrowed for
+            // the whole dispatch.
+            unsafe { scatter.run_task(fused::index_of(tag), phase) }
         });
-        // The scatter traversal is fixed at plan time, so its tile-revisit
-        // count is a plan constant — stamp it into the freshly harvested
-        // stats so locality is observable next to the timing log.
-        scratch.stats_mut().tile_revisits = pre.canonical_revisits;
     }
 
     /// The operator's current window source (table if held, else on the
     /// fly).
     pub(crate) fn window_source(&self) -> WindowSource<'_, D> {
-        match &self.windows {
-            Some(table) => WindowSource::Table(table),
-            None => WindowSource::Fly {
-                coords: &self.pre.coords,
-                wrad: self.wrad,
-                kernel: &self.kernel,
-            },
-        }
+        WindowSource::new(self.windows.as_deref(), &self.pre.coords, self.wrad, &self.kernel)
     }
 
     /// Grows the privatized halo buffers to hold `channels` back-to-back
@@ -457,14 +438,7 @@ impl<const D: usize> InterpOp<D> {
     }
 
     pub(crate) fn window_source(&self) -> WindowSource<'_, D> {
-        match &self.windows {
-            Some(table) => WindowSource::Table(table),
-            None => WindowSource::Fly {
-                coords: &self.pre.coords,
-                wrad: self.wrad,
-                kernel: &self.kernel,
-            },
-        }
+        WindowSource::new(self.windows.as_deref(), &self.pre.coords, self.wrad, &self.kernel)
     }
 }
 
@@ -782,9 +756,9 @@ impl<const D: usize> Gather<'_, D> {
 }
 
 /// One adjoint scatter over `grid_ptrs.len()` channels: the state every
-/// task body reads. [`SpreadOp::apply`] runs it under the task-graph
-/// scheduler and the fused adjoint graph over its conv/priv/reduce nodes,
-/// so both run these bodies. A privatized task convolves into `channels`
+/// task body reads. [`SpreadOp::apply`] runs it over the conv/priv/reduce
+/// nodes of its expanded task graph and the fused adjoint graph over the
+/// same nodes, so both run these bodies. A privatized task convolves into `channels`
 /// back-to-back copies of its halo region and its decoupled reduction
 /// folds each copy into the matching grid; at one channel this is the
 /// paper's single-operator protocol, so batched output is

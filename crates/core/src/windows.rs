@@ -22,6 +22,7 @@ use crate::conv::{WinRef, Window, MAX_TAPS};
 use crate::kernel::InterpKernel;
 use crate::stage::SAMPLE_GRAIN;
 use nufft_parallel::exec::Executor;
+use std::sync::Arc;
 
 /// How a plan obtains per-sample interpolation windows (Part 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -145,6 +146,26 @@ impl<const D: usize> WindowTable<D> {
         WindowTable { stride, starts, lens, weights }
     }
 
+    /// The table `mode` calls for over `coords`: none unless `mode`
+    /// resolves to [`WindowMode::Precomputed`] at this table's size, and
+    /// then `held` (a table over the same coordinates) or a fresh
+    /// [`WindowTable::build`].
+    pub(crate) fn for_mode(
+        mode: WindowMode,
+        held: Option<Arc<Self>>,
+        coords: &[[f32; D]],
+        wrad: f64,
+        kernel: &InterpKernel,
+        exec: &Executor,
+    ) -> Option<Arc<Self>> {
+        match mode.resolve(Self::estimate_bytes(coords.len(), wrad)) {
+            WindowMode::Precomputed => Some(
+                held.unwrap_or_else(|| Arc::new(Self::build(coords, wrad as f32, kernel, exec))),
+            ),
+            _ => None,
+        }
+    }
+
     /// Number of samples tabled.
     pub fn len(&self) -> usize {
         self.starts.len() / D
@@ -186,6 +207,20 @@ pub enum WindowSource<'a, const D: usize> {
 }
 
 impl<'a, const D: usize> WindowSource<'a, D> {
+    /// Reads `table` if one is held, else computes Part 1 on the fly from
+    /// `coords` at radius `wrad`.
+    pub(crate) fn new(
+        table: Option<&'a WindowTable<D>>,
+        coords: &'a [[f32; D]],
+        wrad: f32,
+        kernel: &'a InterpKernel,
+    ) -> Self {
+        match table {
+            Some(t) => WindowSource::Table(t),
+            None => WindowSource::Fly { coords, wrad, kernel },
+        }
+    }
+
     /// Sample `i`'s windows. `stage` is caller-provided staging storage for
     /// the on-the-fly arm (so the driver's hot loop performs no allocation);
     /// the table arm borrows straight from the table.

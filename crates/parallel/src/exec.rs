@@ -1,15 +1,16 @@
 //! The task executor (§III-B2–§III-B4) on a **persistent worker pool**.
 //!
-//! [`Executor::run_graph`] runs a [`TaskGraph`] on `T` workers with no
-//! global barrier anywhere:
+//! [`Executor::run_dag`] runs a [`Dag`] on `T` workers with no global
+//! barrier anywhere:
 //!
-//! * tasks become ready the moment their (≤ 2) predecessor edges are
-//!   satisfied — tracked by per-task atomic pending counters, so no lock
-//!   is taken to retire an edge;
-//! * *selectively privatized* tasks are split in two: the convolution phase
-//!   is ready immediately (it writes a private buffer), and the reduction
-//!   phase inherits the task's dependency edges, decoupling expensive
-//!   convolution from the critical path (§III-B4);
+//! * nodes become ready the moment their predecessor edges are satisfied —
+//!   tracked by per-node atomic pending counters, so no lock is taken to
+//!   retire an edge;
+//! * the paper's partition [`TaskGraph`] runs as its expansion
+//!   ([`TaskGraph::expand_into`]): a *selectively privatized* task is a
+//!   convolve node with no dependencies (it writes a private buffer) joined
+//!   to a reduction node that inherits the task's Gray-code edges,
+//!   decoupling expensive convolution from the critical path (§III-B4);
 //! * the ready pool is **sharded per worker** with work stealing. Each
 //!   shard individually honors the run's [`QueuePolicy`] (§III-B3): under
 //!   [`QueuePolicy::Priority`] both the owner and a thief pop the
@@ -36,7 +37,7 @@
 //! 1-thread executor never synchronizes at all.
 //!
 //! The pool accepts **concurrently submitted jobs**: every
-//! `run_graph`/`run_dag`/`parallel_for` call occupies one slot of a fixed
+//! `run_dag`/`parallel_for` call occupies one slot of a fixed
 //! job table, and background workers interleave units from every active
 //! job under a stride scheduler weighted by [`JobPriority`] — each job
 //! holds tickets, accumulates virtual *pass* inversely proportional to
@@ -49,8 +50,11 @@
 //! *per-job* quiescence (its table slot drains its worker pins before the
 //! submitter returns), not at pool quiescence. Dropping the last
 //! [`Executor`] clone shuts the pool down and joins its threads.
+//!
+//! [`TaskGraph`]: crate::graph::TaskGraph
+//! [`TaskGraph::expand_into`]: crate::graph::TaskGraph::expand_into
 
-use crate::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
+use crate::graph::{Dag, NodeId, QueuePolicy, TaskId};
 use crate::queue::{Entry, ReadyQueue};
 use crate::scratch::CachePadded;
 use std::any::Any;
@@ -68,7 +72,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Which phase of a task the executor is running.
+/// Which phase of a partition task a node of its expansion
+/// ([`TaskGraph::expand_into`](crate::graph::TaskGraph::expand_into)) runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskPhase {
     /// The whole task, for non-privatized tasks (convolve into the shared
@@ -80,25 +85,6 @@ pub enum TaskPhase {
     /// Reduction of a privatized task's buffer into the shared grid
     /// (inherits the task's TDG dependencies).
     Reduce,
-}
-
-impl TaskPhase {
-    fn encode(self) -> u64 {
-        match self {
-            TaskPhase::Normal => 0,
-            TaskPhase::PrivateConvolve => 1,
-            TaskPhase::Reduce => 2,
-        }
-    }
-
-    fn decode(v: u64) -> Self {
-        match v {
-            0 => TaskPhase::Normal,
-            1 => TaskPhase::PrivateConvolve,
-            2 => TaskPhase::Reduce,
-            _ => unreachable!("invalid phase tag"),
-        }
-    }
 }
 
 /// One executed (task, phase) with its timing, relative to run start.
@@ -116,19 +102,21 @@ pub struct TaskRecord {
     pub end: f64,
 }
 
-/// Timing summary of one [`Executor::run_graph`] call.
+/// Per-task timing summary of one adjoint scatter: the records of a
+/// [`TaskGraph`](crate::graph::TaskGraph)'s expanded nodes, by task and
+/// phase. This is the shape the NUFFT plan's `last_run_stats` reports and
+/// `nufft-sim`'s calibration and the load-balance experiments read.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
-    /// Wall-clock duration of the whole run in seconds.
+    /// Wall-clock span of the records, first start to last end, in seconds.
     pub makespan: f64,
     /// Per-worker sum of task execution times in seconds.
     pub worker_busy: Vec<f64>,
     /// Every (task, phase) execution with timings, unordered.
     pub log: Vec<TaskRecord>,
     /// Grid-tile re-entries of the run's sample traversal — a memory
-    /// locality observable stamped by the caller (the NUFFT plan knows its
-    /// traversal at plan time; the executor itself leaves this 0). 0 means
-    /// the walk streamed each tile once.
+    /// locality observable the NUFFT plan knows at plan time. 0 means the
+    /// walk streamed each tile once.
     pub tile_revisits: u64,
 }
 
@@ -407,7 +395,7 @@ struct Pool {
     threads: usize,
     /// Serializes `parallel_for` dispatches from handles sharing this
     /// pool: the pool-owned `for_slots` deque words are a single resource.
-    /// Graph/DAG jobs are *not* serialized — they interleave freely
+    /// DAG jobs are *not* serialized — they interleave freely
     /// through the job table, including with the loop job itself.
     for_lock: Mutex<()>,
     /// Per-worker `parallel_for` deque words, owned by the pool so a
@@ -645,375 +633,7 @@ impl Drop for Pool {
 }
 
 // ---------------------------------------------------------------------------
-// run_graph on the pool: sharded ready queues + atomic dependency counters
-// ---------------------------------------------------------------------------
-
-/// Mutable per-worker stats, written only by the owning worker during a
-/// run and harvested after quiescence — no locks on the fast path.
-/// Generic over the record type: [`TaskRecord`] for [`TaskGraph`] runs,
-/// [`DagRecord`] for heterogeneous [`Dag`] runs.
-struct StatSlot<R>(UnsafeCell<WorkerStats<R>>);
-// SAFETY: slot `w` is touched only by worker `w` while the job runs, and
-// only by the dispatcher after all workers have quiesced.
-unsafe impl<R: Send> Sync for StatSlot<R> {}
-
-struct WorkerStats<R> {
-    busy: f64,
-    log: Vec<R>,
-}
-
-impl<R> Default for WorkerStats<R> {
-    fn default() -> Self {
-        WorkerStats { busy: 0.0, log: Vec::new() }
-    }
-}
-
-/// Reusable arenas for [`Executor::run_graph_reuse`]: ready-queue shards,
-/// dependency counters and per-worker stat slots, sized on first use and
-/// recycled on every subsequent run so a steady-state graph dispatch
-/// performs **zero heap allocations**.
-///
-/// One scratch belongs to one logical stream of runs (e.g. one NUFFT plan);
-/// it must not be shared by concurrent dispatches. After a run,
-/// [`GraphScratch::stats`] exposes the harvested [`RunStats`] in place.
-#[derive(Default)]
-pub struct GraphScratch {
-    /// Per-worker ready-queue shards, each honoring the run's policy.
-    shards: Vec<CachePadded<Mutex<ReadyQueue>>>,
-    /// Unsatisfied prerequisite count per task: predecessor edges, plus one
-    /// extra for a privatized task's own convolve phase. The worker whose
-    /// decrement reaches zero publishes the task — no lock involved.
-    pending: Vec<AtomicU32>,
-    /// Per-worker stat slots, harvested into `stats` after quiescence.
-    slots: Vec<CachePadded<StatSlot<TaskRecord>>>,
-    stats: RunStats,
-}
-
-impl GraphScratch {
-    /// An empty scratch; arenas grow on the first run that uses it.
-    pub fn new() -> Self {
-        GraphScratch::default()
-    }
-
-    /// The stats of the most recent completed run through this scratch.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Mutable access for callers that annotate the harvested stats with
-    /// run-invariant observables (e.g. the NUFFT plan's tile-revisit
-    /// count) without re-running the graph.
-    pub fn stats_mut(&mut self) -> &mut RunStats {
-        &mut self.stats
-    }
-
-    /// Consumes the scratch, returning the last run's stats.
-    pub fn into_stats(self) -> RunStats {
-        self.stats
-    }
-
-    /// Sizes every arena for a `(graph, policy, threads)` run and resets the
-    /// cursors. Allocates only on first use or growth; returns the run's
-    /// logical unit count (privatized tasks count twice).
-    fn prepare(&mut self, graph: &TaskGraph, policy: QueuePolicy, threads: usize) -> usize {
-        let n = graph.len();
-        while self.shards.len() < threads {
-            self.shards.push(CachePadded(Mutex::new(ReadyQueue::new(policy))));
-        }
-        self.shards.truncate(threads);
-        for s in &mut self.shards {
-            let q = s.0.get_mut().unwrap_or_else(|e| e.into_inner());
-            q.reset(policy);
-            // Worker↔shard traffic varies run to run; any shard can
-            // momentarily hold every ready unit (privatized tasks enqueue
-            // twice), so growth must never happen mid-run.
-            q.reserve(2 * n);
-        }
-        while self.pending.len() < n {
-            self.pending.push(AtomicU32::new(0));
-        }
-        self.pending.truncate(n);
-        let mut total = 0usize;
-        for t in 0..n {
-            let extra: u32 = if graph.privatized(t) { 1 } else { 0 };
-            total += 1 + extra as usize;
-            // Relaxed: the dispatch protocol's locks order this store
-            // before any worker's first load.
-            self.pending[t].store(graph.pred_count(t) as u32 + extra, Ordering::Relaxed);
-        }
-        while self.slots.len() < threads {
-            self.slots.push(CachePadded(StatSlot(UnsafeCell::new(WorkerStats::default()))));
-        }
-        self.slots.truncate(threads);
-        for slot in &mut self.slots {
-            let ws = slot.0 .0.get_mut();
-            ws.busy = 0.0;
-            ws.log.clear();
-            // Worker↔task assignment varies run to run, so each slot must
-            // be ready to hold every record; capacity sticks after run one.
-            ws.log.reserve(total);
-        }
-        self.stats.worker_busy.reserve(threads);
-        self.stats.log.reserve(total);
-        total
-    }
-
-    /// Harvests the per-worker slots into `stats` after quiescence.
-    fn harvest(&mut self, makespan: f64) {
-        self.stats.makespan = makespan;
-        self.stats.worker_busy.clear();
-        self.stats.log.clear();
-        for slot in &mut self.slots {
-            let ws = slot.0 .0.get_mut();
-            self.stats.worker_busy.push(ws.busy);
-            self.stats.log.extend_from_slice(&ws.log);
-        }
-    }
-}
-
-struct GraphJob<'g, F> {
-    graph: &'g TaskGraph,
-    task_fn: &'g F,
-    threads: usize,
-    /// Ready-queue shards, borrowed from the run's [`GraphScratch`].
-    shards: &'g [CachePadded<Mutex<ReadyQueue>>],
-    /// Pending-prerequisite counters, borrowed from the scratch.
-    pending: &'g [AtomicU32],
-    /// Logical units retired (privatized tasks count twice).
-    completed: AtomicUsize,
-    /// Logical units total.
-    total: usize,
-    /// Set when a task panicked: workers drain out instead of waiting.
-    poisoned: AtomicBool,
-    panic_payload: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// The pool-wide eventcount this job publishes wakeups through.
-    hub: &'g WakeHub,
-    t0: Instant,
-    slots: &'g [CachePadded<StatSlot<TaskRecord>>],
-}
-
-impl<'g, F> GraphJob<'g, F>
-where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    /// Builds the job over a scratch already sized by
-    /// [`GraphScratch::prepare`] for this `(graph, threads)` pair.
-    fn new(
-        graph: &'g TaskGraph,
-        threads: usize,
-        task_fn: &'g F,
-        scratch: &'g GraphScratch,
-        total: usize,
-        hub: &'g WakeHub,
-    ) -> Self {
-        let n = graph.len();
-        let job = GraphJob {
-            graph,
-            task_fn,
-            threads,
-            shards: &scratch.shards,
-            pending: &scratch.pending,
-            completed: AtomicUsize::new(0),
-            total,
-            poisoned: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            hub,
-            t0: Instant::now(),
-            slots: &scratch.slots,
-        };
-        // Seed the initially ready units round-robin across the shards, in
-        // task order (the same deterministic placement `nufft-sim`
-        // replays): privatized convolve phases are ready unconditionally;
-        // non-privatized tasks are ready when they start with no edges.
-        let mut seed = 0usize;
-        for t in 0..n {
-            if graph.privatized(t) {
-                job.push_to(seed % threads, entry(graph, t, TaskPhase::PrivateConvolve));
-                seed += 1;
-            } else if graph.pred_count(t) == 0 {
-                job.push_to(seed % threads, entry(graph, t, TaskPhase::Normal));
-                seed += 1;
-            }
-        }
-        job
-    }
-
-    fn push_to(&self, shard: usize, e: Entry) {
-        lock(&self.shards[shard].0).push(e);
-    }
-
-    fn finished(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst) || self.completed.load(Ordering::SeqCst) >= self.total
-    }
-
-    /// Pops from the worker's own shard, else steals the policy-best entry
-    /// of the first non-empty victim shard, scanning `(w+1) % T` upward —
-    /// the exact order `nufft-sim` replays.
-    fn find_work(&self, w: usize) -> Option<Entry> {
-        if let Some(e) = lock(&self.shards[w].0).pop() {
-            return Some(e);
-        }
-        for d in 1..self.threads {
-            let v = (w + d) % self.threads;
-            if let Some(e) = lock(&self.shards[v].0).pop() {
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    fn any_ready(&self) -> bool {
-        self.shards.iter().any(|s| !lock(&s.0).is_empty())
-    }
-
-    /// Wakes parked threads; cheap no-op while everyone is busy.
-    fn wake(&self) {
-        self.hub.wake();
-    }
-
-    /// Retires one prerequisite of `t`; publishes the task to the calling
-    /// worker's own shard when the last prerequisite falls.
-    fn retire_edge(&self, w: usize, t: TaskId) {
-        if self.pending[t].fetch_sub(1, Ordering::SeqCst) == 1 {
-            let phase =
-                if self.graph.privatized(t) { TaskPhase::Reduce } else { TaskPhase::Normal };
-            self.push_to(w, entry(self.graph, t, phase));
-            self.wake();
-        }
-    }
-
-    /// Post-completion bookkeeping, entirely lock-free on the edge path.
-    fn complete(&self, w: usize, task: TaskId, phase: TaskPhase) {
-        match phase {
-            // A privatized convolve retires the task's own extra
-            // prerequisite; its reduction becomes ready once the TDG edges
-            // are also satisfied.
-            TaskPhase::PrivateConvolve => self.retire_edge(w, task),
-            TaskPhase::Normal | TaskPhase::Reduce => {
-                for s in self.graph.succs(task) {
-                    self.retire_edge(w, s);
-                }
-            }
-        }
-        if self.completed.fetch_add(1, Ordering::SeqCst) + 1 >= self.total {
-            // Everything retired: wake any parked workers so they exit.
-            self.wake();
-        }
-    }
-
-    fn poison(&self, payload: Box<dyn Any + Send + 'static>) {
-        {
-            let mut slot = lock(&self.panic_payload);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        self.poisoned.store(true, Ordering::SeqCst);
-        // Unconditional wake: parked threads must observe the poison.
-        self.hub.wake_all();
-    }
-}
-
-fn entry(graph: &TaskGraph, t: TaskId, phase: TaskPhase) -> Entry {
-    Entry { weight: graph.weight(t), payload: (t as u64) * 4 + phase.encode() }
-}
-
-impl<F> Job for GraphJob<'_, F>
-where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    fn step(&self, w: usize) -> Step {
-        if self.finished() {
-            return Step::Done;
-        }
-        let Some(e) = self.find_work(w) else {
-            return if self.finished() { Step::Done } else { Step::Idle };
-        };
-        // SAFETY: a worker steps one job at a time, two submitters are
-        // never worker 0 of the same job, and the submitter harvests only
-        // after the job's pins drain — so slot `w` has a single writer.
-        let slot = unsafe { &mut *self.slots[w].0 .0.get() };
-        let task = (e.payload / 4) as TaskId;
-        let phase = TaskPhase::decode(e.payload % 4);
-        let start = self.t0.elapsed().as_secs_f64();
-        // A panicking task must not leave other threads parked forever:
-        // poison first; the submitter re-throws after the job quiesces.
-        let result = catch_unwind(AssertUnwindSafe(|| (self.task_fn)(task, phase, w)));
-        if let Err(payload) = result {
-            self.poison(payload);
-            return Step::Done;
-        }
-        let end = self.t0.elapsed().as_secs_f64();
-        slot.busy += end - start;
-        slot.log.push(TaskRecord { task, phase, worker: w, start, end });
-        self.complete(w, task, phase);
-        Step::Ran
-    }
-
-    fn has_ready(&self) -> bool {
-        self.any_ready()
-    }
-
-    fn done(&self) -> bool {
-        self.finished()
-    }
-}
-
-/// Single-threaded `run_graph` with identical policy semantics; used for
-/// 1-thread executors and for (unsupported but safe) reentrant calls from
-/// inside a pool job. Runs entirely out of `scratch` — allocation-free once
-/// the arenas are warm.
-fn run_graph_serial_reuse<F>(
-    graph: &TaskGraph,
-    policy: QueuePolicy,
-    scratch: &mut GraphScratch,
-    task_fn: &F,
-) where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    scratch.prepare(graph, policy, 1);
-    let t0 = Instant::now();
-    {
-        let GraphScratch { shards, pending, slots, .. } = scratch;
-        let ready = shards[0].0.get_mut().unwrap_or_else(|e| e.into_inner());
-        for t in 0..graph.len() {
-            if graph.privatized(t) {
-                ready.push(entry(graph, t, TaskPhase::PrivateConvolve));
-            } else if pending[t].load(Ordering::Relaxed) == 0 {
-                ready.push(entry(graph, t, TaskPhase::Normal));
-            }
-        }
-        let ws = slots[0].0 .0.get_mut();
-        while let Some(e) = ready.pop() {
-            let task = (e.payload / 4) as TaskId;
-            let phase = TaskPhase::decode(e.payload % 4);
-            let start = t0.elapsed().as_secs_f64();
-            task_fn(task, phase, 0);
-            let end = t0.elapsed().as_secs_f64();
-            ws.busy += end - start;
-            ws.log.push(TaskRecord { task, phase, worker: 0, start, end });
-            let mut retire = |t: TaskId| {
-                if pending[t].fetch_sub(1, Ordering::Relaxed) == 1 {
-                    let ph =
-                        if graph.privatized(t) { TaskPhase::Reduce } else { TaskPhase::Normal };
-                    ready.push(entry(graph, t, ph));
-                }
-            };
-            match phase {
-                TaskPhase::PrivateConvolve => retire(task),
-                TaskPhase::Normal | TaskPhase::Reduce => {
-                    for s in graph.succs(task) {
-                        retire(s);
-                    }
-                }
-            }
-        }
-    }
-    scratch.harvest(t0.elapsed().as_secs_f64());
-}
-
-// ---------------------------------------------------------------------------
-// run_dag on the pool: the heterogeneous-graph twin of run_graph
+// run_dag on the pool: sharded ready queues + atomic dependency counters
 // ---------------------------------------------------------------------------
 
 /// One executed [`Dag`] node with its timing, relative to run start.
@@ -1058,16 +678,37 @@ impl DagRunStats {
     }
 }
 
-/// Reusable arenas for [`Executor::run_dag_reuse`] — the [`Dag`]
-/// counterpart of [`GraphScratch`], with the same zero-allocation
-/// steady-state contract: ready-queue shards, pending counters and stat
-/// slots are sized on first use and recycled on every subsequent run.
+/// Mutable per-worker stats, written only by the owning worker during a
+/// run and harvested after quiescence — no locks on the fast path.
+struct StatSlot(UnsafeCell<WorkerStats>);
+// SAFETY: slot `w` is touched only by worker `w` while the job runs, and
+// only by the dispatcher after all workers have quiesced.
+unsafe impl Sync for StatSlot {}
+
+#[derive(Default)]
+struct WorkerStats {
+    busy: f64,
+    log: Vec<DagRecord>,
+}
+
+/// Reusable arenas for [`Executor::run_dag`]: ready-queue shards,
+/// dependency counters and per-worker stat slots, sized on first use and
+/// recycled on every subsequent run so a steady-state dispatch performs
+/// **zero heap allocations**.
+///
+/// One scratch belongs to one logical stream of runs (e.g. one NUFFT
+/// plan's fused graphs, or its spread stage); it must not be shared by
+/// concurrent dispatches. After a run, [`DagScratch::stats`] exposes the
+/// harvested [`DagRunStats`] in place.
 #[derive(Default)]
 pub struct DagScratch {
+    /// Per-worker ready-queue shards, each honoring the run's policy.
     shards: Vec<CachePadded<Mutex<ReadyQueue>>>,
-    /// Unsatisfied predecessor-edge count per node.
+    /// Unsatisfied predecessor-edge count per node. The worker whose
+    /// decrement reaches zero publishes the node — no lock involved.
     pending: Vec<AtomicU32>,
-    slots: Vec<CachePadded<StatSlot<DagRecord>>>,
+    /// Per-worker stat slots, harvested into `stats` after quiescence.
+    slots: Vec<CachePadded<StatSlot>>,
     stats: DagRunStats,
 }
 
@@ -1080,11 +721,6 @@ impl DagScratch {
     /// The stats of the most recent completed run through this scratch.
     pub fn stats(&self) -> &DagRunStats {
         &self.stats
-    }
-
-    /// Consumes the scratch, returning the last run's stats.
-    pub fn into_stats(self) -> DagRunStats {
-        self.stats
     }
 
     /// Sizes every arena for a `(dag, policy, threads)` run and resets the
@@ -1145,13 +781,12 @@ fn dag_entry(dag: &Dag, v: NodeId) -> Entry {
     Entry { weight: dag.priority(v), payload: v as u64 }
 }
 
-/// The pool job for [`Executor::run_dag_reuse`]. Identical scheduling
-/// mechanics to [`GraphJob`] — sharded ready queues seeded round-robin in
-/// node order, lock-free atomic edge retirement publishing to the
-/// completing worker's own shard, eventcount parking, poison-on-panic —
-/// minus the privatization special case (a fused graph expresses
-/// privatized convolutions and their reductions as two ordinary nodes
-/// joined by an explicit edge).
+/// The pool job for [`Executor::run_dag`]: sharded ready queues seeded
+/// round-robin in node order, lock-free atomic edge retirement publishing
+/// to the completing worker's own shard, eventcount parking and
+/// poison-on-panic. A privatized task of an expanded task graph needs no
+/// special case: its convolve and reduce are two ordinary nodes joined by
+/// an edge.
 struct DagJob<'g, F> {
     dag: &'g Dag,
     node_fn: &'g F,
@@ -1164,7 +799,7 @@ struct DagJob<'g, F> {
     /// The pool-wide eventcount this job publishes wakeups through.
     hub: &'g WakeHub,
     t0: Instant,
-    slots: &'g [CachePadded<StatSlot<DagRecord>>],
+    slots: &'g [CachePadded<StatSlot>],
 }
 
 impl<'g, F> DagJob<'g, F>
@@ -1302,10 +937,10 @@ where
     }
 }
 
-/// Single-threaded `run_dag` with identical policy semantics; used for
-/// 1-thread executors and reentrant calls from inside a pool job.
+/// Single-threaded [`Executor::run_dag`] with identical policy semantics;
+/// used for 1-thread executors and reentrant calls from inside a pool job.
 /// Allocation-free once the scratch arenas are warm.
-fn run_dag_serial_reuse<F>(dag: &Dag, policy: QueuePolicy, scratch: &mut DagScratch, node_fn: &F)
+fn run_dag_serial<F>(dag: &Dag, policy: QueuePolicy, scratch: &mut DagScratch, node_fn: &F)
 where
     F: Fn(NodeId, u64, usize) + Sync,
 {
@@ -1548,16 +1183,23 @@ where
 /// (and participates as worker 0) until the call completes.
 ///
 /// ```
-/// use nufft_parallel::exec::Executor;
-/// use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+/// use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
+/// use nufft_parallel::graph::{DagBuilder, QueuePolicy, TaskGraph};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
+/// // A 3×3 partition grid expanded into plain nodes, tagged by task id.
 /// let graph = TaskGraph::new(&[3, 3]);
+/// let mut builder = DagBuilder::new();
+/// graph.expand_into(&mut builder, |task, _phase| (task as u64, graph.weight(task)));
+/// let dag = builder.build();
 /// let ran = AtomicUsize::new(0);
-/// Executor::new(2).run_graph(&graph, QueuePolicy::Priority, |_task, _phase, _worker| {
+/// let mut scratch = DagScratch::new();
+/// let exec = Executor::new(2);
+/// exec.run_dag(&dag, QueuePolicy::Priority, JobPriority::Normal, &mut scratch, |_, _, _| {
 ///     ran.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(ran.load(Ordering::Relaxed), 9); // every task ran exactly once
+/// assert_eq!(scratch.stats().log.len(), 9);
 /// ```
 #[derive(Clone)]
 pub struct Executor {
@@ -1606,104 +1248,23 @@ impl Executor {
         self.threads
     }
 
-    /// Runs every task of `graph` exactly once, respecting dependency edges
-    /// and the privatization protocol. `task_fn(task, phase, worker)` is
-    /// called for each (task, phase) unit; the caller guarantees that the
-    /// work done under [`TaskPhase::Normal`]/[`TaskPhase::Reduce`] for
-    /// adjacent tasks touches the shared grid only within the task's own
-    /// partition halo (which the TDG then serializes correctly).
-    pub fn run_graph<F>(&self, graph: &TaskGraph, policy: QueuePolicy, task_fn: F) -> RunStats
-    where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        let mut scratch = GraphScratch::new();
-        self.run_graph_reuse(graph, policy, &mut scratch, task_fn);
-        scratch.into_stats()
-    }
-
-    /// [`Executor::run_graph`] against caller-owned [`GraphScratch`]: all
-    /// run bookkeeping (ready-queue shards, dependency counters, stat
+    /// Runs every node of `dag` exactly once, respecting its dependency
+    /// edges. `node_fn(node, tag, worker)` receives the node's opaque tag so
+    /// one closure can dispatch on task kind. A
+    /// [`TaskGraph`](crate::graph::TaskGraph) runs as its expansion
+    /// ([`TaskGraph::expand_into`](crate::graph::TaskGraph::expand_into)),
+    /// whose edges carry the privatization protocol: the caller guarantees
+    /// that the work of adjacent tasks' shared-grid nodes stays within each
+    /// task's partition halo, which the Gray-code edges then serialize.
+    ///
+    /// All run bookkeeping (ready-queue shards, dependency counters, stat
     /// logs) lives in `scratch` and is recycled, so repeated dispatches of
-    /// same-shaped graphs allocate nothing after the first. The run's
-    /// [`RunStats`] are left in [`GraphScratch::stats`].
-    pub fn run_graph_reuse<F>(
-        &self,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        scratch: &mut GraphScratch,
-        task_fn: F,
-    ) where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        self.run_graph_reuse_prio(graph, policy, JobPriority::Normal, scratch, task_fn);
-    }
-
-    /// [`Executor::run_graph_reuse`] with an explicit admission priority
-    /// for the pool's fair-share scheduler. Priority only matters when
-    /// jobs from several threads are in flight on the shared pool; the
-    /// serial fast paths ignore it.
-    pub fn run_graph_reuse_prio<F>(
-        &self,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        priority: JobPriority,
-        scratch: &mut GraphScratch,
-        task_fn: F,
-    ) where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-            return run_graph_serial_reuse(graph, policy, scratch, &task_fn);
-        }
-        let total = scratch.prepare(graph, policy, self.threads);
-        let makespan;
-        let payload;
-        {
-            let job = GraphJob::new(graph, self.threads, &task_fn, scratch, total, self.pool.hub());
-            self.pool.run_to_completion(&job, priority);
-            makespan = job.t0.elapsed().as_secs_f64();
-            payload = lock(&job.panic_payload).take();
-        }
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-        scratch.harvest(makespan);
-    }
-
-    /// Runs every node of a heterogeneous [`Dag`] exactly once, respecting
-    /// its dependency edges — the fused-pipeline twin of
-    /// [`Executor::run_graph`]. `node_fn(node, tag, worker)` receives the
-    /// node's opaque tag so one closure can dispatch on task kind.
-    pub fn run_dag<F>(&self, dag: &Dag, policy: QueuePolicy, node_fn: F) -> DagRunStats
-    where
-        F: Fn(NodeId, u64, usize) + Sync,
-    {
-        let mut scratch = DagScratch::new();
-        self.run_dag_reuse(dag, policy, &mut scratch, node_fn);
-        scratch.into_stats()
-    }
-
-    /// [`Executor::run_dag`] against caller-owned [`DagScratch`]: all run
-    /// bookkeeping is recycled, so repeated dispatches of same-shaped DAGs
-    /// allocate nothing after the first. The run's [`DagRunStats`] are left
-    /// in [`DagScratch::stats`].
-    pub fn run_dag_reuse<F>(
-        &self,
-        dag: &Dag,
-        policy: QueuePolicy,
-        scratch: &mut DagScratch,
-        node_fn: F,
-    ) where
-        F: Fn(NodeId, u64, usize) + Sync,
-    {
-        self.run_dag_reuse_prio(dag, policy, JobPriority::Normal, scratch, node_fn);
-    }
-
-    /// [`Executor::run_dag_reuse`] with an explicit admission priority for
-    /// the pool's fair-share scheduler. Priority only matters when jobs
-    /// from several threads are in flight on the shared pool; the serial
-    /// fast paths ignore it.
-    pub fn run_dag_reuse_prio<F>(
+    /// same-shaped graphs allocate nothing after the first; the run's
+    /// [`DagRunStats`] are left in [`DagScratch::stats`]. `priority` is the
+    /// job's admission priority on the pool's fair-share scheduler: it only
+    /// matters when jobs from several threads are in flight on the shared
+    /// pool, and the serial fast paths ignore it.
+    pub fn run_dag<F>(
         &self,
         dag: &Dag,
         policy: QueuePolicy,
@@ -1714,7 +1275,7 @@ impl Executor {
         F: Fn(NodeId, u64, usize) + Sync,
     {
         if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-            return run_dag_serial_reuse(dag, policy, scratch, &node_fn);
+            return run_dag_serial(dag, policy, scratch, &node_fn);
         }
         scratch.prepare(dag, policy, self.threads);
         let makespan;
@@ -1768,7 +1329,7 @@ impl Executor {
         let pool = &*self.pool;
         // Seed the pool-owned deque words and run under a single hold of
         // the loop lock, so a concurrent `parallel_for` from another handle
-        // cannot clobber the seeds. Graph/DAG jobs still interleave: only
+        // cannot clobber the seeds. DAG jobs still interleave: only
         // loop dispatches serialize.
         let serial = lock(&pool.for_lock);
         let job = ForJob::new(&pool.for_slots, n, grain, align, self.threads, &body);
@@ -1819,14 +1380,46 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{DagBuilder, TaskGraph};
     use std::sync::atomic::{AtomicBool, AtomicU32};
+
+    /// Runs `dag` on a fresh scratch at normal priority; returns its stats.
+    fn run<F>(exec: &Executor, dag: &Dag, policy: QueuePolicy, node_fn: F) -> DagRunStats
+    where
+        F: Fn(NodeId, u64, usize) + Sync,
+    {
+        let mut scratch = DagScratch::new();
+        exec.run_dag(dag, policy, JobPriority::Normal, &mut scratch, node_fn);
+        scratch.stats
+    }
+
+    /// Runs `graph` as its expansion, tagging each node `task · 4 + phase`
+    /// and prioritizing it by its task's weight, and hands every node to
+    /// `task_fn(task, phase, worker)`.
+    fn run_tasks<F>(
+        exec: &Executor,
+        graph: &TaskGraph,
+        policy: QueuePolicy,
+        task_fn: F,
+    ) -> DagRunStats
+    where
+        F: Fn(TaskId, TaskPhase, usize) + Sync,
+    {
+        const PHASES: [TaskPhase; 3] =
+            [TaskPhase::Normal, TaskPhase::PrivateConvolve, TaskPhase::Reduce];
+        let mut b = DagBuilder::new();
+        graph.expand_into(&mut b, |t, phase| ((t as u64) << 2 | phase as u64, graph.weight(t)));
+        run(exec, &b.build(), policy, |_v, tag, w| {
+            task_fn((tag >> 2) as TaskId, PHASES[(tag & 3) as usize], w)
+        })
+    }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let graph = TaskGraph::new(&[4, 5]);
         let counts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
         let exec = Executor::new(4);
-        let stats = exec.run_graph(&graph, QueuePolicy::Fifo, |t, phase, _w| {
+        let stats = run_tasks(&exec, &graph, QueuePolicy::Fifo, |t, phase, _w| {
             assert_eq!(phase, TaskPhase::Normal);
             counts[t].fetch_add(1, Ordering::SeqCst);
         });
@@ -1883,7 +1476,7 @@ mod tests {
         for _ in 0..5 {
             let graph = TaskGraph::new(&[3, 3]);
             let count = AtomicU32::new(0);
-            exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
+            run_tasks(&exec, &graph, QueuePolicy::Priority, |_t, _p, _w| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(count.load(Ordering::SeqCst), 9);
@@ -1901,10 +1494,10 @@ mod tests {
         let b = a.clone();
         let graph = TaskGraph::new(&[4, 4]);
         let count = AtomicU32::new(0);
-        a.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        run_tasks(&a, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
-        b.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        run_tasks(&b, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 32);
@@ -1920,7 +1513,7 @@ mod tests {
         let reduce_seen: Vec<AtomicBool> =
             (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(3);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, phase, _w| match phase {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, phase, _w| match phase {
             TaskPhase::Normal => {
                 assert!(!graph.privatized(t));
             }
@@ -1948,7 +1541,7 @@ mod tests {
         let graph = TaskGraph::new(&[5, 4]);
         let done: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(4);
-        exec.run_graph(&graph, QueuePolicy::Fifo, |t, _phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Fifo, |t, _phase, _w| {
             for p in graph.preds(t) {
                 assert!(done[p].load(Ordering::SeqCst), "task {t} ran before pred {p}");
             }
@@ -1964,7 +1557,7 @@ mod tests {
         let running: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(8);
         for policy in [QueuePolicy::Fifo, QueuePolicy::Priority] {
-            exec.run_graph(&graph, policy, |t, _phase, _w| {
+            run_tasks(&exec, &graph, policy, |t, _phase, _w| {
                 running[t].store(true, Ordering::SeqCst);
                 for other in 0..graph.len() {
                     if graph.adjacent(t, other) {
@@ -1995,7 +1588,7 @@ mod tests {
         let touching_grid: Vec<AtomicBool> =
             (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(6);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, phase, _w| {
             if phase == TaskPhase::PrivateConvolve {
                 return; // private buffer only
             }
@@ -2023,7 +1616,7 @@ mod tests {
         }
         let order = Mutex::new(Vec::new());
         let exec = Executor::new(1);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, _phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, _phase, _w| {
             lock(&order).push(t);
         });
         let order = order.into_inner().unwrap();
@@ -2039,7 +1632,7 @@ mod tests {
     fn stats_are_populated() {
         let graph = TaskGraph::new(&[4, 4]);
         let exec = Executor::new(2);
-        let stats = exec.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        let stats = run_tasks(&exec, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             std::hint::black_box(0u64);
         });
         assert_eq!(stats.worker_busy.len(), 2);
@@ -2099,28 +1692,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_task_propagates_rather_than_deadlocking() {
-        // A panic inside one task must unwind out of run_graph, never hang
-        // the other workers forever — and the pool must stay usable.
-        let graph = TaskGraph::new(&[3, 3]);
-        let exec = Executor::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run_graph(&graph, QueuePolicy::Fifo, |t, _p, _w| {
-                if t == 4 {
-                    panic!("injected task failure");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic was swallowed");
-        // The pool survives a poisoned run.
-        let count = AtomicU32::new(0);
-        exec.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 9);
-    }
-
-    #[test]
     fn panicking_parallel_for_propagates_and_pool_survives() {
         let exec = Executor::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2143,7 +1714,7 @@ mod tests {
         // Many more workers than host cores (and than ready tasks).
         let graph = TaskGraph::new(&[2, 2]);
         let count = AtomicU32::new(0);
-        Executor::new(16).run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
+        run_tasks(&Executor::new(16), &graph, QueuePolicy::Priority, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
@@ -2181,43 +1752,11 @@ mod tests {
         assert_eq!(Executor::host().threads(), a);
     }
 
-    #[test]
-    fn run_graph_reuse_recycles_scratch_across_runs() {
-        // Same scratch, several runs (including a policy switch and a
-        // different graph shape): every run must still execute each task
-        // exactly once and leave fresh stats behind.
-        let exec = Executor::new(3);
-        let mut scratch = GraphScratch::new();
-        for (dims, policy) in [
-            (&[4usize, 4][..], QueuePolicy::Priority),
-            (&[4, 4][..], QueuePolicy::Priority),
-            (&[3, 2][..], QueuePolicy::Fifo),
-            (&[4, 4][..], QueuePolicy::Priority),
-        ] {
-            let mut graph = TaskGraph::new(dims);
-            for t in 0..graph.len() {
-                graph.set_privatized(t, t % 3 == 0);
-            }
-            let counts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
-            exec.run_graph_reuse(&graph, policy, &mut scratch, |t, phase, _w| {
-                if phase != TaskPhase::PrivateConvolve {
-                    counts[t].fetch_add(1, Ordering::SeqCst);
-                }
-            });
-            for (t, c) in counts.iter().enumerate() {
-                assert_eq!(c.load(Ordering::SeqCst), 1, "task {t}");
-            }
-            let expect = graph.len() + (0..graph.len()).filter(|t| graph.privatized(*t)).count();
-            assert_eq!(scratch.stats().log.len(), expect);
-            assert_eq!(scratch.stats().worker_busy.len(), 3);
-        }
-    }
-
     /// A small diamond-rich layered DAG for the run_dag tests: `layers`
     /// layers of `width` nodes, every node depending on all nodes of the
     /// previous layer. Tag = layer * 100 + position.
     fn layered_dag(layers: usize, width: usize) -> Dag {
-        let mut b = crate::graph::DagBuilder::new();
+        let mut b = DagBuilder::new();
         let mut prev: Vec<NodeId> = Vec::new();
         for l in 0..layers {
             let cur: Vec<NodeId> =
@@ -2238,7 +1777,7 @@ mod tests {
         let done: Vec<AtomicBool> = (0..dag.len()).map(|_| AtomicBool::new(false)).collect();
         let counts: Vec<AtomicU32> = (0..dag.len()).map(|_| AtomicU32::new(0)).collect();
         let exec = Executor::new(4);
-        let stats = exec.run_dag(&dag, QueuePolicy::Priority, |v, tag, _w| {
+        let stats = run(&exec, &dag, QueuePolicy::Priority, |v, tag, _w| {
             assert_eq!(tag, dag.tag(v));
             let layer = tag / 100;
             if layer > 0 {
@@ -2265,7 +1804,7 @@ mod tests {
         let collect = |threads| {
             let exec = Executor::new(threads);
             let log = Mutex::new(Vec::new());
-            exec.run_dag(&dag, QueuePolicy::Fifo, |v, tag, _w| {
+            run(&exec, &dag, QueuePolicy::Fifo, |v, tag, _w| {
                 lock(&log).push((v, tag));
             });
             let mut v = log.into_inner().unwrap();
@@ -2282,10 +1821,16 @@ mod tests {
     fn dag_reuse_recycles_scratch_across_shapes() {
         let exec = Executor::new(3);
         let mut scratch = DagScratch::new();
-        for (layers, width) in [(4usize, 4usize), (4, 4), (2, 7), (5, 3)] {
+        // A policy switch on the same scratch rebuilds its shards.
+        for (layers, width, policy) in [
+            (4usize, 4usize, QueuePolicy::Priority),
+            (4, 4, QueuePolicy::Priority),
+            (2, 7, QueuePolicy::Fifo),
+            (5, 3, QueuePolicy::Priority),
+        ] {
             let dag = layered_dag(layers, width);
             let count = AtomicU32::new(0);
-            exec.run_dag_reuse(&dag, QueuePolicy::Priority, &mut scratch, |_v, _tag, _w| {
+            exec.run_dag(&dag, policy, JobPriority::Normal, &mut scratch, |_v, _tag, _w| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(count.load(Ordering::SeqCst), dag.len() as u32);
@@ -2299,7 +1844,7 @@ mod tests {
         let dag = layered_dag(3, 3);
         let exec = Executor::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run_dag(&dag, QueuePolicy::Fifo, |v, _tag, _w| {
+            run(&exec, &dag, QueuePolicy::Fifo, |v, _tag, _w| {
                 if v == 4 {
                     panic!("injected dag node failure");
                 }
@@ -2307,7 +1852,7 @@ mod tests {
         }));
         assert!(result.is_err(), "panic was swallowed");
         let count = AtomicU32::new(0);
-        exec.run_dag(&dag, QueuePolicy::Fifo, |_v, _tag, _w| {
+        run(&exec, &dag, QueuePolicy::Fifo, |_v, _tag, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 9);
@@ -2317,13 +1862,13 @@ mod tests {
     fn dag_serial_priority_pops_heaviest_root_first() {
         // Independent roots only: with one worker the priority policy must
         // pop the heaviest first.
-        let mut b = crate::graph::DagBuilder::new();
+        let mut b = DagBuilder::new();
         for (i, w) in [10u64, 90, 20, 70].into_iter().enumerate() {
             b.add_node(i as u64, w);
         }
         let dag = b.build();
         let order = Mutex::new(Vec::new());
-        Executor::new(1).run_dag(&dag, QueuePolicy::Priority, |v, _tag, _w| {
+        run(&Executor::new(1), &dag, QueuePolicy::Priority, |v, _tag, _w| {
             lock(&order).push(v);
         });
         assert_eq!(lock(&order).clone(), vec![1, 3, 2, 0]);
@@ -2356,14 +1901,16 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 barrier.wait();
-                exec.run_dag_reuse(&dag_a, QueuePolicy::Priority, &mut scratch_a, |v, _tag, _w| {
+                let prio = JobPriority::Normal;
+                exec.run_dag(&dag_a, QueuePolicy::Priority, prio, &mut scratch_a, |v, _tag, _w| {
                     spin(std::time::Duration::from_micros(100));
                     counts_a[v as usize].fetch_add(1, Ordering::SeqCst);
                 });
             });
             s.spawn(|| {
                 barrier.wait();
-                exec.run_dag_reuse(&dag_b, QueuePolicy::Priority, &mut scratch_b, |v, _tag, _w| {
+                let prio = JobPriority::Normal;
+                exec.run_dag(&dag_b, QueuePolicy::Priority, prio, &mut scratch_b, |v, _tag, _w| {
                     spin(std::time::Duration::from_micros(100));
                     counts_b[v as usize].fetch_add(1, Ordering::SeqCst);
                 });
@@ -2400,12 +1947,12 @@ mod tests {
     fn high_priority_job_overtakes_low_priority_flood() {
         let exec = Executor::new(4);
         // 800 independent nodes × 200µs ≈ 160ms of Low-priority work.
-        let mut b = crate::graph::DagBuilder::new();
+        let mut b = DagBuilder::new();
         for i in 0..800u64 {
             b.add_node(i, 1);
         }
         let big = b.build();
-        let mut b = crate::graph::DagBuilder::new();
+        let mut b = DagBuilder::new();
         for i in 0..4u64 {
             b.add_node(i, 1);
         }
@@ -2416,7 +1963,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut scratch = DagScratch::new();
-                exec.run_dag_reuse_prio(
+                exec.run_dag(
                     &big,
                     QueuePolicy::Fifo,
                     JobPriority::Low,
@@ -2433,7 +1980,7 @@ mod tests {
                     std::hint::spin_loop();
                 }
                 let mut scratch = DagScratch::new();
-                exec.run_dag_reuse_prio(
+                exec.run_dag(
                     &small,
                     QueuePolicy::Fifo,
                     JobPriority::High,
@@ -2496,7 +2043,7 @@ mod tests {
             s.spawn(|| {
                 barrier.wait();
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    exec.run_dag(&bad, QueuePolicy::Fifo, |v, _tag, _w| {
+                    run(&exec, &bad, QueuePolicy::Fifo, |v, _tag, _w| {
                         spin(std::time::Duration::from_micros(50));
                         if v == 4 {
                             panic!("injected tenant failure");
@@ -2507,7 +2054,7 @@ mod tests {
             });
             s.spawn(|| {
                 barrier.wait();
-                exec.run_dag(&good, QueuePolicy::Fifo, |_v, _tag, _w| {
+                run(&exec, &good, QueuePolicy::Fifo, |_v, _tag, _w| {
                     spin(std::time::Duration::from_micros(50));
                     good_count.fetch_add(1, Ordering::SeqCst);
                 });
@@ -2516,7 +2063,7 @@ mod tests {
         assert_eq!(good_count.load(Ordering::SeqCst), good.len() as u32);
         // The pool is still healthy for everyone.
         let after = AtomicU32::new(0);
-        exec.run_dag(&good, QueuePolicy::Fifo, |_v, _tag, _w| {
+        run(&exec, &good, QueuePolicy::Fifo, |_v, _tag, _w| {
             after.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(after.load(Ordering::SeqCst), good.len() as u32);

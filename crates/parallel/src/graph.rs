@@ -11,6 +11,7 @@
 //! turn, exactly as required for the exclusion invariant to hold at grid
 //! boundaries.
 
+use crate::exec::TaskPhase;
 use crate::gray::{gray_code, gray_rank};
 
 /// Index of a task within a [`TaskGraph`].
@@ -28,7 +29,8 @@ pub enum QueuePolicy {
 /// A static dependency graph over a d-dimensional grid of partition tasks.
 ///
 /// Built once during NUFFT preprocessing and reused by every adjoint
-/// convolution call (and by the `nufft-sim` virtual executor).
+/// convolution call (and by the `nufft-sim` virtual executor). It runs as
+/// its expansion into plain [`Dag`] nodes ([`TaskGraph::expand_into`]).
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     /// Number of partitions in each dimension.
@@ -272,6 +274,45 @@ impl TaskGraph {
     pub fn total_weight(&self) -> u64 {
         self.weights.iter().sum()
     }
+
+    /// Appends the graph to `builder` as plain [`Dag`] nodes — the form
+    /// `Executor::run_dag` runs. A privatized task becomes a
+    /// [`TaskPhase::PrivateConvolve`] node with no dependencies joined by an
+    /// edge to a [`TaskPhase::Reduce`] node; any other task becomes one
+    /// [`TaskPhase::Normal`] node. The Gray-code edges are copied verbatim
+    /// between the nodes that write the shared grid (`Normal` and
+    /// `Reduce`), so a reduction inherits its task's edges. `node(task,
+    /// phase)` picks each node's `(tag, weight)`. Nodes are added in task
+    /// order, a pair's convolve first, so node ids follow task ids.
+    ///
+    /// Returns, per task, the node that carries its shared-grid writes.
+    pub fn expand_into(
+        &self,
+        builder: &mut DagBuilder,
+        mut node: impl FnMut(TaskId, TaskPhase) -> (u64, u64),
+    ) -> Vec<NodeId> {
+        let mut add = |b: &mut DagBuilder, t, phase| {
+            let (tag, weight) = node(t, phase);
+            b.add_node(tag, weight)
+        };
+        let mut shared = Vec::with_capacity(self.len());
+        for t in 0..self.len() {
+            if self.privatized[t] {
+                let conv = add(builder, t, TaskPhase::PrivateConvolve);
+                let reduce = add(builder, t, TaskPhase::Reduce);
+                builder.add_edge(conv, reduce);
+                shared.push(reduce);
+            } else {
+                shared.push(add(builder, t, TaskPhase::Normal));
+            }
+        }
+        for t in 0..self.len() {
+            for p in self.preds(t) {
+                builder.add_edge(shared[p], shared[t]);
+            }
+        }
+        shared
+    }
 }
 
 /// Index of a node within a [`Dag`].
@@ -422,7 +463,8 @@ impl DagBuilder {
 /// per-node edge lists in CSR form, so one graph can span every phase of an
 /// operator apply: scale slabs, per-axis FFT tiles, scatter/gather
 /// convolution tasks and privatized reductions, with data-flow edges
-/// between phases instead of executor-level joins.
+/// between phases instead of executor-level joins. A `TaskGraph` on its
+/// own is the special case [`TaskGraph::expand_into`] builds.
 #[derive(Clone, Debug)]
 pub struct Dag {
     /// Opaque per-node tag, handed to the task function.
@@ -769,6 +811,44 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_pairs_privatized_tasks_and_copies_the_gray_edges() {
+        let mut g = TaskGraph::new_cyclic(&[4, 6], &[true, true]);
+        for t in 0..g.len() {
+            g.set_weight(t, 10 * t as u64 + 1);
+            g.set_privatized(t, t % 3 == 0);
+        }
+        let mut b = DagBuilder::new();
+        let shared =
+            g.expand_into(&mut b, |t, phase| ((t as u64) << 2 | phase as u64, g.weight(t)));
+        let dag = b.build();
+        assert_eq!(dag.len(), g.len() + g.num_privatized());
+        let task = |v: NodeId| (dag.tag(v) >> 2) as TaskId;
+        let phase = |v: NodeId| dag.tag(v) & 3;
+        // Node ids follow task ids.
+        assert!((1..dag.len() as NodeId).all(|v| task(v - 1) <= task(v)));
+        for t in 0..g.len() {
+            let s = shared[t];
+            assert_eq!(task(s), t);
+            assert_eq!(dag.weight(s), g.weight(t));
+            assert_eq!(dag.priority(s), g.weight(t));
+            let mut want: Vec<NodeId> = g.succs(t).map(|u| shared[u]).collect();
+            want.sort_unstable();
+            assert_eq!(dag.succs(s), &want[..], "task {t}'s Gray-code edges");
+            if g.privatized(t) {
+                assert_eq!(phase(s), TaskPhase::Reduce as u64);
+                assert_eq!(dag.pred_count(s) as usize, g.pred_count(t) + 1);
+                let conv = s - 1;
+                assert_eq!((task(conv), phase(conv)), (t, TaskPhase::PrivateConvolve as u64));
+                assert_eq!(dag.pred_count(conv), 0);
+                assert_eq!(dag.succs(conv), &[s]);
+            } else {
+                assert_eq!(phase(s), TaskPhase::Normal as u64);
+                assert_eq!(dag.pred_count(s) as usize, g.pred_count(t));
             }
         }
     }

@@ -12,20 +12,23 @@
 //!   backward edges per task, no global barrier (§III-B2);
 //! * [`queue`] — FIFO and priority (largest-task-first) ready queues
 //!   (§III-B3);
-//! * [`exec`] — a **persistent worker-pool** executor that runs a
-//!   [`TaskGraph`] on `T` resident workers with per-worker ready-queue
-//!   shards and work stealing (dependency edges retire through per-task
-//!   atomic counters — no global lock), including the two-phase
-//!   *selective privatization* protocol (§III-B4): privatized tasks run their
-//!   convolution immediately into a private buffer and enqueue a reduction
-//!   that respects the TDG edges; plus a work-stealing `parallel_for` used
-//!   for the forward (gather) convolution and FFT lines. This pool is the
-//!   only scheduler: the paper's single global ready queue is not shipped,
-//!   and `nufft-sim`'s `simulate_shared_queue` models it for Figure 11.
+//! * [`exec`] — a **persistent worker-pool** executor with one graph
+//!   runner, [`Executor::run_dag`]: it runs a [`Dag`] on `T` resident
+//!   workers with per-worker ready-queue shards and work stealing
+//!   (dependency edges retire through per-node atomic counters — no global
+//!   lock). A [`TaskGraph`] runs as its expansion
+//!   ([`TaskGraph::expand_into`]), which carries the two-phase *selective
+//!   privatization* protocol (§III-B4) as plain nodes and edges: a
+//!   privatized task's convolution into a private buffer is ready at once,
+//!   and its reduction inherits the TDG edges. Alongside it, a
+//!   work-stealing `parallel_for` serves the forward (gather) convolution
+//!   and FFT lines. This pool is the only scheduler: the paper's single
+//!   global ready queue is not shipped, and `nufft-sim`'s
+//!   `simulate_shared_queue` models it for Figure 11.
 //!
-//! Everything is instrumented: the executor returns per-worker busy times and
-//! a per-task execution log, which both the load-balance experiments and the
-//! `nufft-sim` cost-model calibration consume.
+//! Everything is instrumented: every run leaves per-worker busy times and a
+//! per-node execution log in its [`DagScratch`], which the load-balance
+//! experiments and the `nufft-sim` cost-model calibration consume.
 
 // Index-based loops below frequently address several parallel arrays
 // at once; clippy's iterator suggestion would obscure that.
@@ -37,9 +40,7 @@ pub mod gray;
 pub mod queue;
 pub mod scratch;
 
-pub use exec::{
-    DagRecord, DagRunStats, DagScratch, Executor, GraphScratch, JobPriority, RunStats, TaskPhase,
-};
+pub use exec::{DagRecord, DagRunStats, DagScratch, Executor, JobPriority, RunStats, TaskPhase};
 pub use graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph, TaskId};
 pub use gray::{gray_code, gray_rank};
 pub use scratch::WorkerLocal;

@@ -14,7 +14,7 @@
 // by the same task id; the iterator form would obscure that.
 #![allow(clippy::needless_range_loop)]
 
-use nufft_parallel::exec::{DagScratch, Executor, JobPriority, TaskPhase};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
 use nufft_parallel::graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph};
 use nufft_testkit::Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -86,7 +86,8 @@ fn interleaved_jobs_run_exactly_once_with_no_cross_job_leakage() {
                 scope.spawn(move || {
                     let mut scratch = DagScratch::new();
                     barrier.wait(); // maximize overlap between jobs
-                    exec.run_dag_reuse(dag, QueuePolicy::Priority, &mut scratch, |node, tag, w| {
+                    let prio = JobPriority::Normal;
+                    exec.run_dag(dag, QueuePolicy::Priority, prio, &mut scratch, |node, tag, w| {
                         // Leakage check: this callback must only ever see
                         // its own job's tag namespace.
                         assert_eq!(
@@ -185,13 +186,17 @@ fn interleaved_task_graphs_keep_the_privatization_protocol() {
                 let counts = &counts;
                 let delays = &delays;
                 scope.spawn(move || {
+                    // Tag = task · 4 + the phase's `TaskPhase` discriminant.
+                    let mut b = DagBuilder::new();
+                    graph.expand_into(&mut b, |t, phase| {
+                        ((t as u64) << 2 | phase as u64, graph.weight(t))
+                    });
+                    let dag = b.build();
+                    let mut scratch = DagScratch::new();
                     barrier.wait();
-                    exec.run_graph(graph, QueuePolicy::Priority, |t, phase, _w| {
-                        let pi = match phase {
-                            TaskPhase::Normal => 0,
-                            TaskPhase::PrivateConvolve => 1,
-                            TaskPhase::Reduce => 2,
-                        };
+                    let prio = JobPriority::Normal;
+                    exec.run_dag(&dag, QueuePolicy::Priority, prio, &mut scratch, |_v, tag, _w| {
+                        let (t, pi) = ((tag >> 2) as usize, (tag & 3) as usize);
                         spin(delays[j][t][pi]);
                         counts[j][t][pi].fetch_add(1, Ordering::SeqCst);
                     });
@@ -236,7 +241,7 @@ fn mixed_priorities_and_parallel_for_interleave_safely() {
         scope.spawn(|| {
             let mut scratch = DagScratch::new();
             barrier.wait();
-            exec_ref.run_dag_reuse_prio(
+            exec_ref.run_dag(
                 &big,
                 QueuePolicy::Priority,
                 JobPriority::Low,
@@ -250,7 +255,7 @@ fn mixed_priorities_and_parallel_for_interleave_safely() {
         scope.spawn(|| {
             let mut scratch = DagScratch::new();
             barrier.wait();
-            exec_ref.run_dag_reuse_prio(
+            exec_ref.run_dag(
                 &small,
                 QueuePolicy::Priority,
                 JobPriority::High,

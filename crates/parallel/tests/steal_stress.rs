@@ -7,8 +7,8 @@
 //! failing seed replays), and a worker count chosen to oversubscribe the
 //! host — override it with `NUFFT_THREADS` (the CI stress step runs 16).
 
-use nufft_parallel::exec::{Executor, TaskPhase};
-use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
+use nufft_parallel::graph::{DagBuilder, QueuePolicy, TaskGraph, TaskId};
 use nufft_testkit::Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -21,6 +21,21 @@ fn stress_threads() -> usize {
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&t| t >= 1)
         .unwrap_or(8)
+}
+
+/// Runs `graph` as its expansion, handing every node to `task_fn(task,
+/// phase)` with the phase as its `TaskPhase` discriminant (0 = `Normal`,
+/// 1 = `PrivateConvolve`, 2 = `Reduce`).
+fn run_tasks<F>(exec: &Executor, graph: &TaskGraph, policy: QueuePolicy, task_fn: F)
+where
+    F: Fn(TaskId, usize) + Sync,
+{
+    let mut b = DagBuilder::new();
+    graph.expand_into(&mut b, |t, phase| ((t as u64) << 2 | phase as u64, graph.weight(t)));
+    let mut scratch = DagScratch::new();
+    exec.run_dag(&b.build(), policy, JobPriority::Normal, &mut scratch, |_v, tag, _w| {
+        task_fn((tag >> 2) as TaskId, (tag & 3) as usize)
+    });
 }
 
 /// Busy-spin for roughly `iters` units; sleeps are too coarse to shake out
@@ -62,12 +77,7 @@ fn every_unit_runs_exactly_once_under_stealing_with_random_delays() {
                     p.store(0, Ordering::SeqCst);
                 }
             }
-            exec.run_graph(&graph, policy, |t, phase, _w| {
-                let pi = match phase {
-                    TaskPhase::Normal => 0,
-                    TaskPhase::PrivateConvolve => 1,
-                    TaskPhase::Reduce => 2,
-                };
+            run_tasks(&exec, &graph, policy, |t, pi| {
                 spin(delays[t][pi]);
                 counts[t][pi].fetch_add(1, Ordering::SeqCst);
             });
@@ -95,7 +105,7 @@ fn adjacent_exclusion_holds_under_random_delays() {
     let n = graph.len();
     let delays: Vec<u64> = (0..n).map(|_| rng.gen_usize(0..3000) as u64).collect();
     let running: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    exec.run_graph(&graph, QueuePolicy::Priority, |t, _phase, _w| {
+    run_tasks(&exec, &graph, QueuePolicy::Priority, |t, _phase| {
         running[t].store(1, Ordering::SeqCst);
         for (other, flag) in running.iter().enumerate() {
             if graph.adjacent(t, other) {

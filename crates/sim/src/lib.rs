@@ -3,23 +3,26 @@
 //! The paper's scaling results (Figures 9–12, 14) are functions of the
 //! *schedule*: how task sizes, the Gray-code dependency structure, queue
 //! discipline and selective privatization interact with `P` workers. This
-//! crate replays exactly the semantics of
-//! [`nufft_parallel::Executor::run_graph`] in virtual time, so core-scaling
+//! crate replays the scheduling rules of
+//! [`nufft_parallel::Executor::run_dag`] in virtual time, so core-scaling
 //! experiments can be run for 10/20/40 workers on any host — the development
 //! container for this reproduction has a single core.
 //!
-//! Two scheduler models are provided:
+//! Two scheduler models of a partition [`TaskGraph`] are provided:
 //!
 //! * [`simulate`] replays the **persistent sharded runtime** that
-//!   [`nufft_parallel::Executor`] ships: one ready-queue shard per worker,
-//!   initial seeds dealt round-robin in task order, a worker pops the
-//!   policy-best entry of its *own* shard and otherwise steals the
-//!   policy-best entry of the first non-empty victim scanning `(w+1) % T`
-//!   upward; a completed task's newly-ready successors land on the
-//!   completing worker's own shard. Each shard is its own serial resource:
-//!   dequeues of the *same* shard (owner pops and steals alike) serialize on
+//!   [`nufft_parallel::Executor`] ships, running the graph's expansion
+//!   ([`TaskGraph::expand_into`], a privatized task as a convolve → reduce
+//!   pair): one ready-queue shard per worker, initial seeds dealt
+//!   round-robin in task order, a worker pops the policy-best entry of its
+//!   *own* shard and otherwise steals the policy-best entry of the first
+//!   non-empty victim scanning `(w+1) % T` upward; a completed task's
+//!   newly-ready successors land on the completing worker's own shard.
+//!   Each shard is its own serial resource: dequeues of the *same* shard
+//!   (owner pops and steals alike) serialize on
 //!   [`CostModel::queue_overhead`], dequeues of different shards proceed in
-//!   parallel — exactly the contention profile of per-shard mutexes.
+//!   parallel — exactly the contention profile of per-shard mutexes. Where
+//!   its order can differ from the runtime's is stated on [`simulate`].
 //! * [`simulate_shared_queue`] models the paper's global-queue scheduler
 //!   (§III-B3), which the runtime no longer ships: one ready queue whose
 //!   dequeues serialize on a single resource. That global contention term
@@ -171,17 +174,27 @@ fn decode(payload: u64) -> (TaskId, TaskPhase) {
 }
 
 /// Simulates `graph` on `workers` virtual workers under `policy`, replaying
-/// the **persistent sharded runtime**
-/// ([`nufft_parallel::Executor::run_graph`]): per-worker ready-queue shards
-/// with round-robin seeding (the k-th initially-ready unit, in task order,
-/// lands on shard `k % workers`), own-shard-first popping, and steals that take
-/// the policy-best entry of the first non-empty victim scanning `(w+1) % T`
+/// the **persistent sharded runtime** ([`nufft_parallel::Executor::run_dag`])
+/// on the graph's expansion ([`TaskGraph::expand_into`], each node queued
+/// at its task's weight): per-worker ready-queue shards with round-robin
+/// seeding (the k-th initially-ready unit, in task order, lands on shard
+/// `k % workers`), own-shard-first popping, and steals that take the
+/// policy-best entry of the first non-empty victim scanning `(w+1) % T`
 /// upward — so largest-first priority is preserved *per steal victim*, not
 /// globally. Newly-ready successors are pushed to the completing worker's
 /// own shard. Dequeues of the same shard serialize on
 /// [`CostModel::queue_overhead`] (the shard mutex); dequeues of different
 /// shards run in parallel. Ties in virtual time are broken
 /// deterministically, so results are reproducible.
+///
+/// The model keys units by `(task, phase)`, the runtime by node id. Node
+/// ids follow task order, a privatized task's convolve before its reduce,
+/// so priority ties, which break by that key, pop in the same order. The
+/// order can differ where a completed task hands out its successors: the
+/// runtime pushes them in node-id order, the model in the graph's edge
+/// order (lower neighbor first). The two disagree only across a wrapped
+/// boundary, where partition 0's lower neighbor is the last partition, so
+/// under [`QueuePolicy::Fifo`] they queue such a pair in opposite order.
 ///
 /// ```
 /// use nufft_parallel::graph::{QueuePolicy, TaskGraph};
@@ -269,9 +282,10 @@ pub fn simulate(
         idle.push((key(ev.time), ev.worker));
         remaining -= 1;
 
-        // Completion bookkeeping (mirrors GraphJob::complete): retire one
-        // prerequisite per edge; the last retirement publishes the task to
-        // the completing worker's own shard.
+        // Completion bookkeeping (the runtime's edge retirement on the
+        // expanded graph): retire one prerequisite per edge; the last
+        // retirement publishes the task to the completing worker's own
+        // shard.
         let mut retire = |t: TaskId, shards: &mut Vec<ReadyQueue>| {
             pending[t] -= 1;
             if pending[t] == 0 {

@@ -30,16 +30,18 @@ echo "== parallel stress (oversubscribed, 16 workers) =="
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel
 
 echo "== multi-tenant job isolation stress (oversubscribed, 16 workers) =="
-# Concurrently submitted DAG/graph jobs on one shared pool: exactly-once
-# execution, no cross-job tag leakage, and per-job stats harvested at
-# per-job quiescence, all under randomized seed-replayable delays.
+# Concurrently submitted DAG jobs (expanded task graphs among them) on one
+# shared pool: exactly-once execution, no cross-job tag leakage, and
+# per-job stats harvested at per-job quiescence, all under randomized
+# seed-replayable delays.
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel --test job_isolation_stress
 
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
 # scheduler_consistency holds the executor-vs-simulator scheduling tests and
-# the fused-DAG simulated-dominance check on real plans' graphs; 16 workers
-# oversubscribe the runner so the graph and DAG executors run under real
-# preemption.
+# the fused-DAG simulated-dominance check on real plans' graphs; its
+# executor-side tests take their worker count from NUFFT_THREADS, so 16
+# workers oversubscribe the runner and the DAG runner executes the expanded
+# task graphs under real preemption.
 NUFFT_THREADS=16 cargo test -q --offline --test scheduler_consistency
 
 echo "== four-step FFT strategy stress (oversubscribed, 16 workers) =="
@@ -71,8 +73,11 @@ NUFFT_THREADS=16 cargo test -q --offline --test fft_pruning
 echo "== stage-graph composition contracts =="
 # stage_ops pins that the public SpreadOp/InterpOp/FftOp/DeconvOp stages
 # compose bitwise into the fused forward/adjoint operators, and that the
-# standalone spread_only/interp_only entry points are those stages.
+# standalone spread_only/interp_only entry points are those stages. The
+# second run oversubscribes the runner with 16 workers in the standalone
+# spread's cross-worker-count determinism check.
 cargo test -q --offline --test stage_ops
+NUFFT_THREADS=16 cargo test -q --offline --test stage_ops
 
 echo "== zero-aware FFT passes =="
 # fft_pruning pins forward/adjoint/forward_batch/adjoint_batch, whose FFT

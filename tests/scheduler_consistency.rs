@@ -3,10 +3,41 @@
 //! exclusion guarantees. This is what makes simulated core-scaling results
 //! transferable statements about the real runtime.
 
-use nufft::parallel::exec::{Executor, TaskPhase};
-use nufft::parallel::graph::{QueuePolicy, TaskGraph};
+use nufft::parallel::exec::{DagScratch, Executor, JobPriority, TaskPhase};
+use nufft::parallel::graph::{DagBuilder, QueuePolicy, TaskGraph, TaskId};
 use nufft::sim::{simulate, LinearCost};
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Worker count of the executor-side tests: the `NUFFT_THREADS` override
+/// (the CI stress step runs 16, oversubscribing the host), else `default`.
+fn stress_threads(default: usize) -> usize {
+    std::env::var("NUFFT_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or(default)
+}
+
+/// Runs `g` as its expansion on `threads` workers under the priority
+/// policy, handing every node to `task_fn(task, phase)`.
+fn run_tasks<F>(g: &TaskGraph, threads: usize, task_fn: F)
+where
+    F: Fn(TaskId, TaskPhase) + Sync,
+{
+    const PHASES: [TaskPhase; 3] =
+        [TaskPhase::Normal, TaskPhase::PrivateConvolve, TaskPhase::Reduce];
+    let mut b = DagBuilder::new();
+    g.expand_into(&mut b, |t, phase| ((t as u64) << 2 | phase as u64, g.weight(t)));
+    let mut scratch = DagScratch::new();
+    let exec = Executor::new(threads);
+    exec.run_dag(
+        &b.build(),
+        QueuePolicy::Priority,
+        JobPriority::Normal,
+        &mut scratch,
+        |_, tag, _| task_fn((tag >> 2) as TaskId, PHASES[(tag & 3) as usize]),
+    );
+}
 
 fn weighted_graph(dims: &[usize], privatize_center: bool) -> TaskGraph {
     let mut g = TaskGraph::new_cyclic(dims, &vec![true; dims.len()]);
@@ -25,26 +56,17 @@ fn weighted_graph(dims: &[usize], privatize_center: bool) -> TaskGraph {
 fn executor_and_simulator_run_the_same_phase_multiset() {
     for privatize in [false, true] {
         let g = weighted_graph(&[4, 4], privatize);
+        let threads = stress_threads(3);
         // Count (task, phase) units executed by the real executor.
         let counts: Vec<[AtomicU32; 3]> = (0..g.len()).map(|_| Default::default()).collect();
-        Executor::new(3).run_graph(&g, QueuePolicy::Priority, |t, phase, _w| {
-            let slot = match phase {
-                TaskPhase::Normal => 0,
-                TaskPhase::PrivateConvolve => 1,
-                TaskPhase::Reduce => 2,
-            };
-            counts[t][slot].fetch_add(1, Ordering::SeqCst);
+        run_tasks(&g, threads, |t, phase| {
+            counts[t][phase as usize].fetch_add(1, Ordering::SeqCst);
         });
         // Simulator timeline for the same graph.
-        let sim = simulate(&g, QueuePolicy::Priority, 3, &LinearCost::per_sample(0.01));
+        let sim = simulate(&g, QueuePolicy::Priority, threads, &LinearCost::per_sample(0.01));
         let mut sim_counts = vec![[0u32; 3]; g.len()];
         for r in &sim.timeline {
-            let slot = match r.phase {
-                TaskPhase::Normal => 0,
-                TaskPhase::PrivateConvolve => 1,
-                TaskPhase::Reduce => 2,
-            };
-            sim_counts[r.task][slot] += 1;
+            sim_counts[r.task][r.phase as usize] += 1;
         }
         for t in 0..g.len() {
             let exec_c: Vec<u32> = (0..3).map(|s| counts[t][s].load(Ordering::SeqCst)).collect();
@@ -101,7 +123,7 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
         g.set_privatized(t, t % 3 == 0);
     }
     let conv_done: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-    Executor::new(8).run_graph(&g, QueuePolicy::Priority, |t, phase, _w| match phase {
+    run_tasks(&g, stress_threads(8), |t, phase| match phase {
         TaskPhase::PrivateConvolve => {
             conv_done[t].store(1, Ordering::SeqCst);
         }

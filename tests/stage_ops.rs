@@ -29,6 +29,16 @@ fn traj2(count: usize) -> Vec<[f64; 2]> {
         .collect()
 }
 
+/// Worker count of the stress arm: the `NUFFT_THREADS` override (the CI
+/// stress step runs 16, oversubscribing the host), else 8.
+fn stress_threads() -> usize {
+    std::env::var("NUFFT_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or(8)
+}
+
 fn cfg(threads: usize) -> NufftConfig {
     NufftConfig { threads, w: 3.0, partitions_per_dim: Some(4), ..NufftConfig::default() }
 }
@@ -138,7 +148,8 @@ fn interp_only_matches_stage_apply() {
 
 /// The standalone scatter is bitwise-stable across worker counts once the
 /// layout is pinned (partitions fixed, privatization off) — same contract
-/// as `tests/determinism.rs` for the in-plan path.
+/// as `tests/determinism.rs` for the in-plan path. The last arm runs the
+/// stress worker count.
 #[test]
 fn standalone_spread_is_deterministic_across_threads() {
     let m = [24usize, 24];
@@ -147,7 +158,8 @@ fn standalone_spread_is_deterministic_across_threads() {
         .collect();
     let x = Rng::seed_from_u64(83).gen_c32_vec(coords.len(), 1.0);
     let mut grids = Vec::new();
-    for threads in [1usize, 2, 4] {
+    let counts = [1usize, 2, 4, stress_threads()];
+    for threads in counts {
         let c = NufftConfig {
             threads,
             w: 3.0,
@@ -161,6 +173,7 @@ fn standalone_spread_is_deterministic_across_threads() {
         spread.apply(&exec, nufft::parallel::exec::JobPriority::Normal, &x, &mut g);
         grids.push(g);
     }
-    assert_bitwise(&grids[0], &grids[1], "standalone spread 2 threads vs 1");
-    assert_bitwise(&grids[0], &grids[2], "standalone spread 4 threads vs 1");
+    for (g, threads) in grids.iter().zip(counts).skip(1) {
+        assert_bitwise(&grids[0], g, &format!("standalone spread {threads} threads vs 1"));
+    }
 }

@@ -27,25 +27,10 @@ use nufft_math::Complex32;
 use nufft_simd::{detect_isa, set_isa_override, IsaLevel};
 use nufft_testkit::bench::{BenchGroup, Stats};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
 
 fn signal(n: usize) -> Vec<Complex32> {
     (0..n).map(|i| Complex32::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos())).collect()
-}
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
 }
 
 fn bench_1d() {
@@ -212,11 +197,7 @@ fn write_summary(arms: &BTreeMap<String, Stats>, strided: &[&str], per_axis: &[(
     json_speedups(&mut out, "speedup_batched_vs_per_line_detected_isa", arms, &axes, false);
     out.push_str("}\n");
 
-    let path = repo_root().join("BENCH_fft.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary("BENCH_fft.json", isa, &out);
 }
 
 fn main() {

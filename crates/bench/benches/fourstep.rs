@@ -20,25 +20,10 @@ use nufft_fft::{Direction, FftNd, FftStrategy, DEFAULT_LLC_BUDGET};
 use nufft_math::Complex32;
 use nufft_testkit::bench::BenchGroup;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
 
 fn signal(n: usize) -> Vec<Complex32> {
     (0..n).map(|i| Complex32::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos())).collect()
-}
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
 }
 
 fn fast_mode() -> bool {
@@ -131,11 +116,11 @@ fn write_summary(medians: &BTreeMap<String, f64>, sweep: &[usize], grids: &[&str
     }
     out.push_str("  }\n}\n");
 
-    let path = repo_root().join("BENCH_fourstep.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary(
+        "BENCH_fourstep.json",
+        nufft_simd::detect_isa().name(),
+        &out,
+    );
 }
 
 fn main() {

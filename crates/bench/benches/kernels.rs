@@ -23,22 +23,7 @@ use nufft_math::Complex32;
 use nufft_testkit::bench::{black_box, BenchGroup};
 use nufft_testkit::Rng;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
 
 const EPS_SWEEP: [f64; 3] = [1e-2, 1e-4, 1e-6];
 
@@ -172,11 +157,11 @@ fn write_summary(sum: &Summary) {
     push_map(&mut out, "speedup_es_vs_kb", &speedups, "");
     out.push_str("}\n");
 
-    let path = repo_root().join("BENCH_kernels.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary(
+        "BENCH_kernels.json",
+        nufft_simd::detect_isa().name(),
+        &out,
+    );
 }
 
 fn main() {

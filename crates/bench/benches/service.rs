@@ -22,23 +22,8 @@ use nufft_core::{NufftConfig, PlanRegistry, WindowMode};
 use nufft_math::Complex32;
 use nufft_testkit::Rng;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
 
 const EXEC_THREADS: usize = 4;
 const TENANT_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -155,11 +140,11 @@ fn write_summary(results: &BTreeMap<String, ArmResult>) {
     }
     out.push_str("  }\n}\n");
 
-    let path = repo_root().join("BENCH_service.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary(
+        "BENCH_service.json",
+        nufft_simd::detect_isa().name(),
+        &out,
+    );
 }
 
 fn main() {

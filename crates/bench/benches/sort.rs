@@ -21,22 +21,7 @@ use nufft_math::Complex32;
 use nufft_testkit::bench::BenchGroup;
 use nufft_testkit::Rng;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
 
 const TRAJ_KINDS: [&str; 4] = ["clustered", "random", "shuffled", "radial"];
 const CASE_IDS: [&str; 3] = ["d2_32", "d2_192", "d3_64"];
@@ -286,11 +271,7 @@ fn write_summary(sum: &Summary) {
     push_map(&mut out, "tile_revisits", &revisits, "");
     out.push_str("}\n");
 
-    let path = repo_root().join("BENCH_sort.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary("BENCH_sort.json", nufft_simd::detect_isa().name(), &out);
 }
 
 fn main() {

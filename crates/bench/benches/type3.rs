@@ -20,22 +20,7 @@ use nufft_math::Complex32;
 use nufft_testkit::bench::BenchGroup;
 use nufft_testkit::Rng;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
 
 /// Records `arm`'s median as the minimum over repetitions, so host-wide
 /// noise can only ever add time, never flip a comparison.
@@ -151,11 +136,7 @@ fn write_summary(medians: &BTreeMap<String, f64>) {
     }
     out.push_str("  }\n}\n");
 
-    let path = repo_root().join("BENCH_type3.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary("BENCH_type3.json", nufft_simd::detect_isa().name(), &out);
 }
 
 fn main() {

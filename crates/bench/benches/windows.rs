@@ -19,22 +19,7 @@ use nufft_math::Complex32;
 use nufft_testkit::bench::BenchGroup;
 use nufft_testkit::Rng;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
-
-/// Repository root: nearest ancestor holding `ROADMAP.md` (mirrors the
-/// testkit's results-dir lookup), else the current directory.
-fn repo_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
 
 const THREADS: [usize; 2] = [1, 4];
 const CASE_IDS: [&str; 2] = ["d2_64", "d3_24"];
@@ -191,11 +176,11 @@ fn write_summary(sum: &Summary) {
     push_map(&mut out, "amortized_ns_per_apply", &amortized, "");
     out.push_str("}\n");
 
-    let path = repo_root().join("BENCH_windows.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    nufft_testkit::bench::write_summary(
+        "BENCH_windows.json",
+        nufft_simd::detect_isa().name(),
+        &out,
+    );
 }
 
 fn main() {

@@ -10,11 +10,11 @@
 //!
 //! 1. **Sub-FFT pass** — the `P` leaf calls at level `j` are independent
 //!    length-`n2` transforms of the decimated sequences `x[c + P·t]`
-//!    (`c ∈ [0, P)`). Each runs through the existing batched stage-suffix
-//!    recursion (`crate::batch::recurse` from `level = j`) and lands in a
-//!    block-major intermediate buffer: column `c`'s spectrum occupies block
-//!    `β(c)` (the digit-reversed block index the recursion would have written
-//!    it to), positions `β·n2 .. (β+1)·n2`.
+//!    (`c ∈ [0, P)`). Each runs through the batched tile driver entered at
+//!    the stage suffix (`crate::batch::transform_runs` from `from = j`) and
+//!    lands in a block-major intermediate buffer: column `c`'s spectrum
+//!    occupies block `β(c)` (the digit-reversed block index the recursion
+//!    would have written it to), positions `β·n2 .. (β+1)·n2`.
 //! 2. **Combine pass** — the remaining levels `j-1 .. 0` only ever mix
 //!    elements with the *same* within-block offset `k ∈ [0, n2)`: at level
 //!    `l` the butterfly at offset `k` touches `dst[(g·r_l + q)·m_l + k]` and
@@ -37,7 +37,7 @@
 use crate::batch::{combine_cols, BwdView};
 use crate::plan::{Fft, Stage, MIN_SIMD_M};
 use nufft_math::Complex32;
-use nufft_simd::fft_rows;
+use nufft_simd::fft_rows::{self, ColBlocks};
 
 /// Per-axis FFT execution strategy for [`crate::FftNd`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -196,42 +196,46 @@ impl FourStep {
                     // Absolute twiddle offset of this row's first element for
                     // digit q is (q-1)·m + bl·n2 + k0.
                     let toff = bl * self.n2 + k0;
+                    let at = ColBlocks::one(lanes, step);
                     if simd && r == 2 {
-                        let (lo, hi) = work.split_at_mut(base + step);
-                        let d0 = &mut lo[base..base + row];
-                        let d1 = &mut hi[..row];
-                        if hoisted {
-                            fft_rows::bfly2_nt(d0, d1);
-                        } else if lanes == 1 {
-                            fft_rows::bfly2_rows(d0, d1, &tw[toff..toff + kbw]);
+                        let tw1 = &tw[toff..toff + kbw];
+                        if hoisted || lanes == 1 {
+                            let (lo, hi) = work.split_at_mut(base + step);
+                            let d0 = &mut lo[base..base + row];
+                            let d1 = &mut hi[..row];
+                            if hoisted {
+                                fft_rows::bfly2_nt(d0, d1);
+                            } else {
+                                fft_rows::bfly2_rows(d0, d1, tw1);
+                            }
                         } else {
-                            fft_rows::bfly2_cols(d0, d1, &tw[toff..toff + kbw], lanes);
+                            fft_rows::bfly2_cols(&mut work[base..base + step + row], tw1, at);
                         }
                     } else if simd && r == 4 {
                         let quad = &mut work[base..base + 3 * step + row];
-                        let (c0, rest) = quad.split_at_mut(step);
-                        let (c1, rest) = rest.split_at_mut(step);
-                        let (c2, c3) = rest.split_at_mut(step);
-                        let (d0, d1) = (&mut c0[..row], &mut c1[..row]);
-                        let (d2, d3) = (&mut c2[..row], &mut c3[..row]);
-                        if hoisted {
-                            fft_rows::bfly4_nt(d0, d1, d2, d3, forward);
-                        } else {
-                            let tw1 = &tw[toff..toff + kbw];
-                            let tw2 = &tw[m + toff..m + toff + kbw];
-                            let tw3 = &tw[2 * m + toff..2 * m + toff + kbw];
-                            if lanes == 1 {
-                                fft_rows::bfly4_rows(d0, d1, d2, d3, tw1, tw2, tw3, forward);
+                        let tw1 = &tw[toff..toff + kbw];
+                        let tw2 = &tw[m + toff..m + toff + kbw];
+                        let tw3 = &tw[2 * m + toff..2 * m + toff + kbw];
+                        if hoisted || lanes == 1 {
+                            let (c0, rest) = quad.split_at_mut(step);
+                            let (c1, rest) = rest.split_at_mut(step);
+                            let (c2, c3) = rest.split_at_mut(step);
+                            let (d0, d1) = (&mut c0[..row], &mut c1[..row]);
+                            let (d2, d3) = (&mut c2[..row], &mut c3[..row]);
+                            if hoisted {
+                                fft_rows::bfly4_nt(d0, d1, d2, d3, forward);
                             } else {
-                                fft_rows::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, lanes, forward);
+                                fft_rows::bfly4_rows(d0, d1, d2, d3, tw1, tw2, tw3, forward);
                             }
+                        } else {
+                            fft_rows::bfly4_cols(quad, [tw1, tw2, tw3], at, forward);
                         }
                     } else {
                         // Plain regime: the column kernels (radix 7/11/13:
                         // the scalar loop) run the exact per-element
                         // arithmetic of the recursive combine.
                         let d = &mut work[base..];
-                        combine_cols(d, step, stage, tw, roots, toff, kbw, lanes, forward);
+                        combine_cols(d, stage, tw, roots, toff, kbw, at, forward);
                     }
                 }
             }

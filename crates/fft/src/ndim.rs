@@ -419,9 +419,10 @@ impl FftNd {
         }
     }
 
-    /// Four-step pass 1 for column group `cg` of tile `tile`: gathers each
-    /// column's decimated sequence from `src`, runs the length-`n2`
-    /// stage-suffix sub-FFT through the batched kernels, and scatters the
+    /// Four-step pass 1 for column group `cg` of tile `tile`: runs each
+    /// column's decimated sequence from `src` through the length-`n2`
+    /// stage-suffix sub-FFT of the batched tile driver (whose leaf pass
+    /// reads the sequence straight from `src`), and scatters the
     /// spectrum into its digit-reversed block of `fs` (same line layout as
     /// the grid). `scratch` must be at least [`FftNd::batch_scratch_len`]
     /// `(b)` long.
@@ -447,13 +448,6 @@ impl FftNd {
         let four = self.split(axis);
         let plan = &self.plans[axis];
         let stages = plan.stages();
-        let bwd = match dir {
-            Direction::Forward => None,
-            Direction::Backward => {
-                let t = plan.bwd_tables();
-                Some((&t.twiddles[..], &t.roots[..]))
-            }
-        };
         let (p, n2) = (four.p, four.n2);
         let n = self.shape[axis];
         let stride = self.axis_stride(axis);
@@ -468,11 +462,11 @@ impl FftNd {
             let mut c0 = c_lo;
             while c0 < c_hi {
                 let cols = b.min(c_hi - c0);
-                let (seq, rest) = scratch.split_at_mut(n2 * cols);
-                let out = &mut rest[..n2 * cols];
-                let sv = core::slice::from_raw_parts(src.add(start + c0), (n2 - 1) * p + cols);
-                nufft_simd::gather_chunks(seq, sv, cols, p);
-                crate::batch::recurse(stages, four.j, seq, 0, 1, out, cols, bwd);
+                let out = &mut scratch[..n2 * cols];
+                // Element t of the columns is the run src[c0 + P·t..][..cols]:
+                // the sub-FFT's leaf pass reads the runs straight from `src`.
+                let runs = src.add(start + c0);
+                crate::batch::transform_runs(plan, four.j, runs, p, out, cols, dir);
                 for lane in 0..cols {
                     let beta = four.block_of_col(stages, c0 + lane);
                     let dv = core::slice::from_raw_parts_mut(fs.add(start + beta * n2), n2);
@@ -489,14 +483,9 @@ impl FftNd {
             let lanes = b.min(stride - inner0);
             let base = outer * n * stride + inner0;
             for c in c_lo..c_hi {
-                let (seq, rest) = scratch.split_at_mut(n2 * lanes);
-                let out = &mut rest[..n2 * lanes];
-                let sv = core::slice::from_raw_parts(
-                    src.add(base + c * stride),
-                    (n2 - 1) * p * stride + lanes,
-                );
-                nufft_simd::gather_chunks(seq, sv, lanes, p * stride);
-                crate::batch::recurse(stages, four.j, seq, 0, 1, out, lanes, bwd);
+                let out = &mut scratch[..n2 * lanes];
+                let runs = src.add(base + c * stride);
+                crate::batch::transform_runs(plan, four.j, runs, p * stride, out, lanes, dir);
                 let beta = four.block_of_col(stages, c);
                 let dv = core::slice::from_raw_parts_mut(
                     fs.add(base + beta * n2 * stride),
@@ -623,8 +612,8 @@ impl FftNd {
     /// the contiguous axis a tile is one line: every run of `b` consecutive
     /// ids in `tiles` is packed into one interleaved tile (a `b×n`
     /// transpose) and sent through the batched path, while the lines of
-    /// shorter runs — and every line of a Bluestein axis, or at an ISA
-    /// level without vector lanes — go per line. The per-line path is
+    /// shorter runs — and every line of a Bluestein axis — go per line, at
+    /// every ISA level. The per-line path is
     /// bit-identical (see `crate::batch`), so how `tiles` is chunked never
     /// changes a result bit.
     ///
@@ -653,10 +642,7 @@ impl FftNd {
         }
         let n = self.shape[axis];
         let plan = &self.plans[axis];
-        // Packing pays only when a tile feeds vector lanes: at the scalar
-        // levels the two transposes cost more than batching saves
-        // (`BENCH_fft.json`), so there every line goes per line.
-        let pack = b > 1 && plan.is_ct() && nufft_simd::active_isa().c32_lanes() > 1;
+        let pack = b > 1 && plan.is_ct();
         let mut i = 0;
         while i < tiles.len() {
             let line = tiles[i] as usize;
@@ -706,16 +692,12 @@ impl FftNd {
         let plan = &self.plans[axis];
         if lines_here == b && plan.is_ct() {
             let start = outer * n * stride + inner0;
-            let (tile_buf, rest) = scratch.split_at_mut(n * b);
-            let packed = &mut rest[..n * b];
-            // Gather: lines inner0..inner0+b are adjacent in memory, so
-            // element j of all b lines is one contiguous b-complex run.
-            for (j, run) in packed.chunks_exact_mut(b).enumerate() {
-                let line = core::slice::from_raw_parts(base.add(start + j * stride), b);
-                copy_run(run, line);
-            }
-            crate::batch::transform_tile(plan, packed, tile_buf, b, dir);
-            for (j, run) in tile_buf[..n * b].chunks_exact(b).enumerate() {
+            let tile_buf = &mut scratch[..n * b];
+            // Lines inner0..inner0+b are adjacent in memory, so element j
+            // of all b lines is one contiguous b-complex run of the grid:
+            // the tile's leaf pass reads the runs straight from it.
+            crate::batch::transform_runs(plan, 0, base.add(start), stride, tile_buf, b, dir);
+            for (j, run) in tile_buf.chunks_exact(b).enumerate() {
                 let line = core::slice::from_raw_parts_mut(base.add(start + j * stride), b);
                 copy_run(line, run);
             }

@@ -11,7 +11,11 @@
 //! * **cols** — one twiddle broadcast across `b` interleaved lines. The
 //!   batched tile path packs `b` lines element-interleaved
 //!   (`tile[k·b + lane]` = element `k` of line `lane`), so one twiddle load
-//!   amortizes over `b` lines and every memory access is contiguous.
+//!   amortizes over `b` lines and every memory access is contiguous. A
+//!   call covers `nodes` equal-sized butterfly groups at a fixed node
+//!   stride ([`ColBlocks`]) — every node of one Cooley–Tukey stage shares
+//!   its twiddle rows — so a tile runs each stage as one dispatched call,
+//!   with each twiddle broadcast once per column for all nodes.
 //!
 //! Two arithmetic shapes exist. The *fused* kernels ([`bfly2_rows`],
 //! [`bfly4_rows`], [`bfly2_cols`], [`bfly4_cols`]) contract the twiddle
@@ -148,97 +152,109 @@ pub fn bfly4_nt(
     }
 }
 
-/// Radix-2 combine over `b` interleaved lines: element `k` of line `lane`
-/// lives at `d·[k·b + lane]`, and `tw[k]` is broadcast across all `b` lanes.
-///
-/// # Panics
-/// Panics if `b == 0` or `d0`/`d1` lengths differ from `tw.len()·b`.
-#[inline]
-pub fn bfly2_cols(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32], b: usize) {
-    assert!(b > 0, "batch width must be positive");
-    let len = tw.len() * b;
-    assert!(d0.len() == len && d1.len() == len, "column block length mismatch");
-    match active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<true>(d0, d1, tw, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(d0, d1, tw, b) },
-        IsaLevel::StrictScalar => strict::bfly2_cols(d0, d1, tw, b),
-        _ => scalar::bfly2_cols(d0, d1, tw, b),
+/// Where a column kernel's butterflies sit in its buffer `d`: element `k`
+/// of line `lane` in digit block `q` of node `g` is
+/// `d[g·node_stride + q·step + k·b + lane]`, for `k` below the length `m`
+/// of the twiddle rows. Twiddle `tw[q−1][k]` is broadcast across the `b`
+/// lanes of column `k` and shared by every node, so one call runs a whole
+/// Cooley–Tukey stage of an interleaved tile — every node of it — with
+/// each twiddle broadcast once per column rather than once per node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColBlocks {
+    /// Interleaved lines per element (`b ≥ 1`).
+    pub b: usize,
+    /// Distance between consecutive digit blocks of one node (`≥ m·b`).
+    pub step: usize,
+    /// Number of nodes (`≥ 1`).
+    pub nodes: usize,
+    /// Distance between consecutive nodes; with more than one node it must
+    /// clear a node's extent, `(r−1)·step + m·b`.
+    pub node_stride: usize,
+}
+
+impl ColBlocks {
+    /// One node of `b` interleaved lines whose digit blocks lie `step`
+    /// apart.
+    pub fn one(b: usize, step: usize) -> Self {
+        ColBlocks { b, step, nodes: 1, node_stride: 0 }
+    }
+
+    /// Validates a radix-`r` call over `len` elements with twiddle rows of
+    /// lengths `rows`, returning the column count `m`.
+    fn check(&self, r: usize, len: usize, rows: &[usize]) -> usize {
+        assert!(self.b > 0, "batch width must be positive");
+        assert!(self.nodes > 0, "node count must be positive");
+        let m = rows[0];
+        assert!(rows.iter().all(|&l| l == m), "twiddle row length mismatch");
+        let block = m * self.b;
+        assert!(self.step >= block, "column blocks overlap");
+        let node = (r - 1) * self.step + block;
+        assert!(self.nodes == 1 || self.node_stride >= node, "column nodes overlap");
+        assert!(len >= (self.nodes - 1) * self.node_stride + node, "column block length mismatch");
+        m
     }
 }
 
-/// Radix-4 combine over `b` interleaved lines (see [`bfly2_cols`] for the
-/// layout and [`bfly4_rows`] for the butterfly).
+/// Radix-2 combine over `b` interleaved lines (layout in [`ColBlocks`]):
+/// `t = d1·tw[k]`, then `(d0 + t, d0 − t)`, FMA-contracted at `Avx2Fma`.
 ///
 /// # Panics
-/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn bfly4_cols(
-    d0: &mut [Complex32],
-    d1: &mut [Complex32],
-    d2: &mut [Complex32],
-    d3: &mut [Complex32],
-    tw1: &[Complex32],
-    tw2: &[Complex32],
-    tw3: &[Complex32],
-    b: usize,
-    forward: bool,
-) {
-    assert!(b > 0, "batch width must be positive");
-    let m = tw1.len();
-    let len = m * b;
-    assert!(
-        d0.len() == len && d1.len() == len && d2.len() == len && d3.len() == len,
-        "column block length mismatch"
-    );
-    assert!(tw2.len() == m && tw3.len() == m, "twiddle row length mismatch");
+pub fn bfly2_cols(d: &mut [Complex32], tw: &[Complex32], at: ColBlocks) {
+    at.check(2, d.len(), &[tw.len()]);
+    let p = d.as_mut_ptr();
+    // SAFETY (every arm): `check` proved every element the geometry names
+    // lies in `d`; active_isa() only reports levels the host supports.
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe {
-            avx2::bfly4_cols::<true>(d0, d1, d2, d3, tw1, tw2, tw3, b, forward)
-        },
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<true>(p, tw, at) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward) },
-        IsaLevel::StrictScalar => strict::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
-        _ => scalar::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
+        IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(p, tw, at) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly2_cols(p, tw, at) },
+        _ => unsafe { scalar::bfly2_cols(p, tw, at) },
     }
 }
 
-/// Validates a plain column kernel's geometry from its block and twiddle
-/// row lengths: `b > 0`, every twiddle row `m = rows[0]` long and every
-/// block `m·b` long.
+/// Radix-4 combine over `b` interleaved lines (layout in [`ColBlocks`],
+/// butterfly as [`bfly4_rows`]); `tw` holds the twiddle rows of digits
+/// 1–3, FMA-contracted at `Avx2Fma`.
+///
+/// # Panics
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-fn check_cols(blocks: &[usize], rows: &[usize], b: usize) {
-    assert!(b > 0, "batch width must be positive");
-    let m = rows[0];
-    assert!(blocks.iter().all(|&len| len == m * b), "column block length mismatch");
-    assert!(rows.iter().all(|&len| len == m), "twiddle row length mismatch");
+pub fn bfly4_cols(d: &mut [Complex32], tw: [&[Complex32]; 3], at: ColBlocks, forward: bool) {
+    at.check(4, d.len(), &tw.map(<[_]>::len));
+    let p = d.as_mut_ptr();
+    // SAFETY: as in `bfly2_cols`.
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly4_cols::<true>(p, tw, at, forward) },
+        #[cfg(target_arch = "x86_64")]
+        IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(p, tw, at, forward) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly4_cols(p, tw, at, forward) },
+        _ => unsafe { scalar::bfly4_cols(p, tw, at, forward) },
+    }
 }
 
 /// [`bfly2_cols`] in plain arithmetic at every level (no FMA at
 /// `Avx2Fma`): bitwise the scalar combine `t = d1·tw`, `(d0 + t, d0 − t)`.
 ///
 /// # Panics
-/// Panics if `b == 0` or `d0`/`d1` lengths differ from `tw.len()·b`.
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-pub fn bfly2_cols_plain(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32], b: usize) {
-    check_cols(&[d0.len(), d1.len()], &[tw.len()], b);
+pub fn bfly2_cols_plain(d: &mut [Complex32], tw: &[Complex32], at: ColBlocks) {
+    at.check(2, d.len(), &[tw.len()]);
+    let p = d.as_mut_ptr();
+    // SAFETY: as in `bfly2_cols`. The SSE2 and scalar fused arms are
+    // already plain.
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<false>(d0, d1, tw, b) },
-        // The SSE2 and scalar fused arms are already plain.
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly2_cols::<false>(p, tw, at) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(d0, d1, tw, b) },
-        IsaLevel::StrictScalar => strict::bfly2_cols(d0, d1, tw, b),
-        _ => scalar::bfly2_cols(d0, d1, tw, b),
+        IsaLevel::Sse2 => unsafe { sse2::bfly2_cols(p, tw, at) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly2_cols(p, tw, at) },
+        _ => unsafe { scalar::bfly2_cols(p, tw, at) },
     }
 }
 
@@ -247,93 +263,104 @@ pub fn bfly2_cols_plain(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Comple
 /// `nufft-fft`'s `bfly4`).
 ///
 /// # Panics
-/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn bfly4_cols_plain(
-    d0: &mut [Complex32],
-    d1: &mut [Complex32],
-    d2: &mut [Complex32],
-    d3: &mut [Complex32],
-    tw1: &[Complex32],
-    tw2: &[Complex32],
-    tw3: &[Complex32],
-    b: usize,
-    forward: bool,
-) {
-    check_cols(&[d0.len(), d1.len(), d2.len(), d3.len()], &[tw1.len(), tw2.len(), tw3.len()], b);
+pub fn bfly4_cols_plain(d: &mut [Complex32], tw: [&[Complex32]; 3], at: ColBlocks, forward: bool) {
+    at.check(4, d.len(), &tw.map(<[_]>::len));
+    let p = d.as_mut_ptr();
+    // SAFETY: as in `bfly2_cols`.
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe {
-            avx2::bfly4_cols::<false>(d0, d1, d2, d3, tw1, tw2, tw3, b, forward)
-        },
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly4_cols::<false>(p, tw, at, forward) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward) },
-        IsaLevel::StrictScalar => strict::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
-        _ => scalar::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward),
+        IsaLevel::Sse2 => unsafe { sse2::bfly4_cols(p, tw, at, forward) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly4_cols(p, tw, at, forward) },
+        _ => unsafe { scalar::bfly4_cols(p, tw, at, forward) },
     }
 }
 
-/// Radix-3 combine over `b` interleaved lines (layout as in
-/// [`bfly2_cols`]) in plain arithmetic at every level: bitwise the scalar
-/// combine `t = (d0, d1·tw1, d2·tw2)` followed by `nufft-fft`'s `bfly3`.
+/// Radix-3 combine over `b` interleaved lines (layout in [`ColBlocks`])
+/// in plain arithmetic at every level: bitwise the scalar combine
+/// `t = (d0, d1·tw[0], d2·tw[1])` followed by `nufft-fft`'s `bfly3`.
 ///
 /// # Panics
-/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn bfly3_cols(
-    d0: &mut [Complex32],
-    d1: &mut [Complex32],
-    d2: &mut [Complex32],
-    tw1: &[Complex32],
-    tw2: &[Complex32],
-    b: usize,
-    forward: bool,
-) {
-    check_cols(&[d0.len(), d1.len(), d2.len()], &[tw1.len(), tw2.len()], b);
-    let (d, tw) = ([d0, d1, d2], [tw1, tw2]);
+pub fn bfly3_cols(d: &mut [Complex32], tw: [&[Complex32]; 2], at: ColBlocks, forward: bool) {
+    at.check(3, d.len(), &tw.map(<[_]>::len));
+    let p = d.as_mut_ptr();
+    // SAFETY: as in `bfly2_cols`.
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly3_cols(d, tw, b, forward) },
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly3_cols(p, tw, at, forward) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly3_cols(d, tw, b, forward) },
-        IsaLevel::StrictScalar => strict::bfly3_cols(d, tw, b, forward),
-        _ => scalar::bfly3_cols(d, tw, b, forward),
+        IsaLevel::Sse2 => unsafe { sse2::bfly3_cols(p, tw, at, forward) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly3_cols(p, tw, at, forward) },
+        _ => unsafe { scalar::bfly3_cols(p, tw, at, forward) },
     }
 }
 
-/// Radix-5 combine over `b` interleaved lines (layout as in
-/// [`bfly2_cols`]) in plain arithmetic at every level: bitwise the scalar
-/// combine `t = (d[0], d[1]·tw[0], …, d[4]·tw[3])` followed by
-/// `nufft-fft`'s `bfly5`. Blocks and twiddle rows come as arrays (eleven
-/// separate arguments would obscure which is which).
+/// Radix-5 combine over `b` interleaved lines (layout in [`ColBlocks`])
+/// in plain arithmetic at every level: bitwise the scalar combine
+/// `t = (d0, d1·tw[0], …, d4·tw[3])` followed by `nufft-fft`'s `bfly5`.
 ///
 /// # Panics
-/// Panics if `b == 0` or any block/twiddle length is inconsistent.
+/// Panics if `at` is inconsistent or `d` is shorter than its extent.
 #[inline]
-pub fn bfly5_cols(d: [&mut [Complex32]; 5], tw: [&[Complex32]; 4], b: usize, forward: bool) {
-    check_cols(&d.each_ref().map(|x| x.len()), &tw.map(|w| w.len()), b);
+pub fn bfly5_cols(d: &mut [Complex32], tw: [&[Complex32]; 4], at: ColBlocks, forward: bool) {
+    at.check(5, d.len(), &tw.map(<[_]>::len));
+    let p = d.as_mut_ptr();
+    // SAFETY: as in `bfly2_cols`.
     match active_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx2::bfly5_cols(d, tw, b, forward) },
+        IsaLevel::Avx2Fma => unsafe { avx2::bfly5_cols(p, tw, at, forward) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse2::bfly5_cols(d, tw, b, forward) },
-        IsaLevel::StrictScalar => strict::bfly5_cols(d, tw, b, forward),
-        _ => scalar::bfly5_cols(d, tw, b, forward),
+        IsaLevel::Sse2 => unsafe { sse2::bfly5_cols(p, tw, at, forward) },
+        IsaLevel::StrictScalar => unsafe { strict::bfly5_cols(p, tw, at, forward) },
+        _ => unsafe { scalar::bfly5_cols(p, tw, at, forward) },
     }
+}
+
+/// Runs `$body` once per (node, column) of a column-kernel call (layout
+/// in [`ColBlocks`]), with `$e` pointing at the column's first element in
+/// digit block 0 (block `q` starts `q·step` further on) and `$w` bound to
+/// `$prep`, the column's twiddles prepared for the arm, evaluated at
+/// column index `$k`. Must be expanded in an `unsafe` context whose caller
+/// guarantees every element of the call lies in `d`'s allocation.
+///
+/// The walk is node-major, so each node's blocks stream in order as in
+/// the recursion; a column-major walk would put consecutive butterflies a
+/// node stride apart, and power-of-two node strides alias every 4 KiB
+/// against the stores still in flight. With one column per node (a tile's
+/// innermost stage, which has the most nodes) `$prep` runs once for all
+/// nodes: the twiddle broadcasts are hoisted out of the node loop.
+macro_rules! for_each_col {
+    ($d:expr, $at:expr, $m:expr, |$k:ident| $prep:block, |$e:ident, $w:pat_param| $body:block) => {{
+        let (d, at, m): (*mut Complex32, ColBlocks, usize) = ($d, $at, $m);
+        if m == 1 {
+            let $k = 0usize;
+            let $w = $prep;
+            for g in 0..at.nodes {
+                let $e = d.add(g * at.node_stride);
+                $body
+            }
+        } else {
+            for g in 0..at.nodes {
+                let node = d.add(g * at.node_stride);
+                for $k in 0..m {
+                    let $w = $prep;
+                    let $e = node.add($k * at.b);
+                    $body
+                }
+            }
+        }
+    }};
 }
 
 /// Scalar reference arms: plain `Complex32` operator arithmetic, identical
 /// element-for-element to the scalar butterflies in `nufft-fft`.
 mod scalar {
-    use super::Complex32;
+    use super::{ColBlocks, Complex32};
 
     /// `sign·√3/2`, the imaginary part of the radix-3 root `W3`.
     const HALF_SQRT3: f32 = 0.866_025_4;
@@ -423,57 +450,127 @@ mod scalar {
         load: impl Fn(*const Complex32) -> Complex32,
         f: impl Fn([Complex32; R], [Complex32; T]) -> [Complex32; R],
     ) {
-        // SAFETY: the caller guarantees every offset is in bounds.
-        let y = f(core::array::from_fn(|q| load(unsafe { p[q].add(i) })), w);
-        for (q, v) in y.into_iter().enumerate() {
+        // Index loops rather than `array::from_fn`/`map`, which LLVM does
+        // not reliably inline here.
+        let mut x = [Complex32::ZERO; R];
+        for q in 0..R {
+            // SAFETY: the caller guarantees every offset is in bounds.
+            x[q] = load(unsafe { p[q].add(i) });
+        }
+        let y = f(x, w);
+        for q in 0..R {
             // SAFETY: as above.
-            unsafe { p[q].add(i).write(v) };
+            unsafe { p[q].add(i).write(y[q]) };
         }
     }
 
-    /// Runs `f` over every element of `b` interleaved lines: element `i` of
-    /// column `k` combines under twiddles `tw[·][k]`, its inputs read
-    /// through `load`. The scalar and strict-scalar arms of the plain
-    /// column kernels.
-    pub(super) fn cols_with<const R: usize, const T: usize>(
-        mut d: [&mut [Complex32]; R],
+    /// The `R` digit-block pointers of the column at `e`, `step` apart.
+    ///
+    /// # Safety
+    /// The offsets must lie in the allocation `e` points into.
+    #[inline(always)]
+    pub(super) unsafe fn blocks<const R: usize>(
+        e: *mut Complex32,
+        step: usize,
+    ) -> [*mut Complex32; R] {
+        let mut p = [e; R];
+        for (q, x) in p.iter_mut().enumerate() {
+            // SAFETY: the caller guarantees the offsets are in bounds.
+            *x = unsafe { e.add(q * step) };
+        }
+        p
+    }
+
+    /// Runs `f` over every element of a column-kernel call (layout in
+    /// [`ColBlocks`]): element `lane` of column `k` of every node combines
+    /// under twiddles `tw[·][k]`, its inputs read through `load`. The
+    /// scalar and strict-scalar arms of every column kernel.
+    ///
+    /// # Safety
+    /// Every element `at` names over `tw[0].len()` columns must be valid
+    /// for reads and writes through `d`.
+    #[inline(always)]
+    pub(super) unsafe fn cols_with<const R: usize, const T: usize>(
+        d: *mut Complex32,
         tw: [&[Complex32]; T],
-        b: usize,
+        at: ColBlocks,
         load: impl Fn(*const Complex32) -> Complex32,
         f: impl Fn([Complex32; R], [Complex32; T]) -> [Complex32; R],
     ) {
-        let m = tw[0].len();
-        assert!(d.iter().all(|x| x.len() == m * b), "column block length mismatch");
-        let p = d.each_mut().map(|x| x.as_mut_ptr());
-        for k in 0..m {
-            let w = tw.map(|row| row[k]);
-            for i in k * b..(k + 1) * b {
-                // SAFETY: i < m·b, the length of every block (checked).
-                unsafe { one_at(&p, i, w, &load, &f) };
+        #![allow(unsafe_op_in_unsafe_fn)]
+        let prep = |k: usize| {
+            let mut w = [Complex32::ZERO; T];
+            for (x, row) in w.iter_mut().zip(tw) {
+                *x = row[k];
             }
-        }
+            w
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, w| {
+            let p = blocks::<R>(e, at.step);
+            for lane in 0..at.b {
+                one_at(&p, lane, w, &load, &f);
+            }
+        });
     }
 
-    pub(super) fn bfly3_cols(
-        d: [&mut [Complex32]; 3],
-        tw: [&[Complex32]; 2],
-        b: usize,
-        forward: bool,
-    ) {
-        let sign = if forward { -1.0f32 } else { 1.0 };
+    /// The radix-2 column combine of [`bfly2_one`] as an array map.
+    #[inline(always)]
+    pub(super) fn bfly2_arr(x: [Complex32; 2], w: [Complex32; 1]) -> [Complex32; 2] {
+        let (a, b) = bfly2_one(x[0], x[1], w[0]);
+        [a, b]
+    }
+
+    /// The radix-4 column combine of [`bfly4_one`] as an array map.
+    #[inline(always)]
+    pub(super) fn bfly4_arr(x: [Complex32; 4], w: [Complex32; 3], sign: f32) -> [Complex32; 4] {
+        let (a, b, c, d) = bfly4_one(x[0], x[1], x[2], x[3], w[0], w[1], w[2], sign);
+        [a, b, c, d]
+    }
+
+    /// # Safety
+    /// As [`cols_with`].
+    pub(super) unsafe fn bfly2_cols(d: *mut Complex32, tw: &[Complex32], at: ColBlocks) {
         // SAFETY: `cols_with` only loads in-bounds element pointers.
-        cols_with(d, tw, b, |z| unsafe { *z }, |x, w| bfly3_one(x, w, sign));
+        unsafe { cols_with(d, [tw], at, |z| *z, bfly2_arr) };
     }
 
-    pub(super) fn bfly5_cols(
-        d: [&mut [Complex32]; 5],
-        tw: [&[Complex32]; 4],
-        b: usize,
+    /// # Safety
+    /// As [`cols_with`].
+    pub(super) unsafe fn bfly3_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 2],
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
         // SAFETY: as above.
-        cols_with(d, tw, b, |z| unsafe { *z }, |x, w| bfly5_one(x, w, sign));
+        unsafe { cols_with(d, tw, at, |z| *z, |x, w| bfly3_one(x, w, sign)) };
+    }
+
+    /// # Safety
+    /// As [`cols_with`].
+    pub(super) unsafe fn bfly4_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 3],
+        at: ColBlocks,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: as above.
+        unsafe { cols_with(d, tw, at, |z| *z, |x, w| bfly4_arr(x, w, sign)) };
+    }
+
+    /// # Safety
+    /// As [`cols_with`].
+    pub(super) unsafe fn bfly5_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 4],
+        at: ColBlocks,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: as above.
+        unsafe { cols_with(d, tw, at, |z| *z, |x, w| bfly5_one(x, w, sign)) };
     }
 
     pub(super) fn bfly2_rows(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32]) {
@@ -535,53 +632,14 @@ mod scalar {
             d3[k] = x3;
         }
     }
-
-    pub(super) fn bfly2_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        tw: &[Complex32],
-        b: usize,
-    ) {
-        for (k, &w) in tw.iter().enumerate() {
-            for i in k * b..(k + 1) * b {
-                let (x, y) = bfly2_one(d0[i], d1[i], w);
-                d0[i] = x;
-                d1[i] = y;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn bfly4_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        d2: &mut [Complex32],
-        d3: &mut [Complex32],
-        tw1: &[Complex32],
-        tw2: &[Complex32],
-        tw3: &[Complex32],
-        b: usize,
-        forward: bool,
-    ) {
-        let sign = if forward { -1.0f32 } else { 1.0 };
-        for k in 0..tw1.len() {
-            for i in k * b..(k + 1) * b {
-                let (x0, x1, x2, x3) =
-                    bfly4_one(d0[i], d1[i], d2[i], d3[i], tw1[k], tw2[k], tw3[k], sign);
-                d0[i] = x0;
-                d1[i] = x1;
-                d2[i] = x2;
-                d3[i] = x3;
-            }
-        }
-    }
 }
 
 /// Strict-scalar arms: per-element `black_box` forces element-at-a-time
 /// memory traffic, defeating SLP/loop auto-vectorization (the paper's
 /// true-scalar baseline). Same arithmetic as [`scalar`].
 mod strict {
-    use super::Complex32;
+    use super::scalar::{bfly2_arr, bfly3_one, bfly4_arr, bfly5_one, cols_with};
+    use super::{ColBlocks, Complex32};
     use core::hint::black_box;
 
     pub(super) fn bfly2_rows(d0: &mut [Complex32], d1: &mut [Complex32], tw: &[Complex32]) {
@@ -656,76 +714,60 @@ mod strict {
         }
     }
 
-    pub(super) fn bfly2_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        tw: &[Complex32],
-        b: usize,
-    ) {
-        for (k, &w) in tw.iter().enumerate() {
-            for i in k * b..(k + 1) * b {
-                let a = *black_box(&d0[i]);
-                let t = *black_box(&d1[i]) * w;
-                d0[i] = a + t;
-                d1[i] = a - t;
-            }
-        }
+    /// Loads through `black_box`: one element at a time, never vectorized.
+    ///
+    /// # Safety
+    /// `z` must be valid for reads.
+    #[inline(always)]
+    unsafe fn opaque(z: *const Complex32) -> Complex32 {
+        // SAFETY: the caller guarantees `z` is valid.
+        unsafe { *black_box(&*z) }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn bfly4_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        d2: &mut [Complex32],
-        d3: &mut [Complex32],
-        tw1: &[Complex32],
-        tw2: &[Complex32],
-        tw3: &[Complex32],
-        b: usize,
-        forward: bool,
-    ) {
-        let sign = if forward { -1.0f32 } else { 1.0 };
-        for k in 0..tw1.len() {
-            for i in k * b..(k + 1) * b {
-                let a = *black_box(&d0[i]);
-                let bb = *black_box(&d1[i]) * tw1[k];
-                let c = *black_box(&d2[i]) * tw2[k];
-                let d = *black_box(&d3[i]) * tw3[k];
-                let s02 = a + c;
-                let d02 = a - c;
-                let s13 = bb + d;
-                let d13 = bb - d;
-                let j = Complex32::new(-sign * d13.im, sign * d13.re);
-                d0[i] = s02 + s13;
-                d1[i] = d02 + j;
-                d2[i] = s02 - s13;
-                d3[i] = d02 - j;
-            }
-        }
-    }
-
-    pub(super) fn bfly3_cols(
-        d: [&mut [Complex32]; 3],
-        tw: [&[Complex32]; 2],
-        b: usize,
-        forward: bool,
-    ) {
-        let sign = if forward { -1.0f32 } else { 1.0 };
-        let bfly = |x, w| super::scalar::bfly3_one(x, w, sign);
+    /// # Safety
+    /// As `scalar::cols_with`.
+    pub(super) unsafe fn bfly2_cols(d: *mut Complex32, tw: &[Complex32], at: ColBlocks) {
         // SAFETY: `cols_with` only loads in-bounds element pointers.
-        super::scalar::cols_with(d, tw, b, |z| unsafe { *black_box(&*z) }, bfly);
+        unsafe { cols_with(d, [tw], at, |z| opaque(z), bfly2_arr) };
     }
 
-    pub(super) fn bfly5_cols(
-        d: [&mut [Complex32]; 5],
-        tw: [&[Complex32]; 4],
-        b: usize,
+    /// # Safety
+    /// As `scalar::cols_with`.
+    pub(super) unsafe fn bfly3_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 2],
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let bfly = |x, w| super::scalar::bfly5_one(x, w, sign);
         // SAFETY: as above.
-        super::scalar::cols_with(d, tw, b, |z| unsafe { *black_box(&*z) }, bfly);
+        unsafe { cols_with(d, tw, at, |z| opaque(z), |x, w| bfly3_one(x, w, sign)) };
+    }
+
+    /// # Safety
+    /// As `scalar::cols_with`.
+    pub(super) unsafe fn bfly4_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 3],
+        at: ColBlocks,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: as above.
+        unsafe { cols_with(d, tw, at, |z| opaque(z), |x, w| bfly4_arr(x, w, sign)) };
+    }
+
+    /// # Safety
+    /// As `scalar::cols_with`.
+    pub(super) unsafe fn bfly5_cols(
+        d: *mut Complex32,
+        tw: [&[Complex32]; 4],
+        at: ColBlocks,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        // SAFETY: as above.
+        unsafe { cols_with(d, tw, at, |z| opaque(z), |x, w| bfly5_one(x, w, sign)) };
     }
 }
 
@@ -733,7 +775,8 @@ mod strict {
 mod sse2 {
     #![allow(unsafe_op_in_unsafe_fn)]
 
-    use super::Complex32;
+    use super::scalar::{bfly2_arr, bfly3_one, bfly3_rot, bfly4_arr, bfly5_one, blocks, one_at};
+    use super::{ColBlocks, Complex32};
     use core::arch::x86_64::*;
 
     /// Complex multiply of two interleaved pairs: `re = ar·wr − ai·wi`,
@@ -924,164 +967,144 @@ mod sse2 {
     }
 
     /// # Safety
-    /// See [`bfly2_rows`].
+    /// See [`bfly2_rows`]; every element `at` names over `tw.len()` columns
+    /// must be valid for reads and writes through `d`.
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn bfly2_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        tw: &[Complex32],
-        b: usize,
-    ) {
-        let p0 = d0.as_mut_ptr() as *mut f32;
-        let p1 = d1.as_mut_ptr() as *mut f32;
-        for (k, &w) in tw.iter().enumerate() {
-            let wr = _mm_set1_ps(w.re);
-            let wi = _mm_set1_ps(w.im);
+    pub(super) unsafe fn bfly2_cols(d: *mut Complex32, tw: &[Complex32], at: ColBlocks) {
+        let prep = |k: usize| {
+            let w = tw[k];
+            (w, _mm_set1_ps(w.re), _mm_set1_ps(w.im))
+        };
+        for_each_col!(d, at, tw.len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let (f0, f1) = (e as *mut f32, e.add(at.step) as *mut f32);
             let mut lane = 0;
-            while lane + 2 <= b {
-                let o = 2 * (k * b + lane);
-                let a = _mm_loadu_ps(p0.add(o));
-                let t = cmul2_bcast(_mm_loadu_ps(p1.add(o)), wr, wi);
-                _mm_storeu_ps(p0.add(o), _mm_add_ps(a, t));
-                _mm_storeu_ps(p1.add(o), _mm_sub_ps(a, t));
+            while lane + 2 <= at.b {
+                let o = 2 * lane;
+                let a = _mm_loadu_ps(f0.add(o));
+                let t = cmul2_bcast(_mm_loadu_ps(f1.add(o)), wr, wi);
+                _mm_storeu_ps(f0.add(o), _mm_add_ps(a, t));
+                _mm_storeu_ps(f1.add(o), _mm_sub_ps(a, t));
                 lane += 2;
             }
-            while lane < b {
-                let i = k * b + lane;
-                let a = d0[i];
-                let t = d1[i] * w;
-                d0[i] = a + t;
-                d1[i] = a - t;
-                lane += 1;
+            for lane in lane..at.b {
+                one_at(&blocks(e, at.step), lane, [w], |z| *z, bfly2_arr);
             }
-        }
+        });
     }
 
     /// # Safety
-    /// See [`bfly2_rows`].
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bfly4_cols(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        d2: &mut [Complex32],
-        d3: &mut [Complex32],
-        tw1: &[Complex32],
-        tw2: &[Complex32],
-        tw3: &[Complex32],
-        b: usize,
+        d: *mut Complex32,
+        tw: [&[Complex32]; 3],
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let (p0, p1) = (d0.as_mut_ptr() as *mut f32, d1.as_mut_ptr() as *mut f32);
-        let (p2, p3) = (d2.as_mut_ptr() as *mut f32, d3.as_mut_ptr() as *mut f32);
-        for k in 0..tw1.len() {
-            let (w1, w2, w3) = (tw1[k], tw2[k], tw3[k]);
-            let (w1r, w1i) = (_mm_set1_ps(w1.re), _mm_set1_ps(w1.im));
-            let (w2r, w2i) = (_mm_set1_ps(w2.re), _mm_set1_ps(w2.im));
-            let (w3r, w3i) = (_mm_set1_ps(w3.re), _mm_set1_ps(w3.im));
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k], tw[2][k]];
+            let wr = [_mm_set1_ps(w[0].re), _mm_set1_ps(w[1].re), _mm_set1_ps(w[2].re)];
+            let wi = [_mm_set1_ps(w[0].im), _mm_set1_ps(w[1].im), _mm_set1_ps(w[2].im)];
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s), e.add(3 * s)].map(|x| x as *mut f32);
             let mut lane = 0;
-            while lane + 2 <= b {
-                let o = 2 * (k * b + lane);
-                let a = _mm_loadu_ps(p0.add(o));
-                let bb = cmul2_bcast(_mm_loadu_ps(p1.add(o)), w1r, w1i);
-                let c = cmul2_bcast(_mm_loadu_ps(p2.add(o)), w2r, w2i);
-                let d = cmul2_bcast(_mm_loadu_ps(p3.add(o)), w3r, w3i);
+            while lane + 2 <= at.b {
+                let o = 2 * lane;
+                let a = _mm_loadu_ps(f[0].add(o));
+                let bb = cmul2_bcast(_mm_loadu_ps(f[1].add(o)), wr[0], wi[0]);
+                let c = cmul2_bcast(_mm_loadu_ps(f[2].add(o)), wr[1], wi[1]);
+                let dd = cmul2_bcast(_mm_loadu_ps(f[3].add(o)), wr[2], wi[2]);
                 let s02 = _mm_add_ps(a, c);
                 let d02 = _mm_sub_ps(a, c);
-                let s13 = _mm_add_ps(bb, d);
-                let j = rot90_2(_mm_sub_ps(bb, d), forward);
-                _mm_storeu_ps(p0.add(o), _mm_add_ps(s02, s13));
-                _mm_storeu_ps(p1.add(o), _mm_add_ps(d02, j));
-                _mm_storeu_ps(p2.add(o), _mm_sub_ps(s02, s13));
-                _mm_storeu_ps(p3.add(o), _mm_sub_ps(d02, j));
+                let s13 = _mm_add_ps(bb, dd);
+                let j = rot90_2(_mm_sub_ps(bb, dd), forward);
+                _mm_storeu_ps(f[0].add(o), _mm_add_ps(s02, s13));
+                _mm_storeu_ps(f[1].add(o), _mm_add_ps(d02, j));
+                _mm_storeu_ps(f[2].add(o), _mm_sub_ps(s02, s13));
+                _mm_storeu_ps(f[3].add(o), _mm_sub_ps(d02, j));
                 lane += 2;
             }
-            while lane < b {
-                let i = k * b + lane;
-                let (x0, x1, x2, x3) =
-                    super::scalar::bfly4_one(d0[i], d1[i], d2[i], d3[i], w1, w2, w3, sign);
-                d0[i] = x0;
-                d1[i] = x1;
-                d2[i] = x2;
-                d3[i] = x3;
-                lane += 1;
+            for lane in lane..at.b {
+                one_at(&blocks(e, s), lane, w, |z| *z, |x, w| bfly4_arr(x, w, sign));
             }
-        }
+        });
     }
 
     /// # Safety
-    /// See [`bfly2_rows`]; the blocks must hold `tw[0].len()·b` elements.
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn bfly3_cols(
-        mut d: [&mut [Complex32]; 3],
+        d: *mut Complex32,
         tw: [&[Complex32]; 2],
-        b: usize,
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let p = d.each_mut().map(|x| x.as_mut_ptr());
-        let f = p.map(|x| x as *mut f32);
-        let (kr, ki) = super::scalar::bfly3_rot(sign);
+        let (kr, ki) = bfly3_rot(sign);
         let krot = _mm_setr_ps(kr, ki, kr, ki);
         let half = _mm_set1_ps(0.5);
-        for k in 0..tw[0].len() {
-            let w = tw.map(|row| row[k]);
-            let (w1r, w1i) = (_mm_set1_ps(w[0].re), _mm_set1_ps(w[0].im));
-            let (w2r, w2i) = (_mm_set1_ps(w[1].re), _mm_set1_ps(w[1].im));
-            let (mut i, end) = (k * b, (k + 1) * b);
-            while i + 2 <= end {
-                let o = 2 * i;
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k]];
+            let wr = [_mm_set1_ps(w[0].re), _mm_set1_ps(w[1].re)];
+            let wi = [_mm_set1_ps(w[0].im), _mm_set1_ps(w[1].im)];
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s)].map(|x| x as *mut f32);
+            let mut lane = 0;
+            while lane + 2 <= at.b {
+                let o = 2 * lane;
                 let a = _mm_loadu_ps(f[0].add(o));
-                let x1 = cmul2_bcast(_mm_loadu_ps(f[1].add(o)), w1r, w1i);
-                let x2 = cmul2_bcast(_mm_loadu_ps(f[2].add(o)), w2r, w2i);
+                let x1 = cmul2_bcast(_mm_loadu_ps(f[1].add(o)), wr[0], wi[0]);
+                let x2 = cmul2_bcast(_mm_loadu_ps(f[2].add(o)), wr[1], wi[1]);
                 let sum = _mm_add_ps(x1, x2);
                 let rot = _mm_mul_ps(swap2(_mm_sub_ps(x1, x2)), krot);
                 let mid = _mm_sub_ps(a, _mm_mul_ps(sum, half));
                 _mm_storeu_ps(f[0].add(o), _mm_add_ps(a, sum));
                 _mm_storeu_ps(f[1].add(o), _mm_add_ps(mid, rot));
                 _mm_storeu_ps(f[2].add(o), _mm_sub_ps(mid, rot));
-                i += 2;
+                lane += 2;
             }
-            for i in i..end {
-                super::scalar::one_at(
-                    &p,
-                    i,
-                    w,
-                    |z| *z,
-                    |x, w| super::scalar::bfly3_one(x, w, sign),
-                );
+            for lane in lane..at.b {
+                one_at(&blocks(e, s), lane, w, |z| *z, |x, w| bfly3_one(x, w, sign));
             }
-        }
+        });
     }
 
     /// # Safety
-    /// See [`bfly3_cols`].
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn bfly5_cols(
-        mut d: [&mut [Complex32]; 5],
+        d: *mut Complex32,
         tw: [&[Complex32]; 4],
-        b: usize,
+        at: ColBlocks,
         forward: bool,
     ) {
         use super::scalar::{C1, C2, S1, S2};
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let p = d.each_mut().map(|x| x.as_mut_ptr());
-        let f = p.map(|x| x as *mut f32);
         let sg = _mm_setr_ps(-sign, sign, -sign, sign);
         let (c1, c2) = (_mm_set1_ps(C1), _mm_set1_ps(C2));
         let (s1, s2) = (_mm_set1_ps(S1), _mm_set1_ps(S2));
-        for k in 0..tw[0].len() {
-            let w = tw.map(|row| row[k]);
-            let wr = w.map(|z| _mm_set1_ps(z.re));
-            let wi = w.map(|z| _mm_set1_ps(z.im));
-            let (mut i, end) = (k * b, (k + 1) * b);
-            while i + 2 <= end {
-                let o = 2 * i;
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k], tw[2][k], tw[3][k]];
+            let wr = [w[0].re, w[1].re, w[2].re, w[3].re].map(|v| _mm_set1_ps(v));
+            let wi = [w[0].im, w[1].im, w[2].im, w[3].im].map(|v| _mm_set1_ps(v));
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s), e.add(3 * s), e.add(4 * s)].map(|x| x as *mut f32);
+            let mut lane = 0;
+            while lane + 2 <= at.b {
+                let o = 2 * lane;
                 let a = _mm_loadu_ps(f[0].add(o));
-                let x = core::array::from_fn::<_, 4, _>(|q| {
-                    cmul2_bcast(_mm_loadu_ps(f[q + 1].add(o)), wr[q], wi[q])
-                });
+                let c = |q: usize| cmul2_bcast(_mm_loadu_ps(f[q].add(o)), wr[q - 1], wi[q - 1]);
+                let x = [c(1), c(2), c(3), c(4)];
                 let (p1, m1) = (_mm_add_ps(x[0], x[3]), _mm_sub_ps(x[0], x[3]));
                 let (p2, m2) = (_mm_add_ps(x[1], x[2]), _mm_sub_ps(x[1], x[2]));
                 let r1 = _mm_add_ps(_mm_add_ps(a, _mm_mul_ps(p1, c1)), _mm_mul_ps(p2, c2));
@@ -1094,18 +1117,12 @@ mod sse2 {
                 _mm_storeu_ps(f[2].add(o), _mm_add_ps(r2, i2));
                 _mm_storeu_ps(f[3].add(o), _mm_sub_ps(r2, i2));
                 _mm_storeu_ps(f[4].add(o), _mm_sub_ps(r1, i1));
-                i += 2;
+                lane += 2;
             }
-            for i in i..end {
-                super::scalar::one_at(
-                    &p,
-                    i,
-                    w,
-                    |z| *z,
-                    |x, w| super::scalar::bfly5_one(x, w, sign),
-                );
+            for lane in lane..at.b {
+                one_at(&blocks(e, s), lane, w, |z| *z, |x, w| bfly5_one(x, w, sign));
             }
-        }
+        });
     }
 }
 
@@ -1113,7 +1130,8 @@ mod sse2 {
 mod avx2 {
     #![allow(unsafe_op_in_unsafe_fn)]
 
-    use super::Complex32;
+    use super::scalar::{bfly3_one, bfly3_rot, bfly5_one, blocks, one_at};
+    use super::{ColBlocks, Complex32};
     use core::arch::x86_64::*;
 
     /// FMA-contracted complex multiply of four interleaved pairs:
@@ -1358,92 +1376,96 @@ mod avx2 {
     /// Radix-2 columns in the `FMA` (fused) or plain arithmetic shape.
     ///
     /// # Safety
-    /// See [`bfly2_rows`].
+    /// See [`bfly2_rows`]; every element `at` names over `tw.len()` columns
+    /// must be valid for reads and writes through `d`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn bfly2_cols<const FMA: bool>(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
+        d: *mut Complex32,
         tw: &[Complex32],
-        b: usize,
+        at: ColBlocks,
     ) {
-        let p0 = d0.as_mut_ptr() as *mut f32;
-        let p1 = d1.as_mut_ptr() as *mut f32;
-        for (k, &w) in tw.iter().enumerate() {
-            let wr = _mm256_set1_ps(w.re);
-            let wi = _mm256_set1_ps(w.im);
+        let prep = |k: usize| {
+            let w = tw[k];
+            (w, _mm256_set1_ps(w.re), _mm256_set1_ps(w.im))
+        };
+        for_each_col!(d, at, tw.len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let (f0, f1) = (e as *mut f32, e.add(at.step) as *mut f32);
             let mut lane = 0;
-            while lane + 4 <= b {
-                let o = 2 * (k * b + lane);
-                let a = _mm256_loadu_ps(p0.add(o));
-                let t = cmul4_bcast::<FMA>(_mm256_loadu_ps(p1.add(o)), wr, wi);
-                _mm256_storeu_ps(p0.add(o), _mm256_add_ps(a, t));
-                _mm256_storeu_ps(p1.add(o), _mm256_sub_ps(a, t));
+            while lane + 4 <= at.b {
+                let o = 2 * lane;
+                let a = _mm256_loadu_ps(f0.add(o));
+                let t = cmul4_bcast::<FMA>(_mm256_loadu_ps(f1.add(o)), wr, wi);
+                _mm256_storeu_ps(f0.add(o), _mm256_add_ps(a, t));
+                _mm256_storeu_ps(f1.add(o), _mm256_sub_ps(a, t));
                 lane += 4;
             }
-            while lane < b {
-                let i = k * b + lane;
-                let a = d0[i];
-                let t = cmul_one_as::<FMA>(d1[i], w);
-                d0[i] = a + t;
-                d1[i] = a - t;
-                lane += 1;
+            for lane in lane..at.b {
+                one_at(
+                    &blocks(e, at.step),
+                    lane,
+                    [w],
+                    |z| *z,
+                    |x, w| {
+                        let t = cmul_one_as::<FMA>(x[1], w[0]);
+                        [x[0] + t, x[0] - t]
+                    },
+                );
             }
-        }
+        });
     }
 
     /// Radix-4 columns in the `FMA` (fused) or plain arithmetic shape.
     ///
     /// # Safety
-    /// See [`bfly2_rows`].
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn bfly4_cols<const FMA: bool>(
-        d0: &mut [Complex32],
-        d1: &mut [Complex32],
-        d2: &mut [Complex32],
-        d3: &mut [Complex32],
-        tw1: &[Complex32],
-        tw2: &[Complex32],
-        tw3: &[Complex32],
-        b: usize,
+        d: *mut Complex32,
+        tw: [&[Complex32]; 3],
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let (p0, p1) = (d0.as_mut_ptr() as *mut f32, d1.as_mut_ptr() as *mut f32);
-        let (p2, p3) = (d2.as_mut_ptr() as *mut f32, d3.as_mut_ptr() as *mut f32);
-        for k in 0..tw1.len() {
-            let (w1, w2, w3) = (tw1[k], tw2[k], tw3[k]);
-            let (w1r, w1i) = (_mm256_set1_ps(w1.re), _mm256_set1_ps(w1.im));
-            let (w2r, w2i) = (_mm256_set1_ps(w2.re), _mm256_set1_ps(w2.im));
-            let (w3r, w3i) = (_mm256_set1_ps(w3.re), _mm256_set1_ps(w3.im));
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k], tw[2][k]];
+            let wr = [_mm256_set1_ps(w[0].re), _mm256_set1_ps(w[1].re), _mm256_set1_ps(w[2].re)];
+            let wi = [_mm256_set1_ps(w[0].im), _mm256_set1_ps(w[1].im), _mm256_set1_ps(w[2].im)];
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s), e.add(3 * s)].map(|x| x as *mut f32);
             let mut lane = 0;
-            while lane + 4 <= b {
-                let o = 2 * (k * b + lane);
-                let a = _mm256_loadu_ps(p0.add(o));
-                let bb = cmul4_bcast::<FMA>(_mm256_loadu_ps(p1.add(o)), w1r, w1i);
-                let c = cmul4_bcast::<FMA>(_mm256_loadu_ps(p2.add(o)), w2r, w2i);
-                let d = cmul4_bcast::<FMA>(_mm256_loadu_ps(p3.add(o)), w3r, w3i);
+            while lane + 4 <= at.b {
+                let o = 2 * lane;
+                let a = _mm256_loadu_ps(f[0].add(o));
+                let bb = cmul4_bcast::<FMA>(_mm256_loadu_ps(f[1].add(o)), wr[0], wi[0]);
+                let c = cmul4_bcast::<FMA>(_mm256_loadu_ps(f[2].add(o)), wr[1], wi[1]);
+                let dd = cmul4_bcast::<FMA>(_mm256_loadu_ps(f[3].add(o)), wr[2], wi[2]);
                 let s02 = _mm256_add_ps(a, c);
                 let d02 = _mm256_sub_ps(a, c);
-                let s13 = _mm256_add_ps(bb, d);
-                let j = rot90_4(_mm256_sub_ps(bb, d), forward);
-                _mm256_storeu_ps(p0.add(o), _mm256_add_ps(s02, s13));
-                _mm256_storeu_ps(p1.add(o), _mm256_add_ps(d02, j));
-                _mm256_storeu_ps(p2.add(o), _mm256_sub_ps(s02, s13));
-                _mm256_storeu_ps(p3.add(o), _mm256_sub_ps(d02, j));
+                let s13 = _mm256_add_ps(bb, dd);
+                let j = rot90_4(_mm256_sub_ps(bb, dd), forward);
+                _mm256_storeu_ps(f[0].add(o), _mm256_add_ps(s02, s13));
+                _mm256_storeu_ps(f[1].add(o), _mm256_add_ps(d02, j));
+                _mm256_storeu_ps(f[2].add(o), _mm256_sub_ps(s02, s13));
+                _mm256_storeu_ps(f[3].add(o), _mm256_sub_ps(d02, j));
                 lane += 4;
             }
-            while lane < b {
-                let i = k * b + lane;
-                let (x0, x1, x2, x3) =
-                    bfly4_one_as::<FMA>(d0[i], d1[i], d2[i], d3[i], w1, w2, w3, sign);
-                d0[i] = x0;
-                d1[i] = x1;
-                d2[i] = x2;
-                d3[i] = x3;
-                lane += 1;
+            for lane in lane..at.b {
+                one_at(
+                    &blocks(e, s),
+                    lane,
+                    w,
+                    |z| *z,
+                    |x, w| {
+                        let (a, b, c, d) =
+                            bfly4_one_as::<FMA>(x[0], x[1], x[2], x[3], w[0], w[1], w[2], sign);
+                        [a, b, c, d]
+                    },
+                );
             }
-        }
+        });
     }
 
     /// Swaps re/im within each complex lane.
@@ -1455,79 +1477,80 @@ mod avx2 {
     /// Plain-shape radix-3 columns (no FMA).
     ///
     /// # Safety
-    /// See [`bfly2_rows`]; the blocks must hold `tw[0].len()·b` elements.
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn bfly3_cols(
-        mut d: [&mut [Complex32]; 3],
+        d: *mut Complex32,
         tw: [&[Complex32]; 2],
-        b: usize,
+        at: ColBlocks,
         forward: bool,
     ) {
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let p = d.each_mut().map(|x| x.as_mut_ptr());
-        let f = p.map(|x| x as *mut f32);
-        let (kr, ki) = super::scalar::bfly3_rot(sign);
+        let (kr, ki) = bfly3_rot(sign);
         let krot = _mm256_setr_ps(kr, ki, kr, ki, kr, ki, kr, ki);
         let half = _mm256_set1_ps(0.5);
-        for k in 0..tw[0].len() {
-            let w = tw.map(|row| row[k]);
-            let (w1r, w1i) = (_mm256_set1_ps(w[0].re), _mm256_set1_ps(w[0].im));
-            let (w2r, w2i) = (_mm256_set1_ps(w[1].re), _mm256_set1_ps(w[1].im));
-            let (mut i, end) = (k * b, (k + 1) * b);
-            while i + 4 <= end {
-                let o = 2 * i;
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k]];
+            let wr = [_mm256_set1_ps(w[0].re), _mm256_set1_ps(w[1].re)];
+            let wi = [_mm256_set1_ps(w[0].im), _mm256_set1_ps(w[1].im)];
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s)].map(|x| x as *mut f32);
+            let mut lane = 0;
+            while lane + 4 <= at.b {
+                let o = 2 * lane;
                 let a = _mm256_loadu_ps(f[0].add(o));
-                let x1 = cmul4_bcast::<false>(_mm256_loadu_ps(f[1].add(o)), w1r, w1i);
-                let x2 = cmul4_bcast::<false>(_mm256_loadu_ps(f[2].add(o)), w2r, w2i);
+                let x1 = cmul4_bcast::<false>(_mm256_loadu_ps(f[1].add(o)), wr[0], wi[0]);
+                let x2 = cmul4_bcast::<false>(_mm256_loadu_ps(f[2].add(o)), wr[1], wi[1]);
                 let sum = _mm256_add_ps(x1, x2);
                 let rot = _mm256_mul_ps(swap4(_mm256_sub_ps(x1, x2)), krot);
                 let mid = _mm256_sub_ps(a, _mm256_mul_ps(sum, half));
                 _mm256_storeu_ps(f[0].add(o), _mm256_add_ps(a, sum));
                 _mm256_storeu_ps(f[1].add(o), _mm256_add_ps(mid, rot));
                 _mm256_storeu_ps(f[2].add(o), _mm256_sub_ps(mid, rot));
-                i += 4;
+                lane += 4;
             }
-            for i in i..end {
-                super::scalar::one_at(
-                    &p,
-                    i,
-                    w,
-                    |z| *z,
-                    |x, w| super::scalar::bfly3_one(x, w, sign),
-                );
+            for lane in lane..at.b {
+                one_at(&blocks(e, s), lane, w, |z| *z, |x, w| bfly3_one(x, w, sign));
             }
-        }
+        });
     }
 
     /// Plain-shape radix-5 columns (no FMA).
     ///
     /// # Safety
-    /// See [`bfly3_cols`].
+    /// See [`bfly2_cols`].
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn bfly5_cols(
-        mut d: [&mut [Complex32]; 5],
+        d: *mut Complex32,
         tw: [&[Complex32]; 4],
-        b: usize,
+        at: ColBlocks,
         forward: bool,
     ) {
         use super::scalar::{C1, C2, S1, S2};
         let sign = if forward { -1.0f32 } else { 1.0 };
-        let p = d.each_mut().map(|x| x.as_mut_ptr());
-        let f = p.map(|x| x as *mut f32);
         let sg = _mm256_setr_ps(-sign, sign, -sign, sign, -sign, sign, -sign, sign);
         let (c1, c2) = (_mm256_set1_ps(C1), _mm256_set1_ps(C2));
         let (s1, s2) = (_mm256_set1_ps(S1), _mm256_set1_ps(S2));
-        for k in 0..tw[0].len() {
-            let w = tw.map(|row| row[k]);
-            let wr = w.map(|z| _mm256_set1_ps(z.re));
-            let wi = w.map(|z| _mm256_set1_ps(z.im));
-            let (mut i, end) = (k * b, (k + 1) * b);
-            while i + 4 <= end {
-                let o = 2 * i;
+        let prep = |k: usize| {
+            let w = [tw[0][k], tw[1][k], tw[2][k], tw[3][k]];
+            let wr = [w[0].re, w[1].re, w[2].re, w[3].re].map(|v| _mm256_set1_ps(v));
+            let wi = [w[0].im, w[1].im, w[2].im, w[3].im].map(|v| _mm256_set1_ps(v));
+            (w, wr, wi)
+        };
+        for_each_col!(d, at, tw[0].len(), |k| { prep(k) }, |e, (w, wr, wi)| {
+            let s = at.step;
+            let f = [e, e.add(s), e.add(2 * s), e.add(3 * s), e.add(4 * s)].map(|x| x as *mut f32);
+            let mut lane = 0;
+            while lane + 4 <= at.b {
+                let o = 2 * lane;
                 let a = _mm256_loadu_ps(f[0].add(o));
-                let x = core::array::from_fn::<_, 4, _>(|q| {
-                    cmul4_bcast::<false>(_mm256_loadu_ps(f[q + 1].add(o)), wr[q], wi[q])
-                });
+                let c = |q: usize| {
+                    cmul4_bcast::<false>(_mm256_loadu_ps(f[q].add(o)), wr[q - 1], wi[q - 1])
+                };
+                let x = [c(1), c(2), c(3), c(4)];
                 let (p1, m1) = (_mm256_add_ps(x[0], x[3]), _mm256_sub_ps(x[0], x[3]));
                 let (p2, m2) = (_mm256_add_ps(x[1], x[2]), _mm256_sub_ps(x[1], x[2]));
                 let r1 =
@@ -1548,18 +1571,12 @@ mod avx2 {
                 _mm256_storeu_ps(f[2].add(o), _mm256_add_ps(r2, i2));
                 _mm256_storeu_ps(f[3].add(o), _mm256_sub_ps(r2, i2));
                 _mm256_storeu_ps(f[4].add(o), _mm256_sub_ps(r1, i1));
-                i += 4;
+                lane += 4;
             }
-            for i in i..end {
-                super::scalar::one_at(
-                    &p,
-                    i,
-                    w,
-                    |z| *z,
-                    |x, w| super::scalar::bfly5_one(x, w, sign),
-                );
+            for lane in lane..at.b {
+                one_at(&blocks(e, s), lane, w, |z| *z, |x, w| bfly5_one(x, w, sign));
             }
-        }
+        });
     }
 }
 
@@ -1634,12 +1651,11 @@ mod tests {
             let tw = twiddles(m);
             let blocks: Vec<Vec<Complex32>> = (0..4).map(|s| demo(m * b, s)).collect();
             for_each_isa(|level| {
-                // cols: interleaved layout [k*b + lane].
-                let mut c: Vec<Vec<Complex32>> = blocks.clone();
-                {
-                    let [c0, c1, c2, c3] = &mut c[..] else { unreachable!() };
-                    bfly4_cols(c0, c1, c2, c3, &tw, &tw, &tw, b, true);
-                }
+                // cols: interleaved layout [k*b + lane], the four digit
+                // blocks back to back.
+                let mut flat = blocks.concat();
+                bfly4_cols(&mut flat, [&tw, &tw, &tw], ColBlocks::one(b, m * b), true);
+                let c: Vec<Vec<Complex32>> = flat.chunks(m * b).map(<[_]>::to_vec).collect();
                 // rows: transform each lane separately via length-m rows.
                 let mut r = blocks.clone();
                 for lane in 0..b {

@@ -124,7 +124,7 @@ fn scale_matches_reference() {
 /// to the row kernel applied lane by lane (the batched-FFT contract).
 #[test]
 fn fft_butterflies_match_reference_and_cols_match_rows() {
-    use nufft_simd::fft_rows::{bfly2_cols, bfly2_rows, bfly4_cols, bfly4_rows};
+    use nufft_simd::fft_rows::{bfly2_cols, bfly2_rows, bfly4_cols, bfly4_rows, ColBlocks};
     prop_check("fft_butterflies_match_reference", 0x51D_0006, 48, |rng| {
         let m = rng.gen_usize(1..12);
         let b = rng.gen_usize(1..6);
@@ -156,12 +156,12 @@ fn fft_butterflies_match_reference_and_cols_match_rows() {
             // Radix-2 and radix-4 cols vs lane-by-lane rows, bitwise.
             let tw2: Vec<Complex32> = tw.iter().map(|w| *w * *w).collect();
             let tw3: Vec<Complex32> = tw.iter().zip(&tw2).map(|(a, b)| *a * *b).collect();
-            let mut c = cols.clone();
-            {
-                let [c0, c1, c2, c3] = &mut c[..] else { unreachable!() };
-                bfly2_cols(c0, c1, &tw, b);
-                bfly4_cols(c0, c1, c2, c3, &tw, &tw2, &tw3, b, forward);
-            }
+            // The four column blocks back to back: radix 2 on the first
+            // two, then radix 4 on all four.
+            let mut flat = cols.concat();
+            bfly2_cols(&mut flat[..2 * m * b], &tw, ColBlocks::one(b, m * b));
+            bfly4_cols(&mut flat, [&tw, &tw2, &tw3], ColBlocks::one(b, m * b), forward);
+            let c: Vec<Vec<Complex32>> = flat.chunks(m * b).map(<[_]>::to_vec).collect();
             let mut r = cols.clone();
             for lane in 0..b {
                 let mut lanes: Vec<Vec<Complex32>> =

@@ -19,7 +19,10 @@
 //! Results are printed as an aligned table and appended as JSON lines to
 //! `results/benchmarks.jsonl` under the repository root (override the
 //! directory with `NUFFT_BENCH_OUT`; set `NUFFT_BENCH_FAST=1` for a
-//! smoke-test run with minimal warmup and samples).
+//! smoke-test run with minimal warmup and samples). A bench's summary
+//! goes through [`write_summary`], which stamps it with the [`host_json`]
+//! block and keeps smoke-mode summaries away from the committed
+//! `BENCH_*.json` files at the repository root.
 
 pub use std::hint::black_box;
 
@@ -148,22 +151,120 @@ fn fast_mode() -> bool {
     std::env::var("NUFFT_BENCH_FAST").map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
 }
 
+/// The repository root: the nearest ancestor of the current directory
+/// containing `ROADMAP.md`.
+fn repo_root() -> Option<PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
+    loop {
+        if dir.join("ROADMAP.md").exists() {
+            return Some(dir);
+        }
+        if !dir.pop() {
+            return None;
+        }
+    }
+}
+
 /// Locates the repository's `results/` directory: `NUFFT_BENCH_OUT` if set,
-/// else the nearest ancestor of the current directory containing
-/// `ROADMAP.md` (the repo root), else the current directory.
+/// else `results/` under the repo root, else `results/` under the current
+/// directory.
 fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("NUFFT_BENCH_OUT") {
         return PathBuf::from(dir);
     }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("ROADMAP.md").exists() {
-            return dir.join("results");
+    repo_root().unwrap_or_default().join("results")
+}
+
+/// Writes a bench summary: `json` (one JSON object) with a `host` block
+/// ([`host_json`]) inserted as its first member, to `file` at the
+/// repository root — where the measured `BENCH_*.json` summaries are
+/// committed. In `NUFFT_BENCH_FAST` smoke mode, whose numbers mean
+/// nothing, the file goes to the results directory (`NUFFT_BENCH_OUT` or
+/// `results/`) instead, so a smoke run never overwrites a measured
+/// summary. `isa` names the ISA level the bench ran at.
+///
+/// # Panics
+/// Panics if `json` does not start with `{`.
+pub fn write_summary(file: &str, isa: &str, json: &str) {
+    let body = json.strip_prefix('{').expect("a bench summary is a JSON object");
+    let out = format!("{{\n  \"host\": {},{body}", host_json(isa));
+    let dir = if fast_mode() { results_dir() } else { repo_root().unwrap_or_default() };
+    let path = dir.join(file);
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, out));
+    match written {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+    }
+}
+
+/// The `host` block of a bench summary, as a one-line JSON object: the
+/// host's logical CPU count (`nproc`), the ISA level `isa` the bench ran
+/// at, the last-level cache size read from
+/// `/sys/devices/system/cpu/cpu0/cache` (`null` where `/sys` does not
+/// say), and the commit checked out at the repository root (`"unknown"`
+/// outside a git checkout).
+pub fn host_json(isa: &str) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let llc = llc_bytes().map_or_else(|| "null".to_string(), |b| b.to_string());
+    let commit = repo_root().and_then(|r| git_commit(&r)).unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{\"nproc\": {nproc}, \"isa\": \"{}\", \"llc_bytes\": {llc}, \"commit\": \"{}\"}}",
+        escape_json(isa),
+        escape_json(&commit)
+    )
+}
+
+/// The largest data or unified cache level of CPU 0, in bytes.
+fn llc_bytes() -> Option<u64> {
+    let mut best: Option<(u32, u64)> = None;
+    for i in 0.. {
+        let dir = PathBuf::from(format!("/sys/devices/system/cpu/cpu0/cache/index{i}"));
+        if !dir.exists() {
+            break;
         }
-        if !dir.pop() {
-            return PathBuf::from("results");
+        let read = |f: &str| std::fs::read_to_string(dir.join(f)).ok();
+        let (Some(level), Some(kind), Some(size)) = (read("level"), read("type"), read("size"))
+        else {
+            continue;
+        };
+        let (Ok(level), Some(bytes)) = (level.trim().parse::<u32>(), parse_size(size.trim()))
+        else {
+            continue;
+        };
+        if kind.trim() != "Instruction" && best.is_none_or(|(l, _)| level > l) {
+            best = Some((level, bytes));
         }
     }
+    best.map(|(_, bytes)| bytes)
+}
+
+/// A `/sys` cache size such as `2048K` or `105M`, in bytes.
+fn parse_size(s: &str) -> Option<u64> {
+    let (digits, mult) = match s.as_bytes().last()? {
+        b'K' => (&s[..s.len() - 1], 1u64 << 10),
+        b'M' => (&s[..s.len() - 1], 1 << 20),
+        b'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
+    };
+    digits.parse::<u64>().ok().map(|v| v * mult)
+}
+
+/// The commit checked out at `root`, read from `.git` without running git.
+fn git_commit(root: &std::path::Path) -> Option<String> {
+    let git = root.join(".git");
+    let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return Some(head.to_string());
+    };
+    if let Ok(id) = std::fs::read_to_string(git.join(reference)) {
+        return Some(id.trim().to_string());
+    }
+    let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+    packed.lines().find_map(|l| {
+        let (id, name) = l.split_once(' ')?;
+        (name == reference).then(|| id.to_string())
+    })
 }
 
 impl BenchGroup {
@@ -376,6 +477,23 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 0.0);
         assert_eq!(percentile(&v, 1.0), 40.0);
         assert!((percentile(&v, 0.25) - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cache_sizes_parse_with_suffixes() {
+        assert_eq!(parse_size("48K"), Some(48 << 10));
+        assert_eq!(parse_size("105M"), Some(105 << 20));
+        assert_eq!(parse_size("512"), Some(512));
+        assert_eq!(parse_size("12Q"), None);
+    }
+
+    #[test]
+    fn host_block_names_every_field() {
+        let host = host_json("avx2+fma");
+        for field in ["\"nproc\": ", "\"isa\": \"avx2+fma\"", "\"llc_bytes\": ", "\"commit\": \""] {
+            assert!(host.contains(field), "{field} missing from {host}");
+        }
+        assert!(host.starts_with('{') && host.ends_with('}'));
     }
 
     #[test]

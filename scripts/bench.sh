@@ -29,12 +29,19 @@
 # Usage: scripts/bench.sh [--quick]
 #   --quick   smoke mode (NUFFT_BENCH_FAST=1): minimal warmup and samples,
 #             for CI; the numbers are not meaningful, only that every arm
-#             runs and the summary is produced.
+#             runs and the summary is produced. Smoke summaries are written
+#             to results/ (or $NUFFT_BENCH_OUT), never over the committed
+#             BENCH_*.json files at the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+summaries=.
 if [[ "${1:-}" == "--quick" ]]; then
     export NUFFT_BENCH_FAST=1
+    # Absolute, so the bench binaries (run from their crate directory) and
+    # this script agree on where the smoke summaries land.
+    export NUFFT_BENCH_OUT="$(realpath -m "${NUFFT_BENCH_OUT:-results}")"
+    summaries="$NUFFT_BENCH_OUT"
     echo "== quick (smoke) mode: NUFFT_BENCH_FAST=1 =="
 fi
 
@@ -66,22 +73,22 @@ echo "== bench: convolution (row kernels + per-sample row vs box path, per ISA) 
 cargo bench --offline --bench convolution
 
 echo "== BENCH_fft.json =="
-cat BENCH_fft.json
+cat "$summaries/BENCH_fft.json"
 
 echo "== BENCH_fourstep.json =="
-cat BENCH_fourstep.json
+cat "$summaries/BENCH_fourstep.json"
 
 echo "== BENCH_windows.json =="
-cat BENCH_windows.json
+cat "$summaries/BENCH_windows.json"
 
 echo "== BENCH_service.json =="
-cat BENCH_service.json
+cat "$summaries/BENCH_service.json"
 
 echo "== BENCH_sort.json =="
-cat BENCH_sort.json
+cat "$summaries/BENCH_sort.json"
 
 echo "== BENCH_type3.json =="
-cat BENCH_type3.json
+cat "$summaries/BENCH_type3.json"
 
 echo "== BENCH_kernels.json =="
-cat BENCH_kernels.json
+cat "$summaries/BENCH_kernels.json"

@@ -174,6 +174,15 @@ echo "== rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "== bench smoke (every bench, fast mode) =="
+# The smoke run's summaries go to results/; the measured BENCH_*.json files
+# committed at the repo root must come out of it byte-for-byte unchanged.
+before=$(cksum BENCH_*.json)
 scripts/bench.sh --quick
+after=$(cksum BENCH_*.json)
+if [[ "$before" != "$after" ]]; then
+    echo "bench smoke run modified committed BENCH_*.json files:" >&2
+    diff <(echo "$before") <(echo "$after") >&2 || true
+    exit 1
+fi
 
 echo "CI OK"

@@ -19,9 +19,8 @@
 //! leaves — the source runs, in the mixed-radix digit-reversed order the
 //! depth-first recursion reads them — and then each stage, innermost
 //! first, is one dispatched column-kernel call over all of that stage's
-//! nodes ([`nufft_simd::fft_rows::ColBlocks`]). A 512-point tile
-//! (radices 4·4·4·4·2) thus issues 5 kernel calls instead of the
-//! recursion's 341, 256 of which were one-vector radix-2 leaves.
+//! nodes ([`nufft_simd::fft_rows::ColBlocks`]): 5 kernel calls for a
+//! 512-point tile (radices 4·4·4·4·2).
 //!
 //! Bit-identity: the stage order only regroups independent butterflies —
 //! every node of a stage reads what the stage below wrote and nothing

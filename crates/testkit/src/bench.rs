@@ -20,9 +20,9 @@
 //! `results/benchmarks.jsonl` under the repository root (override the
 //! directory with `NUFFT_BENCH_OUT`; set `NUFFT_BENCH_FAST=1` for a
 //! smoke-test run with minimal warmup and samples). A bench's summary
-//! goes through [`write_summary`], which stamps it with the [`host_json`]
-//! block and keeps smoke-mode summaries away from the committed
-//! `BENCH_*.json` files at the repository root.
+//! goes through [`write_summary`], which stamps it with a `host` block and
+//! keeps smoke-mode summaries away from the committed `BENCH_*.json` files
+//! at the repository root.
 
 pub use std::hint::black_box;
 
@@ -176,7 +176,7 @@ fn results_dir() -> PathBuf {
 }
 
 /// Writes a bench summary: `json` (one JSON object) with a `host` block
-/// ([`host_json`]) inserted as its first member, to `file` at the
+/// inserted as its first member, to `file` at the
 /// repository root — where the measured `BENCH_*.json` summaries are
 /// committed. In `NUFFT_BENCH_FAST` smoke mode, whose numbers mean
 /// nothing, the file goes to the results directory (`NUFFT_BENCH_OUT` or
@@ -203,7 +203,7 @@ pub fn write_summary(file: &str, isa: &str, json: &str) {
 /// `/sys/devices/system/cpu/cpu0/cache` (`null` where `/sys` does not
 /// say), and the commit checked out at the repository root (`"unknown"`
 /// outside a git checkout).
-pub fn host_json(isa: &str) -> String {
+fn host_json(isa: &str) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let llc = llc_bytes().map_or_else(|| "null".to_string(), |b| b.to_string());
     let commit = repo_root().and_then(|r| git_commit(&r)).unwrap_or_else(|| "unknown".into());

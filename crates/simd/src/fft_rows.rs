@@ -180,8 +180,8 @@ impl ColBlocks {
     }
 
     /// Validates a radix-`r` call over `len` elements with twiddle rows of
-    /// lengths `rows`, returning the column count `m`.
-    fn check(&self, r: usize, len: usize, rows: &[usize]) -> usize {
+    /// lengths `rows`.
+    fn check(&self, r: usize, len: usize, rows: &[usize]) {
         assert!(self.b > 0, "batch width must be positive");
         assert!(self.nodes > 0, "node count must be positive");
         let m = rows[0];
@@ -191,7 +191,6 @@ impl ColBlocks {
         let node = (r - 1) * self.step + block;
         assert!(self.nodes == 1 || self.node_stride >= node, "column nodes overlap");
         assert!(len >= (self.nodes - 1) * self.node_stride + node, "column block length mismatch");
-        m
     }
 }
 

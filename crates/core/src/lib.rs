@@ -68,7 +68,7 @@ pub use nufft_parallel::exec::{Executor, JobPriority};
 pub use plan::{NufftConfig, NufftPlan, OpTimers};
 pub use registry::{
     ApplyHandle, ApplyOp, ApplyRequest, NufftService, PlanKey, PlanLease, PlanRegistry,
-    RegistryStats, TransformKind, Type3Lease,
+    RegistryStats, TransformKind,
 };
 pub use stage::{DeconvOp, FftOp, InterpOp, SpreadOp};
 pub use tasks::SortMode;

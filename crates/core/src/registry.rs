@@ -5,13 +5,16 @@
 //! same (grid, kernel params, trajectory) should pay plan construction —
 //! preprocessing, graph build, window table — exactly once. The
 //! [`PlanRegistry`] keys plan instances by [`PlanKey`] (grid extents,
-//! kernel parameters, and an FNV-1a fingerprint of the trajectory bits)
-//! and pools *instances* per key: a checkout pops an idle plan (cache
-//! hit — zero allocation), a miss builds a fresh instance **outside the
-//! registry lock** on the registry's shared [`Executor`], reusing the
-//! key's shared [`WindowTable`] so Part 1 is never recomputed. Dropping
-//! the [`PlanLease`] checks the instance back in (bounded by `max_idle`;
-//! overflow instances are simply dropped).
+//! kernel parameters, transform kind, and an FNV-1a fingerprint of the
+//! trajectory bits) and pools *instances* per key in one map: a checkout
+//! pops an idle instance (cache hit — zero allocation), a miss builds a
+//! fresh one **outside the registry lock** on the registry's shared
+//! [`Executor`], reusing the key's shared [`WindowTable`] so Part 1 is
+//! never recomputed. Type-1/2 ([`NufftPlan`]) and type-3 ([`Type3Plan`])
+//! instances share that map, stored type-erased and told apart by
+//! [`PlanKey::kind`]. Dropping the [`PlanLease`] checks the instance back
+//! in (at most [`PlanRegistry::MAX_IDLE`] per key; overflow instances are
+//! simply dropped).
 //!
 //! Two leases of the same key held concurrently are two *distinct* plan
 //! instances interleaving on the shared pool — tenants never share
@@ -29,6 +32,7 @@ use crate::type3::Type3Plan;
 use crate::windows::WindowTable;
 use nufft_math::Complex32;
 use nufft_parallel::exec::{Executor, JobPriority};
+use std::any::Any;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
@@ -37,14 +41,16 @@ use std::thread::JoinHandle;
 /// Which transform family a registry key caches — part of [`PlanKey`] so
 /// plans of different families with otherwise-identical parameters can
 /// never alias (a type-3 plan's fine-grid geometry depends on *both*
-/// clouds; a spread-only checkout is contractually never FFT'd).
+/// clouds, and it is a different plan type in the same pool).
+/// Spread/interp-only use ([`NufftPlan::spread_only`] /
+/// [`NufftPlan::interp_only`]) checks out a `Type12` instance: it is the
+/// same plan, so deposition tenants share instances with full-transform
+/// tenants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TransformKind {
-    /// A full type-1/type-2 plan ([`PlanRegistry::checkout`]).
+    /// A type-1/type-2 [`NufftPlan`] ([`PlanRegistry::checkout`]).
     Type12,
-    /// A spread/interp-only checkout ([`PlanRegistry::checkout_spread`]).
-    SpreadOnly,
-    /// A type-3 plan ([`PlanRegistry::checkout_type3`]); the key's
+    /// A [`Type3Plan`] ([`PlanRegistry::checkout_type3`]); the key's
     /// `traj_fp`/`traj_len` fingerprint the *sources*, these fields the
     /// targets.
     Type3 {
@@ -92,7 +98,8 @@ pub struct PlanKey<const D: usize> {
     /// `NufftConfig::fft_llc_budget` — under `Auto` the budget decides
     /// which axes go four-step, so it is plan-shaping state too.
     pub fft_llc_budget: usize,
-    /// Transform family (and, for type-3, the target-cloud geometry).
+    /// Transform family (and, for type-3, the target-cloud geometry). It
+    /// also fixes the plan type the key's idle instances hold.
     pub kind: TransformKind,
 }
 
@@ -113,18 +120,22 @@ pub fn traj_fingerprint<const D: usize>(traj: &[[f64; D]]) -> u64 {
 }
 
 /// Per-key state: idle plan instances plus the shared precomputation.
+#[derive(Default)]
 struct KeyPool<const D: usize> {
     /// Checked-in instances, popped LIFO (the hottest instance first).
-    idle: Vec<NufftPlan<D>>,
-    /// The key's window table, stashed after the first build so every
-    /// later instance (and every instance that outlives eviction) shares
-    /// one Part 1 computation.
+    /// Each is boxed once, on the miss that built it, as the plan type
+    /// its key's [`TransformKind`] names; a hit downcasts it back.
+    idle: Vec<Box<dyn Any + Send>>,
+    /// The key's window table, stashed after the first type-1/2 build so
+    /// every later instance (and every instance that outlives eviction)
+    /// shares one Part 1 computation. Type-3 keys leave it empty.
     windows: Option<Arc<WindowTable<D>>>,
     hits: u64,
     misses: u64,
 }
 
-/// Registry-wide counters (observability for the service experiments).
+/// Registry-wide counters over every key of both transform kinds
+/// (observability for the service experiments).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryStats {
     /// Checkouts served from an idle instance.
@@ -146,25 +157,13 @@ pub struct RegistryStats {
 pub struct PlanRegistry<const D: usize> {
     cfg: NufftConfig,
     exec: Executor,
-    max_idle: usize,
     inner: Mutex<HashMap<PlanKey<D>, KeyPool<D>>>,
-    /// Type-3 instances pool separately ([`Type3Plan`] is a distinct
-    /// type); keys still carry [`TransformKind::Type3`] so the two maps'
-    /// key spaces are disjoint by construction.
-    inner3: Mutex<HashMap<PlanKey<D>, Type3Pool<D>>>,
-}
-
-/// Per-key state for pooled type-3 instances (no shared window table yet —
-/// a type-3 build's Part 1 lives inside its stage operators).
-struct Type3Pool<const D: usize> {
-    idle: Vec<Type3Plan<D>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl<const D: usize> PlanRegistry<D> {
-    /// Default cap on idle instances cached per key.
-    pub const DEFAULT_MAX_IDLE: usize = 8;
+    /// Cap on idle instances cached per key; a check-in over the cap
+    /// drops the instance.
+    pub const MAX_IDLE: usize = 8;
 
     /// A registry whose plans all dispatch on one pool of `cfg.threads`
     /// workers.
@@ -177,19 +176,7 @@ impl<const D: usize> PlanRegistry<D> {
     /// several registries or with direct plan holders).
     pub fn with_executor(mut cfg: NufftConfig, exec: Executor) -> Self {
         cfg.threads = exec.threads();
-        PlanRegistry {
-            cfg,
-            exec,
-            max_idle: Self::DEFAULT_MAX_IDLE,
-            inner: Mutex::new(HashMap::new()),
-            inner3: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Sets the per-key idle-instance cap (eviction is drop-on-overflow
-    /// at check-in; 0 disables instance caching entirely).
-    pub fn set_max_idle(&mut self, max_idle: usize) {
-        self.max_idle = max_idle;
+        PlanRegistry { cfg, exec, inner: Mutex::new(HashMap::new()) }
     }
 
     /// The registry's shared executor.
@@ -207,18 +194,10 @@ impl<const D: usize> PlanRegistry<D> {
         self.make_key(n, traj, TransformKind::Type12)
     }
 
-    /// The key `checkout_spread(n, traj)` would use: identical parameters,
-    /// distinct [`TransformKind`] — never aliases a [`key_of`] key.
-    ///
-    /// [`key_of`]: PlanRegistry::key_of
-    pub fn key_of_spread(&self, n: [usize; D], traj: &[[f64; D]]) -> PlanKey<D> {
-        self.make_key(n, traj, TransformKind::SpreadOnly)
-    }
-
     /// The key `checkout_type3(sources, targets)` would use: `traj_fp`
     /// fingerprints the sources, the [`TransformKind::Type3`] payload the
     /// targets, and `n` is zeroed (a type-3 plan derives its own fine-grid
-    /// extents) — never aliases a type-1/2 or spread-only key.
+    /// extents) — never aliases a type-1/2 key.
     pub fn key_of_type3(&self, sources: &[[f64; D]], targets: &[[f64; D]]) -> PlanKey<D> {
         self.make_key(
             [0; D],
@@ -249,98 +228,70 @@ impl<const D: usize> PlanRegistry<D> {
     /// Checks out a plan instance for `(n, traj)`: an idle instance if one
     /// is cached (allocation-free), else a freshly built one. Construction
     /// happens outside the registry lock, so a slow 3D build never blocks
-    /// hits on other keys — or on the same key.
+    /// hits on other keys — or on the same key. The instance serves the
+    /// full transforms and the spread/interp-only entry points alike.
     ///
     /// # Panics
     /// Propagates [`NufftPlan::new`] panics on the miss path.
     pub fn checkout(&self, n: [usize; D], traj: &[[f64; D]]) -> PlanLease<'_, D> {
-        self.checkout_keyed(self.key_of(n, traj), n, traj)
+        self.checkout_keyed(self.key_of(n, traj), |windows| {
+            let plan = NufftPlan::new_shared(n, traj, self.cfg, self.exec.clone(), windows);
+            let table = plan.shared_window_table();
+            (plan, table)
+        })
     }
 
-    /// Checks out a plan instance reserved for spread/interp-only use
-    /// ([`NufftPlan::spread_only`] / [`NufftPlan::interp_only`]): same
-    /// construction, but pooled under a [`TransformKind::SpreadOnly`] key
-    /// so instances never migrate between full-transform and
-    /// deposition-only tenants.
-    pub fn checkout_spread(&self, n: [usize; D], traj: &[[f64; D]]) -> PlanLease<'_, D> {
-        self.checkout_keyed(self.key_of_spread(n, traj), n, traj)
-    }
-
-    /// Checks out a pooled [`Type3Plan`] for `(sources, targets)`: an idle
-    /// instance if one is cached, else a fresh build on the shared
-    /// executor — outside the registry lock, like [`checkout`].
+    /// Checks out a pooled [`Type3Plan`] for `(sources, targets)`, like
+    /// [`checkout`] but under a [`TransformKind::Type3`] key.
     ///
     /// [`checkout`]: PlanRegistry::checkout
     ///
     /// # Panics
     /// Propagates [`Type3Plan::new`] panics on the miss path.
-    pub fn checkout_type3(&self, sources: &[[f64; D]], targets: &[[f64; D]]) -> Type3Lease<'_, D> {
-        let key = self.key_of_type3(sources, targets);
-        {
-            let mut map = lock(&self.inner3);
-            let pool = map.entry(key).or_insert_with(|| Type3Pool {
-                idle: Vec::new(),
-                hits: 0,
-                misses: 0,
-            });
-            if let Some(plan) = pool.idle.pop() {
-                pool.hits += 1;
-                return Type3Lease { registry: self, key, plan: Some(plan) };
-            }
-            pool.misses += 1;
-        }
-        let plan = Type3Plan::new_shared(sources, targets, self.cfg, self.exec.clone());
-        Type3Lease { registry: self, key, plan: Some(plan) }
+    pub fn checkout_type3(
+        &self,
+        sources: &[[f64; D]],
+        targets: &[[f64; D]],
+    ) -> PlanLease<'_, D, Type3Plan<D>> {
+        self.checkout_keyed(self.key_of_type3(sources, targets), |_| {
+            (Type3Plan::new_shared(sources, targets, self.cfg, self.exec.clone()), None)
+        })
     }
 
-    fn checkout_keyed(
+    /// Pops an idle instance of `key`, or misses and runs `build` outside
+    /// the lock with the key's stashed window table. `build` returns the
+    /// plan and the table to stash if the key has none yet.
+    fn checkout_keyed<P: Any + Send>(
         &self,
         key: PlanKey<D>,
-        n: [usize; D],
-        traj: &[[f64; D]],
-    ) -> PlanLease<'_, D> {
+        build: impl FnOnce(Option<Arc<WindowTable<D>>>) -> (P, Option<Arc<WindowTable<D>>>),
+    ) -> PlanLease<'_, D, P> {
         let windows = {
             let mut map = lock(&self.inner);
-            let pool = map.entry(key).or_insert_with(|| KeyPool {
-                idle: Vec::new(),
-                windows: None,
-                hits: 0,
-                misses: 0,
-            });
+            let pool = map.entry(key).or_default();
             if let Some(plan) = pool.idle.pop() {
                 pool.hits += 1;
+                let plan = plan.downcast().expect("a key's instances are one plan type");
                 return PlanLease { registry: self, key, plan: Some(plan) };
             }
             pool.misses += 1;
             pool.windows.clone()
         };
         let had_windows = windows.is_some();
-        let plan = NufftPlan::new_shared(n, traj, self.cfg, self.exec.clone(), windows);
-        if !had_windows {
-            if let Some(table) = plan.shared_window_table() {
-                let mut map = lock(&self.inner);
-                if let Some(pool) = map.get_mut(&key) {
-                    pool.windows.get_or_insert(table);
-                }
+        let (plan, table) = build(windows);
+        if let (false, Some(table)) = (had_windows, table) {
+            if let Some(pool) = lock(&self.inner).get_mut(&key) {
+                pool.windows.get_or_insert(table);
             }
         }
-        PlanLease { registry: self, key, plan: Some(plan) }
+        PlanLease { registry: self, key, plan: Some(Box::new(plan)) }
     }
 
-    /// Current counters, aggregated over all keys (type-1/2, spread-only,
-    /// and type-3 pools together).
+    /// Current counters, aggregated over all keys.
     pub fn stats(&self) -> RegistryStats {
         let map = lock(&self.inner);
         let mut s = RegistryStats { keys: map.len(), ..RegistryStats::default() };
         for pool in map.values() {
-            s.hits += pool.hits;
-            s.misses += pool.misses;
-            s.cached_plans += pool.idle.len();
-        }
-        drop(map);
-        let map3 = lock(&self.inner3);
-        s.keys += map3.len();
-        for pool in map3.values() {
             s.hits += pool.hits;
             s.misses += pool.misses;
             s.cached_plans += pool.idle.len();
@@ -351,104 +302,54 @@ impl<const D: usize> PlanRegistry<D> {
     /// Drops every cached idle instance (shared window tables survive, so
     /// rebuilt instances still skip Part 1).
     pub fn evict_idle(&self) {
-        let mut map = lock(&self.inner);
-        for pool in map.values_mut() {
-            pool.idle.clear();
-        }
-        drop(map);
-        let mut map3 = lock(&self.inner3);
-        for pool in map3.values_mut() {
+        for pool in lock(&self.inner).values_mut() {
             pool.idle.clear();
         }
     }
 
-    fn check_in(&self, key: PlanKey<D>, plan: NufftPlan<D>) {
-        let mut map = lock(&self.inner);
-        if let Some(pool) = map.get_mut(&key) {
-            if pool.idle.len() < self.max_idle {
-                pool.idle.push(plan);
-            }
-        }
-    }
-
-    fn check_in_type3(&self, key: PlanKey<D>, plan: Type3Plan<D>) {
-        let mut map = lock(&self.inner3);
-        if let Some(pool) = map.get_mut(&key) {
-            if pool.idle.len() < self.max_idle {
+    fn check_in(&self, key: PlanKey<D>, plan: Box<dyn Any + Send>) {
+        if let Some(pool) = lock(&self.inner).get_mut(&key) {
+            if pool.idle.len() < Self::MAX_IDLE {
                 pool.idle.push(plan);
             }
         }
     }
 }
 
-/// An exclusively held plan instance; derefs to [`NufftPlan`] and checks
-/// itself back into the registry on drop.
-pub struct PlanLease<'r, const D: usize> {
+/// An exclusively held plan instance — a [`NufftPlan`] from
+/// [`PlanRegistry::checkout`], a [`Type3Plan`] from
+/// [`PlanRegistry::checkout_type3`]; derefs to the plan and checks itself
+/// back into the registry on drop.
+pub struct PlanLease<'r, const D: usize, P: Any + Send = NufftPlan<D>> {
     registry: &'r PlanRegistry<D>,
     key: PlanKey<D>,
-    plan: Option<NufftPlan<D>>,
+    plan: Option<Box<P>>,
 }
 
-impl<const D: usize> PlanLease<'_, D> {
+impl<const D: usize, P: Any + Send> PlanLease<'_, D, P> {
     /// The registry key this lease was checked out under.
     pub fn key(&self) -> PlanKey<D> {
         self.key
     }
 }
 
-impl<const D: usize> Deref for PlanLease<'_, D> {
-    type Target = NufftPlan<D>;
-    fn deref(&self) -> &NufftPlan<D> {
-        self.plan.as_ref().expect("lease holds a plan until drop")
+impl<const D: usize, P: Any + Send> Deref for PlanLease<'_, D, P> {
+    type Target = P;
+    fn deref(&self) -> &P {
+        self.plan.as_deref().expect("lease holds a plan until drop")
     }
 }
 
-impl<const D: usize> DerefMut for PlanLease<'_, D> {
-    fn deref_mut(&mut self) -> &mut NufftPlan<D> {
-        self.plan.as_mut().expect("lease holds a plan until drop")
+impl<const D: usize, P: Any + Send> DerefMut for PlanLease<'_, D, P> {
+    fn deref_mut(&mut self) -> &mut P {
+        self.plan.as_deref_mut().expect("lease holds a plan until drop")
     }
 }
 
-impl<const D: usize> Drop for PlanLease<'_, D> {
+impl<const D: usize, P: Any + Send> Drop for PlanLease<'_, D, P> {
     fn drop(&mut self) {
         if let Some(plan) = self.plan.take() {
             self.registry.check_in(self.key, plan);
-        }
-    }
-}
-
-/// An exclusively held [`Type3Plan`] instance; derefs to the plan and
-/// checks itself back into the registry on drop.
-pub struct Type3Lease<'r, const D: usize> {
-    registry: &'r PlanRegistry<D>,
-    key: PlanKey<D>,
-    plan: Option<Type3Plan<D>>,
-}
-
-impl<const D: usize> Type3Lease<'_, D> {
-    /// The registry key this lease was checked out under.
-    pub fn key(&self) -> PlanKey<D> {
-        self.key
-    }
-}
-
-impl<const D: usize> Deref for Type3Lease<'_, D> {
-    type Target = Type3Plan<D>;
-    fn deref(&self) -> &Type3Plan<D> {
-        self.plan.as_ref().expect("lease holds a plan until drop")
-    }
-}
-
-impl<const D: usize> DerefMut for Type3Lease<'_, D> {
-    fn deref_mut(&mut self) -> &mut Type3Plan<D> {
-        self.plan.as_mut().expect("lease holds a plan until drop")
-    }
-}
-
-impl<const D: usize> Drop for Type3Lease<'_, D> {
-    fn drop(&mut self) {
-        if let Some(plan) = self.plan.take() {
-            self.registry.check_in_type3(self.key, plan);
         }
     }
 }
@@ -630,20 +531,17 @@ mod tests {
 
     #[test]
     fn transform_kinds_never_alias_a_key() {
-        // Regression: a type-1/2 plan, a spread-only plan and a type-3
-        // plan over the *same* coordinate set must occupy distinct pool
-        // entries — the `TransformKind` field is the only thing telling
-        // them apart, and dropping it would hand a caller a plan whose
-        // apply paths don't match the entry point it asked for.
+        // Regression: a type-1/2 plan and a type-3 plan over the *same*
+        // coordinate set must occupy distinct pool entries — the
+        // `TransformKind` field is the only thing telling them apart, and
+        // dropping it would hand a caller a plan whose apply paths don't
+        // match the entry point it asked for.
         let reg = PlanRegistry::<2>::new(cfg());
         let traj = traj2(160);
         let n = [16usize, 16];
 
         let k12 = reg.key_of(n, &traj);
-        let ksp = reg.key_of_spread(n, &traj);
-        assert_ne!(k12, ksp, "type-1/2 and spread-only keys alias");
         assert_eq!(k12.kind, TransformKind::Type12);
-        assert_eq!(ksp.kind, TransformKind::SpreadOnly);
 
         // Type-3 with sources == traj: still its own key, and sensitive
         // to the *target* geometry too (same sources, different targets).
@@ -653,22 +551,19 @@ mod tests {
         let k3a = reg.key_of_type3(&traj, &ta);
         let k3b = reg.key_of_type3(&traj, &tb);
         assert_ne!(k3a, k12);
-        assert_ne!(k3a, ksp);
         assert_ne!(k3a, k3b, "type-3 keys must fingerprint the targets");
 
-        // Behavioral check: checking out all three kinds back-to-back
-        // builds three plans (three misses), and each warm re-checkout
-        // hits its own pool.
+        // Behavioral check: checking out both kinds back-to-back builds
+        // two plans (two misses), and each warm re-checkout hits its own
+        // entry.
         drop(reg.checkout(n, &traj));
-        drop(reg.checkout_spread(n, &traj));
         drop(reg.checkout_type3(&traj, &ta));
         let s = reg.stats();
-        assert_eq!((s.misses, s.hits, s.cached_plans), (3, 0, 3));
-        drop(reg.checkout(n, &traj));
-        drop(reg.checkout_spread(n, &traj));
-        drop(reg.checkout_type3(&traj, &ta));
+        assert_eq!((s.misses, s.hits, s.cached_plans), (2, 0, 2));
+        assert_eq!(reg.checkout(n, &traj).key(), k12);
+        assert_eq!(reg.checkout_type3(&traj, &ta).key(), k3a);
         let s = reg.stats();
-        assert_eq!((s.misses, s.hits, s.cached_plans), (3, 3, 3));
+        assert_eq!((s.misses, s.hits, s.cached_plans, s.keys), (2, 2, 2, 2));
     }
 
     #[test]
@@ -707,15 +602,13 @@ mod tests {
 
     #[test]
     fn max_idle_caps_cached_instances() {
-        let mut reg = PlanRegistry::<2>::new(cfg());
-        reg.set_max_idle(1);
+        let reg = PlanRegistry::<2>::new(cfg());
         let traj = traj2(120);
         let n = [16usize, 16];
-        let a = reg.checkout(n, &traj);
-        let b = reg.checkout(n, &traj);
-        drop(a);
-        drop(b); // over the cap: dropped, not cached
-        assert_eq!(reg.stats().cached_plans, 1);
+        let leases: Vec<_> = (0..9).map(|_| reg.checkout(n, &traj)).collect();
+        assert_eq!(reg.stats().misses, 9);
+        drop(leases); // the ninth check-in is over the cap: dropped, not cached
+        assert_eq!(reg.stats().cached_plans, 8);
         reg.evict_idle();
         assert_eq!(reg.stats().cached_plans, 0);
     }
@@ -747,6 +640,67 @@ mod tests {
             assert_eq!(g.im.to_bits(), w.im.to_bits(), "im bits at {i}");
         }
         assert_eq!(svc.registry().stats().misses, 1);
+    }
+
+    #[test]
+    fn poisoned_request_checks_its_lease_back_in() {
+        // A request whose input has the wrong length panics inside its
+        // apply. The lease's drop runs during that unwind, so the instance
+        // goes back to its pool, and the registry keeps serving every key
+        // bit for bit — the poisoned key included.
+        let n = [16usize, 16];
+        let ta = Arc::new(traj2(180));
+        let tb = Arc::new(traj2(150).into_iter().map(|[x, y]| [y, x]).collect::<Vec<_>>());
+        let image: Vec<Complex32> = (0..16 * 16)
+            .map(|i| Complex32::new((i as f32 * 0.11).sin(), (i as f32 * 0.05).cos()))
+            .collect();
+        let solo = |traj: &[[f64; 2]]| {
+            let mut out = vec![Complex32::ZERO; traj.len()];
+            NufftPlan::new(n, traj, cfg()).forward(&image, &mut out);
+            out
+        };
+        let (want_a, want_b) = (solo(&ta), solo(&tb));
+        let same_bits = |got: &[Complex32], want: &[Complex32]| {
+            got.len() == want.len()
+                && got.iter().zip(want).all(|(g, w)| {
+                    g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()
+                })
+        };
+
+        let svc = NufftService::<2>::new(cfg());
+        let submit = |traj: &Arc<Vec<[f64; 2]>>, input: &[Complex32]| {
+            svc.submit(ApplyRequest {
+                n,
+                traj: Arc::clone(traj),
+                op: ApplyOp::Forward,
+                input: input.to_vec(),
+                priority: JobPriority::Normal,
+            })
+        };
+        // Prime both keys: one cached instance each.
+        assert!(same_bits(&submit(&ta, &image).wait(), &want_a));
+        assert!(same_bits(&submit(&tb, &image).wait(), &want_b));
+        let primed = svc.registry().stats();
+        assert_eq!((primed.keys, primed.misses, primed.cached_plans), (2, 2, 2));
+
+        // A tenant holds key B's instance across key A's poisoned request.
+        let mut held = svc.registry().checkout(n, &tb);
+        let poisoned = submit(&ta, &image[1..]);
+        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poisoned.wait()));
+        assert!(waited.is_err(), "a wrong-length input must panic out of wait");
+        let mut out = vec![Complex32::ZERO; tb.len()];
+        held.forward(&image, &mut out);
+        assert!(same_bits(&out, &want_b), "lease held on another key");
+        drop(held);
+
+        // Both instances are back: no checkout leaked, none was rebuilt.
+        let s = svc.registry().stats();
+        assert_eq!((s.keys, s.misses, s.hits, s.cached_plans), (2, 2, primed.hits + 2, 2));
+
+        // The poisoned key's next request reuses its instance, bit for bit.
+        assert!(same_bits(&submit(&ta, &image).wait(), &want_a), "next request on the key");
+        let s = svc.registry().stats();
+        assert_eq!((s.misses, s.hits, s.cached_plans), (2, primed.hits + 3, 2));
     }
 
     #[test]

@@ -29,12 +29,12 @@
 //! ## Pool lifecycle and multi-tenant dispatch
 //!
 //! Workers are created **once** per [`Executor`] (lazily, on the first
-//! dispatch that can use them) and then parked on an eventcount between
-//! operator applications; an iterative solver such as
-//! `nufft-mri`'s CG therefore pays thread creation once instead of on
-//! every one of the ~6 parallel regions per operator apply. The
-//! dispatching thread itself acts as worker 0 of its own job, so a
-//! 1-thread executor never synchronizes at all.
+//! dispatch that can use them, which waits until each has started) and
+//! then parked on an eventcount between operator applications; an
+//! iterative solver such as `nufft-mri`'s CG therefore pays thread
+//! creation once instead of on every one of the ~6 parallel regions per
+//! operator apply. The dispatching thread itself acts as worker 0 of its
+//! own job, so a 1-thread executor never synchronizes at all.
 //!
 //! The pool accepts **concurrently submitted jobs**: every
 //! `run_dag`/`parallel_for` call occupies one slot of a fixed
@@ -295,6 +295,9 @@ struct PoolShared {
     table_cv: Condvar,
     /// Parking for idle workers and submitters awaiting in-flight units.
     hub: WakeHub,
+    /// Count of workers that have entered `worker_main`, and its signal;
+    /// [`Pool::ensure_spawned`] waits on it.
+    started: (Mutex<usize>, Condvar),
 }
 
 enum Pick {
@@ -415,6 +418,8 @@ fn worker_main(shared: Arc<PoolShared>, worker: usize) {
     // Workers are permanently "inside the pool": a nested executor call
     // from a task body runs inline instead of re-entering the dispatch.
     IN_POOL_JOB.with(|f| f.set(true));
+    *lock(&shared.started.0) += 1;
+    shared.started.1.notify_all();
     loop {
         let ver = shared.version.load(Ordering::SeqCst);
         let mut progress = false;
@@ -488,6 +493,7 @@ impl Pool {
                 version: AtomicU64::new(0),
                 table_cv: Condvar::new(),
                 hub: WakeHub::new(),
+                started: (Mutex::new(0), Condvar::new()),
             }),
             workers: Mutex::new(Vec::new()),
             threads,
@@ -501,7 +507,10 @@ impl Pool {
         &self.shared.hub
     }
 
-    /// Spawns the background workers if they are not yet resident.
+    /// Spawns the background workers if they are not yet resident, and
+    /// waits until each has started: a thread's start-up (the standard
+    /// library's own bookkeeping, which allocates and frees) must finish
+    /// here, not overlap the applies that follow.
     fn ensure_spawned(&self) {
         let mut ws = lock(&self.workers);
         if !ws.is_empty() || self.threads <= 1 {
@@ -514,6 +523,11 @@ impl Pool {
                 .spawn(move || worker_main(shared, w))
                 .expect("failed to spawn pool worker thread");
             ws.push(handle);
+        }
+        let (count, signal) = &self.shared.started;
+        let mut started = lock(count);
+        while *started < ws.len() {
+            started = signal.wait(started).unwrap_or_else(|e| e.into_inner());
         }
     }
 

@@ -103,10 +103,11 @@ fn main() {
     assert!(rel < 1e-4, "spread/interp transpose dot-test failed: {rel}");
 
     // Registry-pooled variant: repeated depositions (a particle code's
-    // per-timestep loop) check out the same cached spread-only plan.
+    // per-timestep loop) check out the same cached plan, the instance
+    // full-transform tenants of these particles would share.
     let registry = PlanRegistry::<2>::new(cfg);
     for _step in 0..3 {
-        let mut lease = registry.checkout_spread(n, &particles);
+        let mut lease = registry.checkout(n, &particles);
         lease.spread_only(&mass, &mut density);
     }
     let stats = registry.stats();

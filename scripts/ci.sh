@@ -36,6 +36,16 @@ echo "== multi-tenant job isolation stress (oversubscribed, 16 workers) =="
 # seed-replayable delays.
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel --test job_isolation_stress
 
+echo "== plan registry and service =="
+# One pool holds both transform kinds behind one lock: the registry's unit
+# tests pin key separation, the idle cap, window-table sharing and the
+# check-in on a panicking request's unwind; concurrent_submit pins
+# type-1/2, spread-only and type-3 tenants bitwise to their solo runs on
+# one registry. The second run oversubscribes the runner with 16 workers.
+cargo test -q --offline -p nufft-core registry
+cargo test -q --offline --test concurrent_submit
+NUFFT_THREADS=16 cargo test -q --offline --test concurrent_submit
+
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
 # scheduler_consistency holds the executor-vs-simulator scheduling tests and
 # the fused-DAG simulated-dominance check on real plans' graphs; its

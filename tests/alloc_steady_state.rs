@@ -243,7 +243,7 @@ fn steady_state_applies_are_allocation_free() {
     // Type-3 applies: the fine grid, the inner type-2's buffers, the
     // adjoint staging vector and the postscale table are all plan-owned,
     // so forward and adjoint must go quiet after one warmup round — for a
-    // directly-built plan and through the registry's type-3 pool alike.
+    // directly-built plan and through the registry alike.
     let sources: Vec<[f64; 3]> =
         traj3(200).into_iter().map(|p| [p[0] * 4.0, p[1] * 4.0, p[2] * 4.0]).collect();
     let targets: Vec<[f64; 3]> =

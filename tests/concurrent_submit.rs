@@ -11,7 +11,7 @@
 
 use nufft::core::{
     ApplyOp, ApplyRequest, JobPriority, NufftConfig, NufftPlan, NufftService, PlanRegistry,
-    WindowMode,
+    Type3Plan, WindowMode,
 };
 use nufft::math::Complex32;
 use nufft::simd::{detect_isa, set_isa_override, IsaLevel};
@@ -47,6 +47,16 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
             "{what}: element {i} differs: {p:?} vs {q:?}"
         );
     }
+}
+
+/// Worker count for the stress test: `NUFFT_THREADS` (CI runs 16 to
+/// oversubscribe the runner), defaulting to 8.
+fn stress_threads() -> usize {
+    std::env::var("NUFFT_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or(8)
 }
 
 fn cfg(threads: usize) -> NufftConfig {
@@ -182,4 +192,88 @@ fn service_handles_resolve_bitwise_under_mixed_priorities() {
             ApplyOp::Adjoint => assert_bits_eq(&got, &wl[k].want_adj, "service adjoint"),
         }
     }
+}
+
+/// Both transform kinds share the registry's one map and lock: type-1/2
+/// tenants, deposition tenants running `spread_only` on the same key's
+/// instances, and type-3 tenants all check out and check in at once, and
+/// every result must equal its solo run.
+#[test]
+fn both_kinds_share_one_registry_concurrently() {
+    let _guard = isa_guard();
+    set_isa_override(detect_isa()).unwrap();
+
+    let threads = stress_threads();
+    let wl = workload(350, 0.0, threads);
+    // Solo references at the same worker count, each on a fresh plan.
+    let mut plan = NufftPlan::new(N, &wl.traj, cfg(threads));
+    let grid_len = plan.grid_len();
+    let mut want_grid = vec![Complex32::ZERO; grid_len];
+    plan.spread_only(&wl.samples, &mut want_grid);
+    let sources: Vec<[f64; 2]> =
+        traj2(240, 0.3).into_iter().map(|[x, y]| [4.0 * x, 4.0 * y]).collect();
+    let targets: Vec<[f64; 2]> =
+        traj2(190, 0.7).into_iter().map(|[x, y]| [3.0 * x, 3.0 * y]).collect();
+    let strengths = signal(sources.len(), 2.0);
+    let t3_samples = signal(targets.len(), 3.0);
+    let mut t3 = Type3Plan::new(&sources, &targets, cfg(threads));
+    let mut want_t3_fwd = vec![Complex32::ZERO; targets.len()];
+    let mut want_t3_adj = vec![Complex32::ZERO; sources.len()];
+    t3.forward(&strengths, &mut want_t3_fwd);
+    t3.adjoint(&t3_samples, &mut want_t3_adj);
+
+    let registry = PlanRegistry::<2>::new(cfg(threads));
+    std::thread::scope(|scope| {
+        for s in 0..6usize {
+            let registry = &registry;
+            let (wl, want_grid) = (&wl, &want_grid);
+            let (sources, targets, strengths, t3_samples) =
+                (&sources, &targets, &strengths, &t3_samples);
+            let (want_t3_fwd, want_t3_adj) = (&want_t3_fwd, &want_t3_adj);
+            scope.spawn(move || {
+                for round in 0..3 {
+                    let what = format!("threads={threads}: submitter {s} round {round}");
+                    let forward = (s + round) % 2 == 0;
+                    match s % 3 {
+                        0 => {
+                            let mut lease = registry.checkout(N, &wl.traj);
+                            if forward {
+                                let mut out = vec![Complex32::ZERO; wl.traj.len()];
+                                lease.forward(&wl.image, &mut out);
+                                assert_bits_eq(&out, &wl.want_fwd, &format!("{what} forward"));
+                            } else {
+                                let mut out = vec![Complex32::ZERO; IMG_LEN];
+                                lease.adjoint(&wl.samples, &mut out);
+                                assert_bits_eq(&out, &wl.want_adj, &format!("{what} adjoint"));
+                            }
+                        }
+                        1 => {
+                            let mut lease = registry.checkout(N, &wl.traj);
+                            let mut grid = vec![Complex32::ZERO; grid_len];
+                            lease.spread_only(&wl.samples, &mut grid);
+                            assert_bits_eq(&grid, want_grid, &format!("{what} spread_only"));
+                        }
+                        _ => {
+                            let mut lease = registry.checkout_type3(sources, targets);
+                            if forward {
+                                let mut out = vec![Complex32::ZERO; targets.len()];
+                                lease.forward(strengths, &mut out);
+                                assert_bits_eq(&out, want_t3_fwd, &format!("{what} type-3 fwd"));
+                            } else {
+                                let mut out = vec![Complex32::ZERO; sources.len()];
+                                lease.adjoint(t3_samples, &mut out);
+                                assert_bits_eq(&out, want_t3_adj, &format!("{what} type-3 adj"));
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    // Deposition tenants shared the type-1/2 key; type-3 has its own.
+    let stats = registry.stats();
+    assert_eq!(stats.keys, 2, "one type-1/2 key and one type-3 key");
+    assert_eq!(stats.hits + stats.misses, 18, "all checkouts counted");
+    assert_eq!(stats.cached_plans as u64, stats.misses, "every built instance checked back in");
 }

@@ -80,13 +80,21 @@ pub(crate) const SAMPLE_GRAIN: usize = 256;
 /// Soundness is established by the callers: grid writers are serialized by
 /// the task graph (adjacent tasks never run concurrently — see the
 /// exclusion tests in `nufft-parallel`), forward gathers write distinct
-/// output slots, and FFT lines are pairwise disjoint.
+/// output slots, FFT lines are pairwise disjoint, and the window-table
+/// build writes each sample's own rows.
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr<T>(pub(crate) *mut T);
-// SAFETY: see type docs — all users write pairwise-disjoint regions.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the one field is an address into a buffer that outlives the
+// parallel region; no two threads ever access the same element through it
+// while the region runs (each writes its own disjoint range), so moving it
+// to another thread cannot create a data race. The elements themselves are
+// written from that thread, hence `T: Send`.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `&SendPtr` yields nothing but a copy of the address, and
+// every thread holding one dereferences it only within its own disjoint
+// range, so concurrent use from several threads never aliases a write;
+// each thread writes `T` values it owns, hence `T: Send`.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Accessor (rather than field access) so closures capture the whole

@@ -20,7 +20,7 @@
 
 use crate::conv::{WinRef, Window, MAX_TAPS};
 use crate::kernel::InterpKernel;
-use crate::stage::SAMPLE_GRAIN;
+use crate::stage::{SendPtr, SAMPLE_GRAIN};
 use nufft_parallel::exec::Executor;
 use std::sync::Arc;
 
@@ -52,25 +52,6 @@ impl WindowMode {
             }
             other => other,
         }
-    }
-}
-
-/// Raw-pointer wrapper for the disjoint per-sample writes of the parallel
-/// table build (same soundness argument as the operator drivers: every
-/// index `i` writes its own rows).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: all users write pairwise-disjoint regions.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `SendPtr` — edition-2021 precise capture would otherwise grab the
-    /// raw-pointer field itself, which is not `Sync`.
-    fn get(self) -> *mut T {
-        self.0
     }
 }
 

@@ -104,8 +104,9 @@ pub struct TaskRecord {
 
 /// Per-task timing summary of one adjoint scatter: the records of a
 /// [`TaskGraph`](crate::graph::TaskGraph)'s expanded nodes, by task and
-/// phase. This is the shape the NUFFT plan's `last_run_stats` reports and
-/// `nufft-sim`'s calibration and the load-balance experiments read.
+/// phase. This is the shape the NUFFT plan's `last_run_stats` reports;
+/// `perfbench`'s traced run reads its efficiency and makespan, and tests
+/// read its log and tile revisits.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Wall-clock span of the records, first start to last end, in seconds.
@@ -652,9 +653,9 @@ impl Drop for Pool {
 
 /// One executed [`Dag`] node with its timing, relative to run start.
 ///
-/// The node's opaque `tag` is recorded alongside so consumers (phase
-/// breakdowns, the `NUFFT_TRACE` Chrome-trace dump, `nufft-sim`
-/// calibration) can classify records without the originating graph.
+/// The node's opaque `tag` is recorded alongside so consumers (the plan's
+/// `OpTimers` phase spans, the `NUFFT_TRACE` Chrome-trace dump) can
+/// classify records without the originating graph.
 #[derive(Clone, Copy, Debug)]
 pub struct DagRecord {
     /// Which node ran.

@@ -27,8 +27,11 @@
 //!   `simulate_shared_queue` models it for Figure 11.
 //!
 //! Everything is instrumented: every run leaves per-worker busy times and a
-//! per-node execution log in its [`DagScratch`], which the load-balance
-//! experiments and the `nufft-sim` cost-model calibration consume.
+//! per-node execution log in its [`DagScratch`]. The NUFFT plan reads it
+//! for its `OpTimers` phase spans, its `NUFFT_TRACE` dump and
+//! `last_run_stats` (which `perfbench`'s traced run reports); tests read it
+//! too. `nufft-sim` does not: its cost model is calibrated from timed
+//! convolutions.
 
 // Index-based loops below frequently address several parallel arrays
 // at once; clippy's iterator suggestion would obscure that.

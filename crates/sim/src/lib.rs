@@ -8,36 +8,43 @@
 //! experiments can be run for 10/20/40 workers on any host — the development
 //! container for this reproduction has a single core.
 //!
-//! Two scheduler models of a partition [`TaskGraph`] are provided:
+//! Every replay runs one event loop over a [`Dag`], the graph form the
+//! runtime executes. A partition [`TaskGraph`] is replayed as its expansion
+//! ([`TaskGraph::expand_into`], a privatized task as a convolve → reduce
+//! pair), node for node the graph `run_dag` runs; its nodes carry
+//! [`task_tag`]s, which [`task_phase`] decodes. Two scheduler models of a
+//! partition graph are provided:
 //!
 //! * [`simulate`] replays the **persistent sharded runtime** that
-//!   [`nufft_parallel::Executor`] ships, running the graph's expansion
-//!   ([`TaskGraph::expand_into`], a privatized task as a convolve → reduce
-//!   pair): one ready-queue shard per worker, initial seeds dealt
-//!   round-robin in task order, a worker pops the policy-best entry of its
-//!   *own* shard and otherwise steals the policy-best entry of the first
-//!   non-empty victim scanning `(w+1) % T` upward; a completed task's
-//!   newly-ready successors land on the completing worker's own shard.
-//!   Each shard is its own serial resource: dequeues of the *same* shard
-//!   (owner pops and steals alike) serialize on
-//!   [`CostModel::queue_overhead`], dequeues of different shards proceed in
-//!   parallel — exactly the contention profile of per-shard mutexes. Where
-//!   its order can differ from the runtime's is stated on [`simulate`].
+//!   [`nufft_parallel::Executor`] ships: one ready-queue shard per worker,
+//!   initial seeds dealt round-robin in node order, a worker pops the
+//!   policy-best entry of its *own* shard and otherwise steals the
+//!   policy-best entry of the first non-empty victim scanning `(w+1) % T`
+//!   upward; a completed node's newly-ready successors land on the
+//!   completing worker's own shard, in the `Dag`'s successor order. Each
+//!   shard is its own serial resource: dequeues of the *same* shard (owner
+//!   pops and steals alike) serialize on [`CostModel::queue_overhead`],
+//!   dequeues of different shards proceed in parallel — exactly the
+//!   contention profile of per-shard mutexes.
 //! * [`simulate_shared_queue`] models the paper's global-queue scheduler
-//!   (§III-B3), which the runtime no longer ships: one ready queue whose
-//!   dequeues serialize on a single resource. That global contention term
-//!   is what makes fixed-width partitioning (thousands of tiny tasks) stop
-//!   scaling in Figure 11, and is the cost the sharded runtime removes.
+//!   (§III-B3), which the runtime no longer ships: the same loop with one
+//!   shard for all workers, so every dequeue serializes on a single
+//!   resource. That global contention term is what makes fixed-width
+//!   partitioning (thousands of tiny tasks) stop scaling in Figure 11, and
+//!   is the cost the sharded runtime removes.
 //!
-//! Costs are supplied per (task, phase) by a [`CostModel`]; the repro
-//! harness calibrates [`LinearCost`] from real single-core measurements.
-
-// Index-based loops below frequently address several parallel arrays
-// at once; clippy's iterator suggestion would obscure that.
-#![allow(clippy::needless_range_loop)]
+//! Fused whole-operator graphs replay through the same loop barrier-free
+//! ([`simulate_dag`]) or with a join after every phase
+//! ([`simulate_dag_phased`]). Only the barrier-colored schedule of the
+//! paper's §VI ([`simulate_colored`]) runs without it: it list-schedules
+//! each color on its own between global barriers.
+//!
+//! Costs are supplied per (task, phase) by a [`CostModel`] or per node by a
+//! [`DagCostModel`]; the repro harness calibrates [`LinearCost`] from real
+//! single-core measurements.
 
 use nufft_parallel::exec::TaskPhase;
-use nufft_parallel::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
+use nufft_parallel::graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph, TaskId};
 use nufft_parallel::queue::{Entry, ReadyQueue};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,13 +100,56 @@ impl CostModel for LinearCost {
     }
 }
 
-/// One simulated (task, phase) execution.
+/// Virtual-time cost provider for heterogeneous [`Dag`] nodes (the fused
+/// whole-operator graphs built by `nufft-core`).
+pub trait DagCostModel {
+    /// Execution cost (virtual seconds) of one node.
+    fn cost(&self, dag: &Dag, node: NodeId) -> f64;
+
+    /// Serial cost of one dequeue from a ready-queue shard.
+    fn queue_overhead(&self) -> f64 {
+        0.0
+    }
+}
+
+/// Affine node cost: `per_node + per_unit · weight(node)`. Node weights in
+/// the fused graphs are already normalized work estimates (grid elements,
+/// sample-equivalents), so one linear model covers all kinds.
+#[derive(Clone, Copy, Debug)]
+pub struct DagLinearCost {
+    /// Fixed overhead per node (scheduling, dispatch).
+    pub per_node: f64,
+    /// Marginal cost per weight unit.
+    pub per_unit: f64,
+    /// Serial dequeue cost (shard-mutex contention).
+    pub queue_cost: f64,
+}
+
+impl DagLinearCost {
+    /// A convenient default: one weight unit ≈ `per_unit` seconds.
+    pub fn per_unit(per_unit: f64) -> Self {
+        DagLinearCost { per_node: per_unit * 4.0, per_unit, queue_cost: per_unit * 2.0 }
+    }
+}
+
+impl DagCostModel for DagLinearCost {
+    fn cost(&self, dag: &Dag, node: NodeId) -> f64 {
+        self.per_node + self.per_unit * dag.weight(node) as f64
+    }
+
+    fn queue_overhead(&self) -> f64 {
+        self.queue_cost
+    }
+}
+
+/// One simulated node execution.
 #[derive(Clone, Copy, Debug)]
 pub struct SimRecord {
-    /// Which task ran.
-    pub task: TaskId,
-    /// Which phase.
-    pub phase: TaskPhase,
+    /// Which node ran.
+    pub node: NodeId,
+    /// Its tag: a [`task_tag`] for a replayed [`TaskGraph`], else whatever
+    /// the graph's builder packed (kind/axis/channel for fused graphs).
+    pub tag: u64,
     /// Virtual worker that ran it.
     pub worker: usize,
     /// Virtual start time.
@@ -113,7 +163,7 @@ pub struct SimRecord {
 pub struct SimResult {
     /// Virtual makespan.
     pub makespan: f64,
-    /// Per-worker busy time (task execution only, not queue waits).
+    /// Per-worker busy time (node execution only, not queue waits).
     pub worker_busy: Vec<f64>,
     /// Full timeline, ordered by start time.
     pub timeline: Vec<SimRecord>,
@@ -129,12 +179,27 @@ impl SimResult {
     }
 }
 
+/// The tag [`simulate`] and [`simulate_shared_queue`] give the node that
+/// runs `phase` of `task`: `task << 2 | phase`, the packing the executor's
+/// own task-graph tests use.
+pub fn task_tag(task: TaskId, phase: TaskPhase) -> u64 {
+    (task as u64) << 2 | phase as u64
+}
+
+/// The `(task, phase)` a [`task_tag`] names.
+pub fn task_phase(tag: u64) -> (TaskId, TaskPhase) {
+    const PHASES: [TaskPhase; 3] =
+        [TaskPhase::Normal, TaskPhase::PrivateConvolve, TaskPhase::Reduce];
+    ((tag >> 2) as TaskId, PHASES[(tag & 3) as usize])
+}
+
+/// A node's completion in virtual time. A worker runs one node at a time,
+/// so `(time, worker)` already orders the in-flight events totally.
 #[derive(PartialEq)]
 struct FinishEvent {
     time: f64,
     worker: usize,
-    task: TaskId,
-    phase: TaskPhase,
+    node: NodeId,
 }
 
 impl Eq for FinishEvent {}
@@ -144,7 +209,7 @@ impl Ord for FinishEvent {
         self.time
             .total_cmp(&other.time)
             .then_with(|| self.worker.cmp(&other.worker))
-            .then_with(|| self.task.cmp(&other.task))
+            .then_with(|| self.node.cmp(&other.node))
     }
 }
 
@@ -154,47 +219,140 @@ impl PartialOrd for FinishEvent {
     }
 }
 
-fn encode(task: TaskId, phase: TaskPhase) -> u64 {
-    let p = match phase {
-        TaskPhase::Normal => 0,
-        TaskPhase::PrivateConvolve => 1,
-        TaskPhase::Reduce => 2,
-    };
-    (task as u64) * 4 + p
+/// The event loop every replay runs: the nodes of `dag` where `active`
+/// holds (edges with an inactive endpoint are dropped) on `workers` virtual
+/// workers sharing `shards` ready queues. Roots are dealt round-robin over
+/// the shards in node order; worker `w` owns shard `w % shards`, pops it
+/// first and otherwise steals from the first non-empty shard scanning
+/// upward; a completed node's newly-ready successors go to its worker's
+/// own shard. Each dequeue serializes on its shard for `queue_cost` and
+/// cannot start before the work was ready. Ties in virtual time break by
+/// worker index, so results are reproducible.
+fn replay(
+    dag: &Dag,
+    policy: QueuePolicy,
+    workers: usize,
+    shards: usize,
+    active: &dyn Fn(NodeId) -> bool,
+    cost: &dyn Fn(NodeId) -> f64,
+    queue_cost: f64,
+) -> SimResult {
+    assert!(workers > 0, "need at least one virtual worker");
+    let n = dag.len();
+    let mut pending: Vec<u32> = vec![0; n];
+    let mut remaining = 0usize;
+    for u in 0..n as NodeId {
+        if !active(u) {
+            continue;
+        }
+        remaining += 1;
+        for &v in dag.succs(u) {
+            if active(v) {
+                pending[v as usize] += 1;
+            }
+        }
+    }
+    let mut queues: Vec<ReadyQueue> = (0..shards).map(|_| ReadyQueue::new(policy)).collect();
+    let entry = |v: NodeId| Entry { weight: dag.priority(v), payload: v as u64 };
+    let mut seed = 0usize;
+    for u in 0..n as NodeId {
+        if active(u) && pending[u as usize] == 0 {
+            queues[seed % shards].push(entry(u));
+            seed += 1;
+        }
+    }
+
+    let mut events: BinaryHeap<Reverse<FinishEvent>> = BinaryHeap::new();
+    let key = |t: f64| -> u64 { (t * 1e12) as u64 };
+    // Idle workers, deterministic pick order (earliest-free, then index).
+    let mut idle: Vec<(u64, usize)> = (0..workers).map(|w| (0u64, w)).collect();
+    // Per-shard serial dequeue resource (the shard's mutex).
+    let mut shard_free_at = vec![0.0f64; shards];
+    let mut busy = vec![0.0f64; workers];
+    let mut timeline = Vec::with_capacity(remaining);
+    let mut makespan = 0.0f64;
+    // Entries in the queues became ready no later than `now`, so a worker
+    // that has been idle longer still cannot start before the work existed.
+    let mut now = 0.0f64;
+
+    loop {
+        idle.sort_unstable();
+        let mut still_idle = Vec::new();
+        for &(tfree_k, w) in &idle {
+            let tfree = tfree_k as f64 / 1e12;
+            let victim = (0..shards).map(|d| (w + d) % shards).find(|&v| !queues[v].is_empty());
+            let Some(v) = victim else {
+                still_idle.push((tfree_k, w));
+                continue;
+            };
+            let node = queues[v].pop().expect("checked non-empty").payload as NodeId;
+            let start = tfree.max(now).max(shard_free_at[v]) + queue_cost;
+            shard_free_at[v] = start;
+            let dur = cost(node);
+            let end = start + dur;
+            busy[w] += dur;
+            timeline.push(SimRecord { node, tag: dag.tag(node), worker: w, start, end });
+            events.push(Reverse(FinishEvent { time: end, worker: w, node }));
+        }
+        idle = still_idle;
+
+        let Some(Reverse(ev)) = events.pop() else { break };
+        makespan = makespan.max(ev.time);
+        now = ev.time;
+        idle.push((key(ev.time), ev.worker));
+        remaining -= 1;
+
+        // Edge retirement, as in the runtime: the last retired edge
+        // publishes a node to the completing worker's own shard.
+        for &s in dag.succs(ev.node) {
+            if !active(s) {
+                continue;
+            }
+            pending[s as usize] -= 1;
+            if pending[s as usize] == 0 {
+                queues[ev.worker % shards].push(entry(s));
+            }
+        }
+    }
+    debug_assert_eq!(remaining, 0, "simulation finished with unscheduled work");
+
+    timeline.sort_by(|a, b| a.start.total_cmp(&b.start));
+    SimResult { makespan, worker_busy: busy, timeline }
 }
 
-fn decode(payload: u64) -> (TaskId, TaskPhase) {
-    let phase = match payload % 4 {
-        0 => TaskPhase::Normal,
-        1 => TaskPhase::PrivateConvolve,
-        2 => TaskPhase::Reduce,
-        _ => unreachable!(),
+/// Replays `graph`'s expansion, each node queued at its task's weight and
+/// costed by `model` through its [`task_tag`].
+fn replay_task_graph(
+    graph: &TaskGraph,
+    policy: QueuePolicy,
+    workers: usize,
+    shards: usize,
+    model: &dyn CostModel,
+) -> SimResult {
+    let mut builder = DagBuilder::new();
+    graph.expand_into(&mut builder, |t, phase| (task_tag(t, phase), graph.weight(t)));
+    let dag = builder.build();
+    let cost = |v: NodeId| {
+        let (task, phase) = task_phase(dag.tag(v));
+        model.cost(graph, task, phase)
     };
-    ((payload / 4) as TaskId, phase)
+    replay(&dag, policy, workers, shards, &|_| true, &cost, model.queue_overhead())
 }
 
 /// Simulates `graph` on `workers` virtual workers under `policy`, replaying
 /// the **persistent sharded runtime** ([`nufft_parallel::Executor::run_dag`])
 /// on the graph's expansion ([`TaskGraph::expand_into`], each node queued
-/// at its task's weight): per-worker ready-queue shards with round-robin
-/// seeding (the k-th initially-ready unit, in task order, lands on shard
-/// `k % workers`), own-shard-first popping, and steals that take the
-/// policy-best entry of the first non-empty victim scanning `(w+1) % T`
-/// upward — so largest-first priority is preserved *per steal victim*, not
-/// globally. Newly-ready successors are pushed to the completing worker's
-/// own shard. Dequeues of the same shard serialize on
-/// [`CostModel::queue_overhead`] (the shard mutex); dequeues of different
-/// shards run in parallel. Ties in virtual time are broken
+/// at its task's weight and tagged with its [`task_tag`]): per-worker
+/// ready-queue shards with round-robin seeding (the k-th initially-ready
+/// node, in node order, lands on shard `k % workers`), own-shard-first
+/// popping, and steals that take the policy-best entry of the first
+/// non-empty victim scanning `(w+1) % T` upward — so largest-first priority
+/// is preserved *per steal victim*, not globally. Newly-ready successors
+/// are pushed to the completing worker's own shard in the expansion's
+/// successor order, as the runtime pushes them. Dequeues of the same shard
+/// serialize on [`CostModel::queue_overhead`] (the shard mutex); dequeues
+/// of different shards run in parallel. Ties in virtual time are broken
 /// deterministically, so results are reproducible.
-///
-/// The model keys units by `(task, phase)`, the runtime by node id. Node
-/// ids follow task order, a privatized task's convolve before its reduce,
-/// so priority ties, which break by that key, pop in the same order. The
-/// order can differ where a completed task hands out its successors: the
-/// runtime pushes them in node-id order, the model in the graph's edge
-/// order (lower neighbor first). The two disagree only across a wrapped
-/// boundary, where partition 0's lower neighbor is the last partition, so
-/// under [`QueuePolicy::Fifo`] they queue such a pair in opposite order.
 ///
 /// ```
 /// use nufft_parallel::graph::{QueuePolicy, TaskGraph};
@@ -213,215 +371,23 @@ pub fn simulate(
     workers: usize,
     model: &dyn CostModel,
 ) -> SimResult {
-    assert!(workers > 0, "need at least one virtual worker");
-    let n = graph.len();
-    // Merged readiness counters, as in the real executor: predecessor edges
-    // plus one extra for a privatized task's own convolve phase.
-    let mut pending: Vec<u32> = Vec::with_capacity(n);
-    let mut shards: Vec<ReadyQueue> = (0..workers).map(|_| ReadyQueue::new(policy)).collect();
-    let mut remaining = 0usize;
-    let mut seed = 0usize;
-    for t in 0..n {
-        let extra: u32 = if graph.privatized(t) { 1 } else { 0 };
-        pending.push(graph.pred_count(t) as u32 + extra);
-        remaining += 1 + extra as usize;
-        if graph.privatized(t) {
-            shards[seed % workers].push(Entry {
-                weight: graph.weight(t),
-                payload: encode(t, TaskPhase::PrivateConvolve),
-            });
-            seed += 1;
-        } else if graph.pred_count(t) == 0 {
-            shards[seed % workers]
-                .push(Entry { weight: graph.weight(t), payload: encode(t, TaskPhase::Normal) });
-            seed += 1;
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<FinishEvent>> = BinaryHeap::new();
-    let key = |t: f64| -> u64 { (t * 1e12) as u64 };
-    // Idle workers, deterministic pick order (earliest-free, then index).
-    let mut idle: Vec<(u64, usize)> = (0..workers).map(|w| (0u64, w)).collect();
-    // Per-shard serial dequeue resource (the shard's mutex).
-    let mut shard_free_at = vec![0.0f64; workers];
-    let mut busy = vec![0.0f64; workers];
-    let mut timeline = Vec::with_capacity(remaining);
-    let mut makespan = 0.0f64;
-    let mut now = 0.0f64;
-
-    loop {
-        // Assign work to idle workers: each picks its own shard first, then
-        // steals scanning (w+1) % T — the executor's exact victim order.
-        idle.sort_unstable();
-        let mut still_idle = Vec::new();
-        for &(tfree_k, w) in &idle {
-            let tfree = tfree_k as f64 / 1e12;
-            let victim = (0..workers).map(|d| (w + d) % workers).find(|&v| !shards[v].is_empty());
-            let Some(v) = victim else {
-                still_idle.push((tfree_k, w));
-                continue;
-            };
-            let e = shards[v].pop().expect("checked non-empty");
-            let (task, phase) = decode(e.payload);
-            // The dequeue serializes on the victim shard's mutex; it cannot
-            // begin before the work became ready (`now`).
-            let pop_start = tfree.max(now).max(shard_free_at[v]);
-            let start = pop_start + model.queue_overhead();
-            shard_free_at[v] = start;
-            let dur = model.cost(graph, task, phase);
-            let end = start + dur;
-            busy[w] += dur;
-            timeline.push(SimRecord { task, phase, worker: w, start, end });
-            events.push(Reverse(FinishEvent { time: end, worker: w, task, phase }));
-        }
-        idle = still_idle;
-
-        let Some(Reverse(ev)) = events.pop() else { break };
-        makespan = makespan.max(ev.time);
-        now = ev.time;
-        idle.push((key(ev.time), ev.worker));
-        remaining -= 1;
-
-        // Completion bookkeeping (the runtime's edge retirement on the
-        // expanded graph): retire one prerequisite per edge; the last
-        // retirement publishes the task to the completing worker's own
-        // shard.
-        let mut retire = |t: TaskId, shards: &mut Vec<ReadyQueue>| {
-            pending[t] -= 1;
-            if pending[t] == 0 {
-                let phase = if graph.privatized(t) { TaskPhase::Reduce } else { TaskPhase::Normal };
-                shards[ev.worker]
-                    .push(Entry { weight: graph.weight(t), payload: encode(t, phase) });
-            }
-        };
-        match ev.phase {
-            TaskPhase::PrivateConvolve => retire(ev.task, &mut shards),
-            TaskPhase::Normal | TaskPhase::Reduce => {
-                for s in graph.succs(ev.task) {
-                    retire(s, &mut shards);
-                }
-            }
-        }
-    }
-    debug_assert_eq!(remaining, 0, "simulation finished with unscheduled work");
-
-    timeline.sort_by(|a, b| a.start.total_cmp(&b.start));
-    SimResult { makespan, worker_busy: busy, timeline }
+    replay_task_graph(graph, policy, workers, workers, model)
 }
 
 /// Simulates `graph` under the paper's **global-queue** scheduler
-/// (§III-B3), which the runtime no longer ships: one ready queue, every
-/// dequeue serialized on a single [`CostModel::queue_overhead`] resource.
-/// This is the baseline the sharded runtime of [`simulate`] is measured
-/// against — its global contention term caps the scaling of
-/// many-tiny-task partitionings (Figure 11).
+/// (§III-B3), which the runtime no longer ships: the replay of [`simulate`]
+/// with one ready queue for all workers, so every dequeue serializes on a
+/// single [`CostModel::queue_overhead`] resource. This is the baseline the
+/// sharded runtime of [`simulate`] is measured against — its global
+/// contention term caps the scaling of many-tiny-task partitionings
+/// (Figure 11).
 pub fn simulate_shared_queue(
     graph: &TaskGraph,
     policy: QueuePolicy,
     workers: usize,
     model: &dyn CostModel,
 ) -> SimResult {
-    assert!(workers > 0, "need at least one virtual worker");
-    let n = graph.len();
-    let mut ready = ReadyQueue::new(policy);
-    let mut pending: Vec<u32> = (0..n).map(|t| graph.pred_count(t) as u32).collect();
-    let mut conv_done = vec![false; n];
-    let mut remaining = 0usize;
-    for t in 0..n {
-        if graph.privatized(t) {
-            remaining += 2;
-            ready.push(Entry {
-                weight: graph.weight(t),
-                payload: encode(t, TaskPhase::PrivateConvolve),
-            });
-        } else {
-            remaining += 1;
-            if pending[t] == 0 {
-                ready
-                    .push(Entry { weight: graph.weight(t), payload: encode(t, TaskPhase::Normal) });
-            }
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<FinishEvent>> = BinaryHeap::new();
-    // Workers idle since time 0; pair (time_free, worker) kept as a min-heap
-    // for deterministic assignment.
-    let mut idle: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..workers).map(|w| Reverse((0u64, w))).collect();
-    let key = |t: f64| -> u64 { (t * 1e12) as u64 };
-
-    let mut queue_free_at = 0.0f64;
-    let mut busy = vec![0.0f64; workers];
-    let mut timeline = Vec::with_capacity(remaining);
-    let mut makespan = 0.0f64;
-    // Current simulation time: entries in `ready` became ready no later than
-    // `now`, so a worker that has been idle longer still cannot start before
-    // the work existed.
-    let mut now = 0.0f64;
-
-    // Main loop: assign ready work to idle workers, else advance events.
-    loop {
-        // Assign as many ready units as possible.
-        while !ready.is_empty() {
-            let Some(Reverse((tfree_k, w))) = idle.pop() else { break };
-            let tfree = tfree_k as f64 / 1e12;
-            let e = ready.pop().expect("checked non-empty");
-            let (task, phase) = decode(e.payload);
-            // Dequeue serializes on the shared queue; cannot begin before
-            // the work became ready (`now`).
-            let pop_start = tfree.max(now).max(queue_free_at);
-            let start = pop_start + model.queue_overhead();
-            queue_free_at = start;
-            let dur = model.cost(graph, task, phase);
-            let end = start + dur;
-            busy[w] += dur;
-            timeline.push(SimRecord { task, phase, worker: w, start, end });
-            events.push(Reverse(FinishEvent { time: end, worker: w, task, phase }));
-        }
-
-        let Some(Reverse(ev)) = events.pop() else { break };
-        makespan = makespan.max(ev.time);
-        now = ev.time;
-        idle.push(Reverse((key(ev.time), ev.worker)));
-        remaining -= 1;
-
-        // Completion bookkeeping (mirrors Executor::complete).
-        match ev.phase {
-            TaskPhase::PrivateConvolve => {
-                conv_done[ev.task] = true;
-                if pending[ev.task] == 0 {
-                    ready.push(Entry {
-                        weight: graph.weight(ev.task),
-                        payload: encode(ev.task, TaskPhase::Reduce),
-                    });
-                }
-            }
-            TaskPhase::Normal | TaskPhase::Reduce => {
-                for s in graph.succs(ev.task) {
-                    pending[s] -= 1;
-                    if pending[s] == 0 {
-                        if graph.privatized(s) {
-                            if conv_done[s] {
-                                ready.push(Entry {
-                                    weight: graph.weight(s),
-                                    payload: encode(s, TaskPhase::Reduce),
-                                });
-                            }
-                        } else {
-                            ready.push(Entry {
-                                weight: graph.weight(s),
-                                payload: encode(s, TaskPhase::Normal),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    debug_assert_eq!(remaining, 0, "simulation finished with unscheduled work");
-
-    timeline.sort_by(|a, b| a.start.total_cmp(&b.start));
-    SimResult { makespan, worker_busy: busy, timeline }
+    replay_task_graph(graph, policy, workers, 1, model)
 }
 
 /// Simulates the *barrier-colored* schedule of Zhang et al. (paper §VI):
@@ -468,201 +434,18 @@ pub fn simulate_colored(graph: &TaskGraph, workers: usize, model: &dyn CostModel
     t_total
 }
 
-/// Sweeps worker counts and returns `(workers, speedup_vs_first)` pairs —
-/// the building block of every scaling figure.
-pub fn speedup_curve(
-    graph: &TaskGraph,
-    policy: QueuePolicy,
-    worker_counts: &[usize],
-    model: &dyn CostModel,
-) -> Vec<(usize, f64)> {
-    assert!(!worker_counts.is_empty());
-    let base = simulate(graph, policy, worker_counts[0], model).makespan;
-    worker_counts.iter().map(|&w| (w, base / simulate(graph, policy, w, model).makespan)).collect()
-}
-
-/// Virtual-time cost provider for heterogeneous [`Dag`] nodes (the fused
-/// whole-operator graphs built by `nufft-core`).
-pub trait DagCostModel {
-    /// Execution cost (virtual seconds) of one node.
-    fn cost(&self, dag: &Dag, node: NodeId) -> f64;
-
-    /// Serial cost of one dequeue from a ready-queue shard.
-    fn queue_overhead(&self) -> f64 {
-        0.0
-    }
-}
-
-/// Affine node cost: `per_node + per_unit · weight(node)`. Node weights in
-/// the fused graphs are already normalized work estimates (grid elements,
-/// sample-equivalents), so one linear model covers all kinds.
-#[derive(Clone, Copy, Debug)]
-pub struct DagLinearCost {
-    /// Fixed overhead per node (scheduling, dispatch).
-    pub per_node: f64,
-    /// Marginal cost per weight unit.
-    pub per_unit: f64,
-    /// Serial dequeue cost (shard-mutex contention).
-    pub queue_cost: f64,
-}
-
-impl DagLinearCost {
-    /// A convenient default: one weight unit ≈ `per_unit` seconds.
-    pub fn per_unit(per_unit: f64) -> Self {
-        DagLinearCost { per_node: per_unit * 4.0, per_unit, queue_cost: per_unit * 2.0 }
-    }
-}
-
-impl DagCostModel for DagLinearCost {
-    fn cost(&self, dag: &Dag, node: NodeId) -> f64 {
-        self.per_node + self.per_unit * dag.weight(node) as f64
-    }
-
-    fn queue_overhead(&self) -> f64 {
-        self.queue_cost
-    }
-}
-
-/// One simulated node execution.
-#[derive(Clone, Copy, Debug)]
-pub struct DagSimRecord {
-    /// Which node ran.
-    pub node: NodeId,
-    /// Its opaque tag (kind/axis/channel packing is the builder's).
-    pub tag: u64,
-    /// Virtual worker that ran it.
-    pub worker: usize,
-    /// Virtual start time.
-    pub start: f64,
-    /// Virtual end time.
-    pub end: f64,
-}
-
-/// Result of a virtual DAG run.
-#[derive(Clone, Debug)]
-pub struct DagSimResult {
-    /// Virtual makespan.
-    pub makespan: f64,
-    /// Per-worker busy time (node execution only, not queue waits).
-    pub worker_busy: Vec<f64>,
-    /// Full timeline, ordered by start time.
-    pub timeline: Vec<DagSimRecord>,
-}
-
-impl DagSimResult {
-    /// Busy time / (P × makespan).
-    pub fn efficiency(&self) -> f64 {
-        if self.makespan == 0.0 {
-            return 1.0;
-        }
-        self.worker_busy.iter().sum::<f64>() / (self.makespan * self.worker_busy.len() as f64)
-    }
-}
-
-/// Core DAG event loop over the subset of nodes where `active` holds;
-/// edges with an inactive endpoint are dropped. Mechanics mirror
-/// [`simulate`] exactly (sharded queues, round-robin seeding,
-/// own-shard-then-scan stealing, per-shard serialized dequeues).
-fn simulate_dag_subset(
-    dag: &Dag,
-    policy: QueuePolicy,
-    workers: usize,
-    model: &dyn DagCostModel,
-    active: &dyn Fn(NodeId) -> bool,
-) -> DagSimResult {
-    assert!(workers > 0, "need at least one virtual worker");
-    let n = dag.len();
-    let mut pending: Vec<u32> = vec![0; n];
-    let mut remaining = 0usize;
-    for u in 0..n as NodeId {
-        if !active(u) {
-            continue;
-        }
-        remaining += 1;
-        for &v in dag.succs(u) {
-            if active(v) {
-                pending[v as usize] += 1;
-            }
-        }
-    }
-    let mut shards: Vec<ReadyQueue> = (0..workers).map(|_| ReadyQueue::new(policy)).collect();
-    let mut seed = 0usize;
-    for u in 0..n as NodeId {
-        if active(u) && pending[u as usize] == 0 {
-            shards[seed % workers].push(Entry { weight: dag.priority(u), payload: u as u64 });
-            seed += 1;
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<FinishEvent>> = BinaryHeap::new();
-    let key = |t: f64| -> u64 { (t * 1e12) as u64 };
-    let mut idle: Vec<(u64, usize)> = (0..workers).map(|w| (0u64, w)).collect();
-    let mut shard_free_at = vec![0.0f64; workers];
-    let mut busy = vec![0.0f64; workers];
-    let mut timeline = Vec::with_capacity(remaining);
-    let mut makespan = 0.0f64;
-    let mut now = 0.0f64;
-
-    loop {
-        idle.sort_unstable();
-        let mut still_idle = Vec::new();
-        for &(tfree_k, w) in &idle {
-            let tfree = tfree_k as f64 / 1e12;
-            let victim = (0..workers).map(|d| (w + d) % workers).find(|&v| !shards[v].is_empty());
-            let Some(v) = victim else {
-                still_idle.push((tfree_k, w));
-                continue;
-            };
-            let e = shards[v].pop().expect("checked non-empty");
-            let node = e.payload as NodeId;
-            let pop_start = tfree.max(now).max(shard_free_at[v]);
-            let start = pop_start + model.queue_overhead();
-            shard_free_at[v] = start;
-            let dur = model.cost(dag, node);
-            let end = start + dur;
-            busy[w] += dur;
-            timeline.push(DagSimRecord { node, tag: dag.tag(node), worker: w, start, end });
-            events.push(Reverse(FinishEvent {
-                time: end,
-                worker: w,
-                task: node as TaskId,
-                phase: TaskPhase::Normal,
-            }));
-        }
-        idle = still_idle;
-
-        let Some(Reverse(ev)) = events.pop() else { break };
-        makespan = makespan.max(ev.time);
-        now = ev.time;
-        idle.push((key(ev.time), ev.worker));
-        remaining -= 1;
-
-        for &s in dag.succs(ev.task as NodeId) {
-            if !active(s) {
-                continue;
-            }
-            pending[s as usize] -= 1;
-            if pending[s as usize] == 0 {
-                shards[ev.worker].push(Entry { weight: dag.priority(s), payload: s as u64 });
-            }
-        }
-    }
-    debug_assert_eq!(remaining, 0, "simulation finished with unscheduled work");
-
-    timeline.sort_by(|a, b| a.start.total_cmp(&b.start));
-    DagSimResult { makespan, worker_busy: busy, timeline }
-}
-
 /// Simulates a fused whole-operator [`Dag`] on `workers` virtual workers —
 /// the **barrier-free** schedule: a worker takes any node whose
-/// dependencies are retired, regardless of phase.
+/// dependencies are retired, regardless of phase. The sharded replay of
+/// [`simulate`], on the nodes as built.
 pub fn simulate_dag(
     dag: &Dag,
     policy: QueuePolicy,
     workers: usize,
     model: &dyn DagCostModel,
-) -> DagSimResult {
-    simulate_dag_subset(dag, policy, workers, model, &|_| true)
+) -> SimResult {
+    let cost = |v: NodeId| model.cost(dag, v);
+    replay(dag, policy, workers, workers, &|_| true, &cost, model.queue_overhead())
 }
 
 /// Simulates the same node set as [`simulate_dag`] but with an executor
@@ -685,209 +468,13 @@ pub fn simulate_dag_phased(
     let mut ids: Vec<usize> = phases.to_vec();
     ids.sort_unstable();
     ids.dedup();
+    let cost = |v: NodeId| model.cost(dag, v);
     ids.iter()
         .map(|&p| {
-            simulate_dag_subset(dag, policy, workers, model, &|v| phases[v as usize] == p).makespan
+            let active = |v: NodeId| phases[v as usize] == p;
+            replay(dag, policy, workers, workers, &active, &cost, model.queue_overhead()).makespan
         })
         .sum()
-}
-
-/// A point of the fused-vs-phased scaling comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct DagSpeedupPoint {
-    /// Virtual worker count.
-    pub workers: usize,
-    /// Barrier-free makespan ([`simulate_dag`]).
-    pub fused: f64,
-    /// Join-after-every-phase total ([`simulate_dag_phased`]).
-    pub phased: f64,
-}
-
-/// Sweeps worker counts, returning fused and phased virtual times per `P`
-/// — the data behind the fused-DAG speedup curves.
-pub fn dag_speedup_curve(
-    dag: &Dag,
-    phases: &[usize],
-    policy: QueuePolicy,
-    worker_counts: &[usize],
-    model: &dyn DagCostModel,
-) -> Vec<DagSpeedupPoint> {
-    worker_counts
-        .iter()
-        .map(|&workers| DagSpeedupPoint {
-            workers,
-            fused: simulate_dag(dag, policy, workers, model).makespan,
-            phased: simulate_dag_phased(dag, phases, policy, workers, model),
-        })
-        .collect()
-}
-
-/// The fair-share stride scale of the real multi-tenant pool
-/// (`nufft_parallel::exec`): a job's pass advances by `STRIDE_SCALE /
-/// tickets` per unit served, and workers serve the runnable job with the
-/// smallest pass.
-const STRIDE_SCALE: u64 = 1 << 16;
-
-/// Result of a concurrent multi-DAG replay.
-#[derive(Clone, Debug)]
-pub struct ConcurrentDagsResult {
-    /// Virtual time at which the *last* job finished.
-    pub makespan: f64,
-    /// Per-job finish time, in submission order.
-    pub finish: Vec<f64>,
-    /// Per-worker busy time across all jobs.
-    pub worker_busy: Vec<f64>,
-}
-
-/// Replays `dags.len()` fused DAGs submitted **concurrently** at virtual
-/// time 0 onto one pool of `workers` virtual workers — the multi-tenant
-/// scheduler of `nufft_parallel::exec` in virtual time. Per-job state
-/// mirrors the real pool exactly: every job owns its own per-worker
-/// ready-queue shards and pending counters (tenants share nothing
-/// mutable); an idle worker first picks the runnable job with the minimum
-/// `(pass, submission index)` — stride fair-share, where serving one unit
-/// advances the job's pass by `2^16 / tickets[j]` — then pops
-/// own-shard-first / steals scanning `(w+1) % T` *within that job*.
-/// Dequeues serialize per (job, worker) shard.
-///
-/// `tickets[j]` is job `j`'s admission weight (the real pool's
-/// `JobPriority::tickets`: Low = 1, Normal = 4, High = 16). Higher tickets
-/// → smaller stride → more worker steps per unit of virtual time.
-///
-/// Serial submission of the same jobs is the sum of their solo
-/// [`simulate_dag`] makespans; `tests` pin that concurrent submission
-/// dominates it at P ≥ 4 whenever single jobs cannot saturate the pool —
-/// the service-layer win this PR exists to demonstrate.
-pub fn simulate_concurrent_dags(
-    dags: &[&Dag],
-    tickets: &[u64],
-    policy: QueuePolicy,
-    workers: usize,
-    model: &dyn DagCostModel,
-) -> ConcurrentDagsResult {
-    assert!(workers > 0, "need at least one virtual worker");
-    assert!(!dags.is_empty(), "need at least one job");
-    assert_eq!(dags.len(), tickets.len(), "one ticket count per job");
-    assert!(tickets.iter().all(|&t| t > 0), "tickets must be positive");
-    let k = dags.len();
-
-    // Per-job mirrored state: pending counters, shards, remaining units.
-    let mut pending: Vec<Vec<u32>> = Vec::with_capacity(k);
-    let mut shards: Vec<Vec<ReadyQueue>> = Vec::with_capacity(k);
-    let mut remaining: Vec<usize> = Vec::with_capacity(k);
-    for dag in dags {
-        let n = dag.len();
-        let mut pend = vec![0u32; n];
-        for u in 0..n as NodeId {
-            for &v in dag.succs(u) {
-                pend[v as usize] += 1;
-            }
-        }
-        let mut job_shards: Vec<ReadyQueue> =
-            (0..workers).map(|_| ReadyQueue::new(policy)).collect();
-        let mut seed = 0usize;
-        for u in 0..n as NodeId {
-            if pend[u as usize] == 0 {
-                job_shards[seed % workers]
-                    .push(Entry { weight: dag.priority(u), payload: u as u64 });
-                seed += 1;
-            }
-        }
-        pending.push(pend);
-        shards.push(job_shards);
-        remaining.push(n);
-    }
-    let stride: Vec<u64> = tickets.iter().map(|&t| STRIDE_SCALE / t).collect();
-    let mut pass = vec![0u64; k];
-
-    // Finish events carry the job index in `phase`-free form: reuse
-    // FinishEvent with `task` = node and `worker`; job rides alongside.
-    struct JobEvent {
-        time: f64,
-        worker: usize,
-        job: usize,
-        node: NodeId,
-    }
-    impl PartialEq for JobEvent {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
-        }
-    }
-    impl Eq for JobEvent {}
-    impl Ord for JobEvent {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.time
-                .total_cmp(&other.time)
-                .then_with(|| self.worker.cmp(&other.worker))
-                .then_with(|| self.job.cmp(&other.job))
-                .then_with(|| self.node.cmp(&other.node))
-        }
-    }
-    impl PartialOrd for JobEvent {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<JobEvent>> = BinaryHeap::new();
-    let key = |t: f64| -> u64 { (t * 1e12) as u64 };
-    let mut idle: Vec<(u64, usize)> = (0..workers).map(|w| (0u64, w)).collect();
-    let mut shard_free_at = vec![vec![0.0f64; workers]; k];
-    let mut busy = vec![0.0f64; workers];
-    let mut finish = vec![0.0f64; k];
-    let mut makespan = 0.0f64;
-    let mut now = 0.0f64;
-
-    loop {
-        idle.sort_unstable();
-        let mut still_idle = Vec::new();
-        for &(tfree_k, w) in &idle {
-            let tfree = tfree_k as f64 / 1e12;
-            // Stride pick: the runnable job with the smallest (pass, index).
-            let pick = (0..k)
-                .filter(|&j| shards[j].iter().any(|s| !s.is_empty()))
-                .min_by_key(|&j| (pass[j], j));
-            let Some(j) = pick else {
-                still_idle.push((tfree_k, w));
-                continue;
-            };
-            let v = (0..workers)
-                .map(|d| (w + d) % workers)
-                .find(|&v| !shards[j][v].is_empty())
-                .expect("picked job has ready work");
-            let e = shards[j][v].pop().expect("checked non-empty");
-            let node = e.payload as NodeId;
-            let pop_start = tfree.max(now).max(shard_free_at[j][v]);
-            let start = pop_start + model.queue_overhead();
-            shard_free_at[j][v] = start;
-            let dur = model.cost(dags[j], node);
-            let end = start + dur;
-            busy[w] += dur;
-            pass[j] = pass[j].saturating_add(stride[j]);
-            events.push(Reverse(JobEvent { time: end, worker: w, job: j, node }));
-        }
-        idle = still_idle;
-
-        let Some(Reverse(ev)) = events.pop() else { break };
-        makespan = makespan.max(ev.time);
-        now = ev.time;
-        idle.push((key(ev.time), ev.worker));
-        remaining[ev.job] -= 1;
-        if remaining[ev.job] == 0 {
-            finish[ev.job] = ev.time;
-        }
-
-        for &s in dags[ev.job].succs(ev.node) {
-            pending[ev.job][s as usize] -= 1;
-            if pending[ev.job][s as usize] == 0 {
-                shards[ev.job][ev.worker]
-                    .push(Entry { weight: dags[ev.job].priority(s), payload: s as u64 });
-            }
-        }
-    }
-    debug_assert!(remaining.iter().all(|&r| r == 0), "unscheduled work left");
-
-    ConcurrentDagsResult { makespan, finish, worker_busy: busy }
 }
 
 #[cfg(test)]
@@ -959,14 +546,16 @@ mod tests {
         let r = simulate(&g, QueuePolicy::Fifo, 4, &model);
         let mut finish = vec![0.0f64; g.len()];
         for rec in &r.timeline {
-            finish[rec.task] = finish[rec.task].max(rec.end);
+            let (task, _) = task_phase(rec.tag);
+            finish[task] = finish[task].max(rec.end);
         }
         for rec in &r.timeline {
-            for p in g.preds(rec.task) {
+            let (task, _) = task_phase(rec.tag);
+            for p in g.preds(task) {
                 assert!(
                     finish[p] <= rec.start + 1e-9,
                     "task {} started before pred {} finished",
-                    rec.task,
+                    task,
                     p
                 );
             }
@@ -980,9 +569,10 @@ mod tests {
         let r = simulate(&g, QueuePolicy::Priority, 8, &model);
         for a in &r.timeline {
             for b in &r.timeline {
-                if a.task != b.task && g.adjacent(a.task, b.task) {
+                let ((ta, _), (tb, _)) = (task_phase(a.tag), task_phase(b.tag));
+                if ta != tb && g.adjacent(ta, tb) {
                     let overlap = a.start.max(b.start) < a.end.min(b.end) - 1e-12;
-                    assert!(!overlap, "tasks {} and {} overlap", a.task, b.task);
+                    assert!(!overlap, "tasks {} and {} overlap", ta, tb);
                 }
             }
         }
@@ -1094,16 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_curve_is_normalized_to_first_entry() {
-        let g = uniform_graph(&[8, 8], 12);
-        let model = LinearCost::per_sample(0.5);
-        let curve = speedup_curve(&g, QueuePolicy::Priority, &[1, 2, 4], &model);
-        assert_eq!(curve.len(), 3);
-        assert!((curve[0].1 - 1.0).abs() < 1e-12);
-        assert!(curve[2].1 >= curve[1].1 * 0.9);
-    }
-
-    #[test]
     fn colored_barriers_lose_to_the_tdg_at_high_worker_counts() {
         // At low worker counts the colored scheme's global LPT packing can
         // win; the paper's claim is about many cores, where the barrier
@@ -1164,8 +744,6 @@ mod tests {
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.timeline.len(), b.timeline.len());
     }
-
-    use nufft_parallel::graph::DagBuilder;
 
     /// A synthetic fused-style pipeline: `phases` layers of `width` nodes
     /// each, node (k, i) depending on nodes (k−1, i−1..=i+1) — local edges
@@ -1236,97 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_submission_dominates_serial_at_scale() {
-        // Satellite requirement: K narrow jobs (max parallelism ≈ 4 each)
-        // submitted together must beat running them back-to-back whenever
-        // the pool is wider than one job — and never lose even at P = 4,
-        // where one job nearly saturates the pool but its skewed-lane
-        // stragglers still leave gaps another tenant can fill.
-        let jobs: Vec<(Dag, Vec<usize>)> =
-            (0..4).map(|i| pipeline_dag(6, 4, 120 + 40 * i as u64)).collect();
-        let dags: Vec<&Dag> = jobs.iter().map(|(d, _)| d).collect();
-        let tickets = vec![4u64; dags.len()];
-        let model = DagLinearCost { per_node: 0.2, per_unit: 1.0, queue_cost: 0.01 };
-        for workers in [4usize, 8, 16] {
-            let serial: f64 = dags
-                .iter()
-                .map(|d| simulate_dag(d, QueuePolicy::Priority, workers, &model).makespan)
-                .sum();
-            let conc =
-                simulate_concurrent_dags(&dags, &tickets, QueuePolicy::Priority, workers, &model);
-            assert!(
-                conc.makespan < serial,
-                "P={workers}: concurrent {} should dominate serial {serial}",
-                conc.makespan
-            );
-            // Work conservation: interleaving reorders, never adds units.
-            let total: f64 = conc.worker_busy.iter().sum();
-            let solo: f64 = dags
-                .iter()
-                .map(|d| {
-                    simulate_dag(d, QueuePolicy::Priority, 1, &model)
-                        .worker_busy
-                        .iter()
-                        .sum::<f64>()
-                })
-                .sum();
-            assert!((total - solo).abs() < 1e-6, "busy {total} vs solo work {solo}");
-        }
-    }
-
-    #[test]
-    fn tickets_bias_finish_order_between_identical_jobs() {
-        // Two identical jobs, one High (16 tickets) one Low (1): the
-        // high-ticket tenant gets ~16× the worker steps per virtual second
-        // and must finish strictly first. Mirrors the real pool's
-        // starvation-avoidance test.
-        let (dag, _) = pipeline_dag(6, 8, 60);
-        let dags = [&dag, &dag];
-        let model = DagLinearCost { per_node: 0.2, per_unit: 1.0, queue_cost: 0.01 };
-        let r = simulate_concurrent_dags(&dags, &[16, 1], QueuePolicy::Priority, 4, &model);
-        assert!(
-            r.finish[0] < r.finish[1],
-            "high-ticket job ({}) should finish before low ({})",
-            r.finish[0],
-            r.finish[1]
-        );
-        // And the Low job still completes — proportional share, not
-        // preemptive starvation.
-        assert!(r.finish[1] <= r.makespan);
-    }
-
-    #[test]
-    fn concurrent_replay_is_deterministic() {
-        let (a, _) = pipeline_dag(5, 6, 90);
-        let (b, _) = pipeline_dag(4, 7, 30);
-        let dags = [&a, &b];
-        let model = DagLinearCost::per_unit(0.3);
-        let r1 = simulate_concurrent_dags(&dags, &[4, 4], QueuePolicy::Priority, 8, &model);
-        let r2 = simulate_concurrent_dags(&dags, &[4, 4], QueuePolicy::Priority, 8, &model);
-        assert_eq!(r1.makespan, r2.makespan);
-        assert_eq!(r1.finish, r2.finish);
-        assert_eq!(r1.worker_busy, r2.worker_busy);
-    }
-
-    #[test]
-    fn single_concurrent_job_matches_solo_simulation() {
-        // K = 1 degenerates to simulate_dag (same shards, same victim
-        // order, no competing pass values).
-        let (dag, _) = pipeline_dag(5, 5, 70);
-        let model = DagLinearCost { per_node: 0.4, per_unit: 0.7, queue_cost: 0.02 };
-        for workers in [1usize, 3, 8] {
-            let solo = simulate_dag(&dag, QueuePolicy::Priority, workers, &model).makespan;
-            let conc =
-                simulate_concurrent_dags(&[&dag], &[4], QueuePolicy::Priority, workers, &model);
-            assert!(
-                (conc.makespan - solo).abs() < 1e-9,
-                "P={workers}: {} vs {solo}",
-                conc.makespan
-            );
-        }
-    }
-
-    #[test]
     fn fused_dominates_phased_at_scale_on_skewed_pipelines() {
         // One heavy lane per layer: under barriers every layer lasts the
         // heavy node's duration; the fused DAG overlaps layer k's light
@@ -1335,14 +822,9 @@ mod tests {
         let (dag, phases) = pipeline_dag(6, 16, 400);
         let model = DagLinearCost { per_node: 0.2, per_unit: 1.0, queue_cost: 0.01 };
         for workers in [4usize, 8, 16] {
-            let curve = dag_speedup_curve(&dag, &phases, QueuePolicy::Priority, &[workers], &model);
-            let p = curve[0];
-            assert!(
-                p.fused < p.phased,
-                "P={workers}: fused {} should beat phased {}",
-                p.fused,
-                p.phased
-            );
+            let fused = simulate_dag(&dag, QueuePolicy::Priority, workers, &model).makespan;
+            let phased = simulate_dag_phased(&dag, &phases, QueuePolicy::Priority, workers, &model);
+            assert!(fused < phased, "P={workers}: fused {} should beat phased {}", fused, phased);
         }
     }
 }

@@ -46,6 +46,16 @@ cargo test -q --offline -p nufft-core registry
 cargo test -q --offline --test concurrent_submit
 NUFFT_THREADS=16 cargo test -q --offline --test concurrent_submit
 
+echo "== scheduler simulator =="
+# nufft-sim replays the runtime's Dag through one event loop; its pins hold
+# every makespan bit for bit, and scheduler_consistency checks it against
+# the real executor (same units, and at one worker the same node order)
+# at the default worker counts. scaling_study is the one example that
+# drives simulate on real plans' graphs; it writes no files.
+cargo test -q --offline -p nufft-sim
+cargo test -q --offline --test scheduler_consistency
+cargo run --release --offline --example scaling_study >/dev/null
+
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
 # scheduler_consistency holds the executor-vs-simulator scheduling tests and
 # the fused-DAG simulated-dominance check on real plans' graphs; its

@@ -4,8 +4,8 @@
 //! transferable statements about the real runtime.
 
 use nufft::parallel::exec::{DagScratch, Executor, JobPriority, TaskPhase};
-use nufft::parallel::graph::{DagBuilder, QueuePolicy, TaskGraph, TaskId};
-use nufft::sim::{simulate, LinearCost};
+use nufft::parallel::graph::{Dag, DagBuilder, QueuePolicy, TaskGraph, TaskId};
+use nufft::sim::{simulate, task_phase, task_tag, LinearCost};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Worker count of the executor-side tests: the `NUFFT_THREADS` override
@@ -18,24 +18,31 @@ fn stress_threads(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// `g`'s expansion with the simulator's node tags — the graph `simulate`
+/// replays.
+fn expand(g: &TaskGraph) -> Dag {
+    let mut b = DagBuilder::new();
+    g.expand_into(&mut b, |t, phase| (task_tag(t, phase), g.weight(t)));
+    b.build()
+}
+
 /// Runs `g` as its expansion on `threads` workers under the priority
 /// policy, handing every node to `task_fn(task, phase)`.
 fn run_tasks<F>(g: &TaskGraph, threads: usize, task_fn: F)
 where
     F: Fn(TaskId, TaskPhase) + Sync,
 {
-    const PHASES: [TaskPhase; 3] =
-        [TaskPhase::Normal, TaskPhase::PrivateConvolve, TaskPhase::Reduce];
-    let mut b = DagBuilder::new();
-    g.expand_into(&mut b, |t, phase| ((t as u64) << 2 | phase as u64, g.weight(t)));
     let mut scratch = DagScratch::new();
     let exec = Executor::new(threads);
     exec.run_dag(
-        &b.build(),
+        &expand(g),
         QueuePolicy::Priority,
         JobPriority::Normal,
         &mut scratch,
-        |_, tag, _| task_fn((tag >> 2) as TaskId, PHASES[(tag & 3) as usize]),
+        |_, tag, _| {
+            let (t, phase) = task_phase(tag);
+            task_fn(t, phase)
+        },
     );
 }
 
@@ -66,7 +73,8 @@ fn executor_and_simulator_run_the_same_phase_multiset() {
         let sim = simulate(&g, QueuePolicy::Priority, threads, &LinearCost::per_sample(0.01));
         let mut sim_counts = vec![[0u32; 3]; g.len()];
         for r in &sim.timeline {
-            sim_counts[r.task][r.phase as usize] += 1;
+            let (t, phase) = task_phase(r.tag);
+            sim_counts[t][phase as usize] += 1;
         }
         for t in 0..g.len() {
             let exec_c: Vec<u32> = (0..3).map(|s| counts[t][s].load(Ordering::SeqCst)).collect();
@@ -78,6 +86,40 @@ fn executor_and_simulator_run_the_same_phase_multiset() {
                 assert_eq!(exec_c, vec![0, 1, 1]);
             } else {
                 assert_eq!(exec_c, vec![1, 0, 0]);
+            }
+        }
+    }
+}
+
+#[test]
+fn one_worker_simulation_runs_nodes_in_the_executors_order() {
+    // At one worker neither the runtime nor the model has a choice to make
+    // beyond its queue: both pop the policy-best ready node and push the
+    // newly-ready successors in the expansion's order. On wrapped graphs a
+    // task's lower neighbor can have the higher id, so FIFO order shows
+    // whether the model pushes successors as the runtime does.
+    let model = LinearCost::per_sample(0.01);
+    for dims in [&[4usize, 4][..], &[6, 6], &[8, 4], &[4, 4, 4], &[6, 4, 2]] {
+        for every in [3usize, 5] {
+            let mut g = weighted_graph(dims, false);
+            for t in (0..g.len()).step_by(every) {
+                g.set_privatized(t, true);
+            }
+            let dag = expand(&g);
+            for policy in [QueuePolicy::Fifo, QueuePolicy::Priority] {
+                let mut scratch = DagScratch::new();
+                Executor::new(1).run_dag(
+                    &dag,
+                    policy,
+                    JobPriority::Normal,
+                    &mut scratch,
+                    |_, _, _| {},
+                );
+                let ran: Vec<u32> = scratch.stats().log.iter().map(|r| r.node).collect();
+                let sim: Vec<u32> =
+                    simulate(&g, policy, 1, &model).timeline.iter().map(|r| r.node).collect();
+                assert_eq!(ran.len(), dag.len());
+                assert_eq!(sim, ran, "{dims:?}, tasks t % {every} == 0 privatized, {policy:?}");
             }
         }
     }
